@@ -16,7 +16,7 @@ import numpy as np
 
 from . import amplitude as amp
 from . import divdiff, green, oracle
-from .model import load_model, random_model, scale_coupling, two_level_model
+from .model import _fmt, load_model, random_model, scale_coupling, two_level_model
 from .propagator import (
     TruncationSpec,
     a_matrix,
@@ -26,8 +26,28 @@ from .propagator import (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+#: Errors within this many units of roundoff of the compared values' scale
+#: are indistinguishable from zero.
+_ROUNDOFF_ULPS = 100
+
+
+class UnresolvedRatioError(ValueError):
+    """A coupling-halving ratio of two errors at the roundoff floor."""
+
+
+def _halving_ratio(name: str, errs, scale: float = 1.0) -> float:
+    """errs[0] / errs[1] for couplings lambda and lambda/2.
+
+    When either error sits at the roundoff floor the ratio measures noise,
+    not the coupling order, so it is refused instead of reported.
+    """
+    floor = _ROUNDOFF_ULPS * np.finfo(float).eps * scale
+    if min(errs) <= floor:
+        raise UnresolvedRatioError(
+            f"{name} cannot be resolved: the errors {errs[0]:.3e} (lambda) and "
+            f"{errs[1]:.3e} (lambda/2) are not both above the roundoff floor "
+            f"{floor:.1e}; use a larger --lambda")
+    return errs[0] / errs[1]
 
 
 @dataclass
@@ -267,8 +287,8 @@ def cmd_converge(opts) -> Report:
                                   complex(defect), complex(0.0)))
         expected = 2.0 ** (N + 1)
         expected_defect = 2.0 ** (N + 1 if N % 2 else N + 2)
-        ratio = errs[0] / errs[1]
-        dratio = defects[0] / defects[1]
+        ratio = _halving_ratio(f"error_ratio_N{N}", errs)
+        dratio = _halving_ratio(f"unitarity_ratio_N{N}", defects)
         summary.append(SummaryItem(
             f"error_ratio_N{N}", ratio, opts.ratio_tol,
             abs(ratio / expected - 1.0) <= opts.ratio_tol))
@@ -382,6 +402,7 @@ def cmd_amplitude(opts) -> Report:
     rows = []
     rel_errs = []
     dir_errs = []
+    scale = 0.0
     for lam, sys_ in systems:
         m = sys_.spec.M
         rel_max = 0.0
@@ -397,6 +418,7 @@ def cmd_amplitude(opts) -> Report:
                                       direct, exact))
                 rel_max = max(rel_max, abs(via - exact))
                 dir_max = max(dir_max, abs(direct - exact))
+                scale = max(scale, abs(exact))
         rel_errs.append(rel_max)
         dir_errs.append(dir_max)
 
@@ -410,8 +432,8 @@ def cmd_amplitude(opts) -> Report:
     summary = []
     expected = 2.0 ** (opts.order + 1)
     if len(systems) == 2:
-        ratio_rel = rel_errs[0] / rel_errs[1]
-        ratio_dir = dir_errs[0] / dir_errs[1]
+        ratio_rel = _halving_ratio("relation_error_ratio", rel_errs, scale)
+        ratio_dir = _halving_ratio("direct_error_ratio", dir_errs, scale)
         summary.append(SummaryItem("relation_error_ratio", ratio_rel, opts.ratio_tol,
                                    abs(ratio_rel / expected - 1.0) <= opts.ratio_tol))
         summary.append(SummaryItem("direct_error_ratio", ratio_dir, opts.ratio_tol,

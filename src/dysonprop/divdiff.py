@@ -5,13 +5,13 @@ The divided difference over nodes E_1..E_n is the symmetric functional
     f[E_1,...,E_n] = sum_i f(E_i) / prod_{j != i} (E_i - E_j)
 
 for distinct nodes, extended by derivative (confluent) limits when nodes
-repeat.  Two evaluation routes are provided for the phase function:
-
-* a direct partial-fraction sum, used when the nodes are well separated;
-* the corner row of e^{-iJt} for the upper-bidiagonal matrix J carrying
-  the nodes on its diagonal and ones above it, computed by shifting,
-  scaling and squaring.  This is stable for clustered or repeated nodes,
-  where the direct sum cancels catastrophically.
+repeat.  The phase function is evaluated as the corner row of e^{-iJt} for
+the upper-bidiagonal matrix J carrying the nodes on its diagonal and ones
+above it (Opitz 1964; McCurdy, Ng & Parlett, Math. Comp. 43 (1984) 501).
+``_phase_exp`` computes that exponential by shifting, scaling and squaring;
+it is stable for clustered or repeated nodes, where the partial-fraction
+sum cancels catastrophically, and it is the same routine the series terms
+of ``propagator.a_matrix`` use for their block-bidiagonal matrix.
 
 Monomial divided differences reduce to complete homogeneous symmetric
 polynomials and evaluate exactly over integer or rational nodes.
@@ -25,10 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-#: Use the direct partial-fraction sum only when the smallest pairwise node
-#: gap exceeds GAP_THRESHOLD / max(1, |t|).
-GAP_THRESHOLD = 0.1
 
 _TAYLOR_RTOL = 1e-18
 _TAYLOR_MAX_TERMS = 64
@@ -79,34 +75,20 @@ def _as_t(phase) -> float:
     return PhaseSpec(float(phase)).t
 
 
-def _min_gap(nodes: tuple) -> float:
-    return min(abs(a - b) for a, b in itertools.combinations(nodes, 2))
+def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t m) for a square matrix m.
 
-
-def _direct_phase_sum(nodes: tuple, t: float) -> complex:
-    total = 0.0 + 0.0j
-    for i, zi in enumerate(nodes):
-        denom = 1.0 + 0.0j
-        for j, zj in enumerate(nodes):
-            if j != i:
-                denom *= zi - zj
-        total += np.exp(-1j * zi * t) / denom
-    return complex(total)
-
-
-def _phase_bidiagonal_exp(nodes: tuple, t: float) -> np.ndarray:
-    """exp(-i t J) for the upper-bidiagonal node matrix J, first row only.
-
-    The mean node is factored out first so the scaled matrix is small; the
-    remainder is handled by Taylor summation with repeated squaring.
+    The mean diagonal entry is factored out first so the shifted matrix is
+    small; the remainder is scaled to 1-norm <= 0.5, summed as a Taylor
+    series and squared back up.  The series stops when every entry of the
+    last term is below _TAYLOR_RTOL of the same entry of the sum, not of
+    the largest entry: the entries wanted here, divided differences over
+    many nodes and high-order series terms, can lie many orders below it.
     """
-    n = len(nodes)
-    arr = np.array(nodes, dtype=complex)
-    mu = arr.mean()
-    a = np.diag(-1j * t * (arr - mu))
-    if n > 1:
-        a += np.diag(np.full(n - 1, -1j * t), 1)
-    norm = float(np.max(np.sum(np.abs(a), axis=0))) if n else 0.0
+    n = m.shape[0]
+    mu = np.trace(m) / n
+    a = -1j * t * (m - mu * np.eye(n))
+    norm = float(np.abs(a).sum(axis=0).max())
     s = 0
     while norm > 0.5:
         norm /= 2.0
@@ -117,12 +99,19 @@ def _phase_bidiagonal_exp(nodes: tuple, t: float) -> np.ndarray:
     for k in range(1, _TAYLOR_MAX_TERMS + 1):
         term = term @ b / k
         f += term
-        if np.max(np.abs(term)) <= _TAYLOR_RTOL * max(1.0, float(np.max(np.abs(f)))):
+        if np.all(abs(term) <= _TAYLOR_RTOL * abs(f)):
             break
     for _ in range(s):
         f = f @ f
     f *= np.exp(-1j * mu * t)
-    return f[0, :].copy()
+    return f
+
+
+def _phase_bidiagonal_row(nodes: tuple, t: float) -> np.ndarray:
+    """First row of exp(-i t J) for the upper-bidiagonal node matrix J."""
+    n = len(nodes)
+    j = np.diag(np.array(nodes, dtype=complex)) + np.diag(np.ones(n - 1), 1)
+    return _phase_exp(j, t)[0, :].copy()
 
 
 def dd_phase_table(nodes, phase) -> np.ndarray:
@@ -130,18 +119,14 @@ def dd_phase_table(nodes, phase) -> np.ndarray:
     of f(E) = e^{-iEt}, in one pass."""
     nd = _as_nodes(nodes)
     t = _as_t(phase)
-    return _phase_bidiagonal_exp(nd, t)
+    return _phase_bidiagonal_row(nd, t)
 
 
 def dd_phase(nodes, phase) -> complex:
     """Divided difference of e^{-iEt}; repeated nodes get confluent limits."""
     nd = _as_nodes(nodes)
     t = _as_t(phase)
-    if len(nd) == 1:
-        return complex(np.exp(-1j * nd[0] * t))
-    if _min_gap(nd) > GAP_THRESHOLD / max(1.0, abs(t)):
-        return _direct_phase_sum(nd, t)
-    return complex(_phase_bidiagonal_exp(nd, t)[-1])
+    return complex(_phase_bidiagonal_row(nd, t)[-1])
 
 
 def _is_exact_scalar(x) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import SpectralModel
+from .model import SpectralModel, hamiltonian
 from .oracle import linear_solve
 from .propagator import (
     OperatorMatrix,
@@ -76,10 +76,6 @@ class QuadratureSpec:
         w[0] /= 2
         w[-1] /= 2
         return x, w
-
-
-def hamiltonian(model: SpectralModel) -> np.ndarray:
-    return np.diag(model.energies.astype(complex)) + model.h1
 
 
 def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:

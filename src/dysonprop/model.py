@@ -102,6 +102,11 @@ class SpectralModel:
         return self.min_gap > DEGENERACY_TOL
 
 
+def hamiltonian(model: SpectralModel) -> np.ndarray:
+    """The full Hamiltonian diag(energies) + h1 as a dense matrix."""
+    return np.diag(model.energies.astype(complex)) + model.h1
+
+
 def load_model(text: str) -> SpectralModel:
     """Parse the model file format (JSON object, see ``emit_model``)."""
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import SpectralModel
+from .model import SpectralModel, hamiltonian
 from .propagator import OperatorMatrix
 
 JACOBI_SWEEP_BUDGET = 30
@@ -116,14 +116,10 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def _model_hamiltonian(model: SpectralModel) -> np.ndarray:
-    return np.diag(model.energies.astype(complex)) + model.h1
-
-
 def exact_evolution(model_or_matrix, t: float) -> OperatorMatrix:
     """e^{-iHt} via eigendecomposition; unitary to working accuracy."""
     if isinstance(model_or_matrix, SpectralModel):
-        h = _model_hamiltonian(model_or_matrix)
+        h = hamiltonian(model_or_matrix)
     else:
         h = np.asarray(model_or_matrix, dtype=complex)
     dec = hermitian_eigendecomposition(h)

@@ -1,9 +1,18 @@
 """Series coefficients of the time-evolution operator and their assembly.
 
-Order-l contributions are sums over index tuples (g_1..g_{l+1}) of a
-divided difference of the phase function over the tuple's energies times a
-chain product of perturbation matrix elements.  The l-truncated partial
-sum approximates e^{-iHt} with error O(lambda^{N+1}) in the coupling.
+The order-l term of the interaction series of e^{-iHt}, H = H0 + H1, is
+
+    a_l(g, g') = sum over g_1 = g, g_2, ..., g_{l+1} = g' of
+                 f[E_{g_1}, ..., E_{g_{l+1}}] * H1[g_1, g_2] * ... * H1[g_l, g_{l+1}]
+
+with f[...] the divided difference of f(E) = e^{-iEt}.  ``a_matrix`` sums
+all of these index tuples at once: for the (l+1)d x (l+1)d block upper
+bidiagonal matrix M with H0 on its diagonal blocks and H1 on the blocks
+above them, a_l is block (0, l) of e^{-iMt} (Van Loan, IEEE TAC 23 (1978)
+395; the matrix form of the corner-entry theorem behind
+``divdiff.dd_phase``).  ``a_coefficient`` keeps the tuple sum itself as
+the reference for that route.  The l-truncated partial sum approximates
+e^{-iHt} with error O(lambda^{N+1}) in the coupling.
 
 An independently evaluated, epsilon-regularized form built from resolvent
 partial fractions is provided as a cross-check; it converges to the
@@ -14,40 +23,12 @@ divided-difference route as epsilon -> 0 and is meant to be extrapolated
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import dd_phase
+from .divdiff import _phase_exp, dd_phase
 from .model import SpectralModel
-
-DEFAULT_TUPLE_BUDGET = 2_000_000
-_BUDGET_ENV = "DYSONPROP_TUPLE_BUDGET"
-
-#: Compensated accumulation kicks in at this dimension and above.
-_KAHAN_DIM = 8
-
-
-class TupleBudgetError(RuntimeError):
-    """Tuple enumeration would exceed the configured budget."""
-
-
-def tuple_budget() -> int:
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_TUPLE_BUDGET
-    return int(raw)
-
-
-def _check_budget(dim: int, l: int) -> None:
-    cost = dim ** (l + 1)
-    budget = tuple_budget()
-    if cost > budget:
-        raise TupleBudgetError(
-            f"order {l} over dimension {dim} needs {cost} tuples "
-            f"(budget {budget}; set {_BUDGET_ENV} to override)"
-        )
 
 
 @dataclass
@@ -100,36 +81,40 @@ def _chain_weight(h1: np.ndarray, tup: tuple) -> complex:
 
 
 def a_coefficient(model: SpectralModel, l: int, g: int, gp: int, t: float) -> complex:
-    """Single series coefficient at order l between basis states g, g'."""
+    """Single series coefficient at order l between basis states g, g'.
+
+    Sums the paper's index tuples one by one, d^(l-1) divided differences;
+    this is the reference that ``a_matrix`` is tested against, not a
+    production route.
+    """
     if l < 0:
         raise ValueError("order must be >= 0")
     e = model.energies
     if l == 0:
         return complex(np.exp(-1j * e[g] * t)) if g == gp else 0j
-    _check_budget(model.dim, l)
-    h1 = model.h1
-    cache: dict[tuple, complex] = {}
     total = 0j
     for mid in itertools.product(range(model.dim), repeat=l - 1):
         tup = (g, *mid, gp)
-        w = _chain_weight(h1, tup)
-        if w == 0:
-            continue
-        key = tuple(sorted(tup))
-        dd = cache.get(key)
-        if dd is None:
-            dd = dd_phase([e[k] for k in tup], t)
-            cache[key] = dd
-        total += dd * w
+        w = _chain_weight(model.h1, tup)
+        if w != 0:
+            total += dd_phase([e[k] for k in tup], t) * w
     return complex(total)
 
 
 def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     """Order-l series term as a matrix in the unperturbed eigenbasis.
 
-    Divided differences are shared across tuples with equal node multisets
-    (the value is symmetric in the nodes), so the dominant cost is one
-    evaluation per multiset rather than per tuple.
+    Block (0, l) of e^{-iMt} for the (l+1)d x (l+1)d block matrix
+
+        M = | H0  H1          |
+            |     H0  ...     |
+            |         ...  H1 |
+            |              H0 |
+
+    Every path from block 0 to block l through M crosses the H1 blocks of
+    one index tuple and picks up the divided difference of its energies, so
+    one scaling-and-squaring exponential replaces the d^(l+1) tuples of the
+    sum, at O(((l+1)d)^3) cost per Taylor term or squaring.
     """
     if l < 0:
         raise ValueError("order must be >= 0")
@@ -139,29 +124,10 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
         return OperatorMatrix(
             np.diag(np.exp(-1j * e * t)), "series-term", {"t": t, "l": 0}
         )
-    _check_budget(d, l)
-    h1 = model.h1
-    out = np.zeros((d, d), dtype=complex)
-    comp = np.zeros((d, d), dtype=complex) if d >= _KAHAN_DIM else None
-    cache: dict[tuple, complex] = {}
-    for tup in itertools.product(range(d), repeat=l + 1):
-        w = _chain_weight(h1, tup)
-        if w == 0:
-            continue
-        key = tuple(sorted(tup))
-        dd = cache.get(key)
-        if dd is None:
-            dd = dd_phase([e[k] for k in tup], t)
-            cache[key] = dd
-        term = dd * w
-        i, j = tup[0], tup[-1]
-        if comp is None:
-            out[i, j] += term
-        else:  # Kahan step
-            y = term - comp[i, j]
-            s = out[i, j] + y
-            comp[i, j] = (s - out[i, j]) - y
-            out[i, j] = s
+    m = np.diag(np.tile(e, l + 1).astype(complex))
+    for k in range(l):
+        m[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = model.h1
+    out = _phase_exp(m, t)[:d, l * d :].copy()
     return OperatorMatrix(out, "series-term", {"t": t, "l": l})
 
 
@@ -198,7 +164,6 @@ def epsilon_form_evolution(
     h1 = model.h1
     out = np.zeros((d, d), dtype=complex)
     for l in range(spec.N + 1):
-        _check_budget(d, l)
         for tup in itertools.product(range(d), repeat=l + 1):
             w = _chain_weight(h1, tup) if l else 1.0 + 0j
             if w == 0:

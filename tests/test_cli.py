@@ -137,3 +137,26 @@ def test_csv_output_format(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("row,col,")
     assert len({len(l.split(",")) for l in lines}) == 1
+
+
+def test_converge_default_flags_pass(tmp_path):
+    assert main(["converge", "--out", str(tmp_path / "c.json")]) == 0
+
+
+def test_converge_refuses_ratio_at_roundoff_floor(capsys):
+    # at lambda = 1e-300 both halving errors are roundoff, so any ratio of
+    # them is noise: the run must stop with a message, not print a verdict
+    assert main(["converge", "--lambda", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert "error_ratio_N1" in err
+    assert "roundoff floor" in err
+    assert "larger --lambda" in err
+    assert "[FAIL]" not in err and "[PASS]" not in err
+
+
+def test_amplitude_refuses_ratio_at_roundoff_floor(capsys):
+    # at lambda = 1e-4 the direct errors are 8.1e-14 and 7.3e-15: only the
+    # second is roundoff, and their ratio (11 against an expected 8) is noise
+    assert main(["amplitude", "--lambda", "1e-4"]) == 2
+    err = capsys.readouterr().err
+    assert "direct_error_ratio" in err and "roundoff floor" in err

@@ -63,12 +63,16 @@ def test_triple_confluent():
     (1.0, 1.0 + 1e-9, 2.0),
     (0.0, 1e-12, 2e-12, 1.0),
     (-3.0, -1.0, 0.0, 2.0, 5.0),
+    # evenly spaced with gap 0.11: the partial-fraction sum over these loses
+    # about 1.5 digits per added node, and the values fall to ~1e-11 at
+    # n=12, t=0.5, so the check is relative
+    *[tuple(0.11 * k for k in range(n)) for n in range(5, 13)],
 ])
 def test_against_mpmath_oracle(nodes):
     for t in (0.5, 1.0, 3.7):
         got = dd_phase(nodes, t)
         want = mp_dd_phase(nodes, t)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_clustered_nodes_stable():

@@ -8,12 +8,11 @@ from dysonprop.green import (
     complete_resolvent_direct,
     dyson_partial,
     forward_fourier,
-    hamiltonian,
     inverse_fourier_check,
     timedep_green,
     unperturbed_resolvent,
 )
-from dysonprop.model import random_model, scale_coupling, two_level_model
+from dysonprop.model import hamiltonian, random_model, scale_coupling, two_level_model
 from dysonprop.oracle import exact_evolution
 from dysonprop.propagator import TruncationSpec, truncated_evolution
 

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from dysonprop.model import random_model, scale_coupling, two_level_model
+from dysonprop.model import SpectralModel, random_model, scale_coupling, two_level_model
 from dysonprop.oracle import dyson_term_quadrature, exact_evolution
 from dysonprop.propagator import (
     TruncationSpec,
-    TupleBudgetError,
     a_coefficient,
     a_matrix,
     epsilon_form_evolution,
     normalize_sign,
     richardson_limit,
     truncated_evolution,
-    tuple_budget,
 )
 
 
@@ -38,11 +36,54 @@ def test_zero_coupling_kills_higher_orders():
 
 @pytest.mark.parametrize("l", [1, 2])
 def test_terms_match_quadrature_oracle(l):
-    for seed in (3, 4):
-        m = random_model(3, seed, lam=0.6)
-        got = a_matrix(m, l, 1.5).entries
-        want = dyson_term_quadrature(m, l, 1.5, 64).entries
+    for dim, seed, lam, t in ((3, 3, 0.6, 1.5), (3, 4, 0.6, 1.5), (8, 5, 0.2, 1.0)):
+        m = random_model(dim, seed, lam=lam)
+        got = a_matrix(m, l, t).entries
+        want = dyson_term_quadrature(m, l, t, 64).entries
         assert np.max(np.abs(got - want)) <= 1e-8
+
+
+def _degenerate_model(dim):
+    # levels in coincident pairs, so index tuples repeat energies
+    m = random_model(dim, 20 + dim, lam=0.5)
+    return SpectralModel(np.repeat(m.energies[: (dim + 1) // 2], 2)[:dim], m.h1)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_block_route_matches_tuple_sum(degenerate):
+    # a_matrix (one block-bidiagonal exponential) against the paper's
+    # divided-difference sum over index tuples, entry by entry
+    for dim in (2, 3, 4):
+        m = _degenerate_model(dim) if degenerate else random_model(dim, 10 + dim, lam=0.5)
+        assert m.nondegenerate != degenerate
+        for l in (0, 1, 2, 3):
+            for t in (1.3, -1.3):
+                got = a_matrix(m, l, t).entries
+                for g in range(dim):
+                    for gp in range(dim):
+                        want = a_coefficient(m, l, g, gp, t)
+                        assert abs(got[g, gp] - want) <= 1e-13
+
+
+def _compressed_model(dim, seed, lam):
+    # random levels rescaled into [-1, 1], so a 32-point rule resolves the
+    # phases of the quadrature oracle over t = 1
+    m = random_model(dim, seed, lam=lam)
+    e = m.energies - m.energies.mean()
+    return SpectralModel(e / np.max(np.abs(e)), m.h1)
+
+
+def test_large_dimension_terms_and_time_reversal():
+    # d=64 at N=3: the block route needs no index tuples (64^4 of them)
+    m = _compressed_model(64, 9, lam=0.05)
+    for l in (1, 2):
+        got = a_matrix(m, l, 1.0).entries
+        want = dyson_term_quadrature(m, l, 1.0, 32).entries
+        assert np.max(np.abs(got - want)) <= 1e-12
+    spec = TruncationSpec(3)
+    fwd = truncated_evolution(m, spec, 1.0).entries
+    bwd = truncated_evolution(m, spec, -1.0).entries
+    assert np.max(np.abs(bwd - fwd.conj().T)) <= 1e-13
 
 
 def test_degenerate_levels_handled():
@@ -131,20 +172,3 @@ def test_richardson_limit_polynomial():
     eps = [0.4, 0.2, 0.1]
     samples = [7.0 + 3.0 * e - 2.0 * e**2 for e in eps]
     assert richardson_limit(eps, samples) == pytest.approx(7.0, abs=1e-12)
-
-
-def test_tuple_budget_guard(monkeypatch):
-    monkeypatch.setenv("DYSONPROP_TUPLE_BUDGET", "100")
-    assert tuple_budget() == 100
-    m = random_model(4, 0)
-    with pytest.raises(TupleBudgetError):
-        a_matrix(m, 3, 1.0)
-
-
-def test_kahan_path_matches_plain():
-    # dimension >= 8 switches to compensated accumulation; results must
-    # agree with the plain path used at small dimension
-    m = random_model(8, 5, lam=0.2)
-    got = a_matrix(m, 1, 1.0).entries
-    want = dyson_term_quadrature(m, 1, 1.0, 64).entries
-    assert np.max(np.abs(got - want)) <= 1e-8
