@@ -22,7 +22,6 @@ times them is the secular t * e^{-iEt} contribution.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -30,7 +29,13 @@ import numpy as np
 
 from .model import ModelParseError, SpectralModel
 from .oracle import hermitian_eigendecomposition
-from .propagator import TruncationSpec, normalize_sign, truncated_evolution
+from .propagator import (
+    TruncationSpec,
+    _graded_chains,
+    normalize_sign,
+    richardson_limit,
+    truncated_evolution,
+)
 
 _ORTHO_TOL = 1e-10
 
@@ -185,43 +190,19 @@ def c_kernel_matrix(
     """Kernels C_m(x_b, y_b; x_a, y_a) for fixed endpoints, as an
     (N+1) x M x M array over (m, y_b, y_a).
 
-    Per index tuple, node m is shifted to E - i*sgn*m*eps, the graded node
-    shifts of the resolvent form of the evolution operator, which keeps
-    every partial fraction finite.  The partial fraction of node m goes
-    into C_m; ``k_via_relation`` supplies its factor e^{-sgn*m*eps*t}.
+    Node m of each index tuple is shifted to E - i*sgn*m*eps, the graded
+    shifts of ``propagator._graded_chains``; the partial fraction of node m
+    goes into C_m, and ``k_via_relation`` supplies its factor
+    e^{-sgn*m*eps*t}.  The |Phi_g><Phi_g| weight at position m is
+    (left[m] @ psi[x_b])[g] * (right[N-m] @ psi*[x_a])[g].
     """
     if isinstance(spec, int):
         spec = TruncationSpec(spec)
     if not eps > 0:
         raise AmplitudeError(f"eps must be positive, got {eps}")
-    sgn = normalize_sign(sign)
-    model = sys.model
-    d = model.dim
-    e = model.energies
-    h1 = model.h1
+    _, left, right = _graded_chains(sys.model, spec.N, eps, normalize_sign(sign))
     psi = sys.basis
-    # accumulated spectral weight of the |Phi_g> <Phi_g| insertion, one row
-    # per tuple position
-    weight = np.zeros((spec.N + 1, d), dtype=complex)
-    for l in range(spec.N + 1):
-        for tup in itertools.product(range(d), repeat=l + 1):
-            hw = 1.0 + 0.0j
-            ok = True
-            for a, b in zip(tup, tup[1:]):
-                hw *= h1[a, b]
-                if hw == 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nodes = e[list(tup)] - 1j * sgn * eps * np.arange(l + 1)
-            ends = psi[xb, tup[0]] * np.conj(psi[xa, tup[-1]]) * hw
-            for i in range(l + 1):
-                denom = 1.0 + 0.0j
-                for j in range(l + 1):
-                    if j != i:
-                        denom *= nodes[i] - nodes[j]
-                weight[i, tup[i]] += ends / denom
+    weight = (left @ psi[xb, :]) * (right[::-1] @ np.conj(psi[xa, :]))
     return (np.conj(psi) * weight[:, np.newaxis, :]) @ psi.T
 
 
@@ -273,8 +254,6 @@ def k_via_relation_extrapolated(
     sign="+",
 ) -> complex:
     """Richardson (Neville) extrapolation of ``k_via_relation`` to eps = 0."""
-    from .propagator import richardson_limit
-
     samples = [
         k_via_relation(sys, spec, eps, xb, tb, xa, ta, sign) for eps in eps_values
     ]

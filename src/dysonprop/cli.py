@@ -31,6 +31,11 @@ from .propagator import (
 _ROUNDOFF_ULPS = 100
 
 
+#: eps ladder of the extrapolated resolvent form and kernel relation; four
+#: points keep the Richardson remainder below the truncation errors compared
+_EPS_LADDER = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+
+
 class UnresolvedRatioError(ValueError):
     """A coupling-halving ratio of two errors at the roundoff floor."""
 
@@ -237,10 +242,9 @@ def cmd_propagate(opts) -> Report:
         worst_term = max(worst_term, float(np.max(np.abs(computed - ref))))
 
     spec = TruncationSpec(min(opts.order, 2))
-    eps_values = [1e-2, 5e-3, 2.5e-3]
     samples = [epsilon_form_evolution(model, spec, opts.t, e, opts.sign).entries
-               for e in eps_values]
-    extrapolated = richardson_limit(eps_values, samples)
+               for e in _EPS_LADDER]
+    extrapolated = richardson_limit(_EPS_LADDER, samples)
     direct = truncated_evolution(model, spec, opts.t).entries
     eps_dev = float(np.max(np.abs(extrapolated - direct)))
     summary = [
@@ -390,7 +394,6 @@ def cmd_amplitude(opts) -> Report:
     """Kernel-relation and direct-truncation amplitudes against the exact
     lattice propagator, with coupling-halving scaling."""
     spec = TruncationSpec(opts.order)
-    eps_values = [1e-2, 5e-3, 2.5e-3]
     tb, ta = opts.t, 0.0
     if opts.lattice:
         with open(opts.lattice) as fh:
@@ -410,7 +413,7 @@ def cmd_amplitude(opts) -> Report:
         for b in range(m):
             for a in range(m):
                 exact = amp.k_exact(sys_, b, tb, a, ta)
-                via = amp.k_via_relation_extrapolated(sys_, spec, eps_values, b, tb, a, ta)
+                via = amp.k_via_relation_extrapolated(sys_, spec, _EPS_LADDER, b, tb, a, ta)
                 direct = amp.k_truncated_direct(sys_, spec, b, tb, a, ta)
                 rows.append(ReportRow({"lambda": lam, "xb": b, "xa": a, "what": "relation"},
                                       via, exact))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Levels closer than this (absolute, energy units) count as coincident;
-#: coincident levels force the confluent divided-difference path.
+#: Levels closer than this (absolute, energy units) count as coincident in
+#: ``SpectralModel.nondegenerate``; no computation path depends on it.
 DEGENERACY_TOL = 1e-9
 
 _HERMITICITY_RTOL = 1e-12

@@ -141,6 +141,33 @@ def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float) ->
     return OperatorMatrix(total, "propagator", {"t": t, "N": spec.N})
 
 
+def _graded_chains(model: SpectralModel, N: int, eps: float, sgn: int):
+    """Partial fractions of the graded-shift sum, split at one tuple position.
+
+    Node j of a tuple g_0, ..., g_l is z_j = E_{g_j} - i*sgn*j*eps.  With
+    g_m = g fixed, 1/(z_m - z_j) depends only on g, g_j and m - j, so the
+    tuple sum splits into a chain left of position m and one right of it.
+    Returns ``nodes[m, g]`` = z_m for g_m = g, ``left`` and ``right`` with
+
+        left[m, g, a] * right[N - m, g, b]
+            = sum over tuples a = g_0, ..., g_l = b with l >= m and g_m = g of
+              H1[g_0, g_1] ... H1[g_{l-1}, g_l] / prod_{j != m} (z_m - z_j);
+
+    ``right[n]`` sums the right chains of length 0..n.  Cost O(N d^3).
+    """
+    e = model.energies
+    nodes = e - 1j * sgn * eps * np.arange(N + 1)[:, np.newaxis]
+    left = np.empty((N + 1, model.dim, model.dim), dtype=complex)
+    chain = np.empty_like(left)
+    left[0] = chain[0] = np.eye(model.dim)
+    for k in range(1, N + 1):
+        # z_m - z_{m-k} = nodes[k, g_m] - E_{g_{m-k}}
+        # z_m - z_{m+k} = E_{g_m} - nodes[k, g_{m+k}]
+        left[k] = (left[k - 1] @ model.h1.T) / (nodes[k][:, np.newaxis] - e)
+        chain[k] = (chain[k - 1] @ model.h1) / (e[:, np.newaxis] - nodes[k])
+    return nodes, left, np.cumsum(chain, axis=0)
+
+
 def epsilon_form_evolution(
     model: SpectralModel, spec: TruncationSpec, t: float, eps: float, sign
 ) -> OperatorMatrix:
@@ -148,36 +175,23 @@ def epsilon_form_evolution(
 
     Each tuple's energies are split by graded imaginary shifts
     E_m -> E_m -+ i*m*eps (position m, sign '+' selects the retarded
-    prescription), which puts -+i*eps-type offsets into every resolvent
-    denominator and renders all partial fractions finite.  Individual
-    terms grow like 1/eps near coincident energies while the assembled
-    matrix converges to ``truncated_evolution`` as eps -> 0; callers are
-    expected to extrapolate over a ladder of eps values.
+    prescription), which renders all partial fractions finite.  With the
+    chains of ``_graded_chains``, U_eps[a, b] is the sum over m and g of
+    left[m, g, a] e^{-i z_m(g) t} right[N-m, g, b].  Individual terms grow
+    like 1/eps near coincident energies while the assembled matrix converges
+    to ``truncated_evolution`` as eps -> 0; callers are expected to
+    extrapolate over a ladder of eps values.
     """
     if isinstance(spec, int):
         spec = TruncationSpec(spec)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     sgn = normalize_sign(sign)
-    d = model.dim
-    e = model.energies
-    h1 = model.h1
-    out = np.zeros((d, d), dtype=complex)
-    for l in range(spec.N + 1):
-        for tup in itertools.product(range(d), repeat=l + 1):
-            w = _chain_weight(h1, tup) if l else 1.0 + 0j
-            if w == 0:
-                continue
-            nodes = np.array([e[k] for k in tup], dtype=complex)
-            nodes -= 1j * sgn * eps * np.arange(l + 1)
-            val = 0j
-            for i in range(l + 1):
-                denom = 1.0 + 0j
-                for j in range(l + 1):
-                    if j != i:
-                        denom *= nodes[i] - nodes[j]
-                val += np.exp(-1j * nodes[i] * t) / denom
-            out[tup[0], tup[-1]] += val * w
+    nodes, left, right = _graded_chains(model, spec.N, eps, sgn)
+    out = sum(
+        left[m].T @ (np.exp(-1j * nodes[m] * t)[:, np.newaxis] * right[spec.N - m])
+        for m in range(spec.N + 1)
+    )
     return OperatorMatrix(
         out, "propagator", {"t": t, "N": spec.N, "eps": eps, "sign": sgn}
     )
@@ -191,6 +205,8 @@ def richardson_limit(eps_values, samples):
     eps_values = [float(x) for x in eps_values]
     if len(eps_values) != len(samples) or not samples:
         raise ValueError("need one sample per eps value")
+    if len(set(eps_values)) != len(eps_values):
+        raise ValueError(f"eps values must be distinct, got {eps_values}")
     tableau = [np.asarray(s, dtype=complex) for s in samples]
     n = len(tableau)
     for level in range(1, n):

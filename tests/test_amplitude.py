@@ -16,6 +16,7 @@ from dysonprop.amplitude import (
 )
 from dysonprop.model import ModelParseError
 from dysonprop.propagator import TruncationSpec
+from test_propagator import _graded_tuple_sum
 
 
 def well_spec(lam, m=6, h=0.5):
@@ -180,6 +181,20 @@ def test_c_kernel_scalar_consistent_with_matrix():
     assert vals.shape == (spec.N + 1,)
     for m in range(spec.N + 1):
         assert vals[m] == pytest.approx(mat[m, 3, 4])
+
+
+def test_c_kernel_matches_tuple_sum():
+    # the |Phi_g><Phi_g| weight of position m, summed tuple by tuple
+    sys_ = build_lattice(well_spec(0.2))
+    psi = sys_.basis
+    for N in (1, 2):
+        for sgn in (1, -1):
+            ref = _graded_tuple_sum(sys_.model, N, 2.5e-3, sgn)
+            for xb, xa in ((0, 0), (1, 4), (5, 2)):
+                weight = np.einsum("a,mgab,b->mg", psi[xb], ref, np.conj(psi[xa]))
+                want = (np.conj(psi) * weight[:, np.newaxis, :]) @ psi.T
+                got = c_kernel_matrix(sys_, N, 2.5e-3, xb, xa, sgn)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_c_kernel_rejects_bad_eps():

@@ -155,8 +155,19 @@ def test_converge_refuses_ratio_at_roundoff_floor(capsys):
 
 
 def test_amplitude_refuses_ratio_at_roundoff_floor(capsys):
-    # at lambda = 1e-4 the direct errors are 8.1e-14 and 7.3e-15: only the
+    # at lambda = 1e-4 the relation errors are 8.1e-14 and 7.4e-15: only the
     # second is roundoff, and their ratio (11 against an expected 8) is noise
     assert main(["amplitude", "--lambda", "1e-4"]) == 2
     err = capsys.readouterr().err
-    assert "direct_error_ratio" in err and "roundoff floor" in err
+    assert "relation_error_ratio" in err and "roundoff floor" in err
+
+
+def test_amplitude_relation_resolves_small_coupling(tmp_path):
+    # at lambda = 3e-4 the relation errors (about 1e-12) sit below the
+    # O(eps^3) remainder of a three-point eps ladder; the fourth point
+    # brings the relation ratio back to lambda^(N+1) scaling
+    out = tmp_path / "a.json"
+    assert main(["amplitude", "--lambda", "3e-4", "--out", str(out)]) == 0
+    ratio = json.loads(out.read_text())["summary"][0]
+    assert ratio["name"] == "relation_error_ratio"
+    assert abs(ratio["value"] / 8.0 - 1.0) <= 0.05

@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from dysonprop.cli import _EPS_LADDER
 from dysonprop.model import SpectralModel, random_model, scale_coupling, two_level_model
 from dysonprop.oracle import dyson_term_quadrature, exact_evolution
 from dysonprop.propagator import (
     TruncationSpec,
+    _graded_chains,
     a_coefficient,
     a_matrix,
     epsilon_form_evolution,
@@ -153,6 +157,55 @@ def test_epsilon_form_both_signs():
         assert np.max(np.abs(richardson_limit(eps_values, samples) - direct)) <= 1e-7
 
 
+def _graded_tuple_sum(m, N, eps, sgn):
+    # ref[pos, g, a, b]: sum over tuples a = g_0, ..., g_l = b (pos <= l <= N)
+    # with g_pos = g of the H1 chain over prod_{j != pos} (z_pos - z_j)
+    d = m.dim
+    ref = np.zeros((N + 1, d, d, d), dtype=complex)
+    for l in range(N + 1):
+        for tup in itertools.product(range(d), repeat=l + 1):
+            z = m.energies[list(tup)] - 1j * sgn * eps * np.arange(l + 1)
+            w = np.prod([m.h1[x, y] for x, y in zip(tup, tup[1:])])
+            for pos in range(l + 1):
+                ref[pos, tup[pos], tup[0], tup[-1]] += w / np.prod(np.delete(z[pos] - z, pos))
+    return ref
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_graded_chains_match_tuple_sum(degenerate):
+    # left[m, g, a] * right[N-m, g, b] and the eps-form against the partial
+    # fractions summed tuple by tuple, every entry
+    for dim in (2, 3, 4):
+        m = _degenerate_model(dim) if degenerate else random_model(dim, 10 + dim, lam=0.5)
+        for N in (0, 1, 2, 3):
+            for sgn in (1, -1):
+                for eps in (1e-2, 2.5e-3):
+                    nodes, left, right = _graded_chains(m, N, eps, sgn)
+                    got = left[:, :, :, np.newaxis] * right[::-1, :, np.newaxis, :]
+                    want = _graded_tuple_sum(m, N, eps, sgn)
+                    scale = np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+                    # the eps-form weights the partial fraction of node pos
+                    # by e^{-i z_pos t}
+                    z = m.energies - 1j * sgn * eps * np.arange(N + 1)[:, np.newaxis]
+                    assert np.array_equal(nodes, z)
+                    u = epsilon_form_evolution(m, N, 1.3, eps, sgn).entries
+                    u_want = np.einsum("pg,pgab->ab", np.exp(-1.3j * z), want)
+                    assert np.max(np.abs(u - u_want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_epsilon_form_large_dimension(sign):
+    # d=64 at N=3 with levels in coincident pairs: 64^4 index tuples, so the
+    # partial fractions are only in reach through the chains
+    m = _compressed_model(64, 9, lam=0.05)
+    m = SpectralModel(np.repeat(m.energies[:32], 2), m.h1)
+    spec = TruncationSpec(3)
+    samples = [epsilon_form_evolution(m, spec, 1.0, e, sign).entries for e in _EPS_LADDER]
+    direct = truncated_evolution(m, spec, 1.0).entries
+    assert np.max(np.abs(richardson_limit(_EPS_LADDER, samples) - direct)) <= 1e-6
+
+
 def test_epsilon_form_rejects_bad_eps():
     m = two_level_model()
     with pytest.raises(ValueError):
@@ -165,6 +218,11 @@ def test_normalize_sign():
     assert normalize_sign(-1) == -1
     with pytest.raises(ValueError):
         normalize_sign("x")
+
+
+def test_richardson_limit_rejects_repeated_eps():
+    with pytest.raises(ValueError, match="distinct"):
+        richardson_limit([1e-2, 1e-2], [1.0, 2.0])
 
 
 def test_richardson_limit_polynomial():
