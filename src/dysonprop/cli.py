@@ -509,8 +509,15 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     v = float(text)
+    if not np.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {v}")
+    return v
+
+
+def _positive_float(text: str) -> float:
+    v = _finite_float(text)
     if not v > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {v}")
     return v
@@ -536,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate",
                        help="series terms vs quadrature oracle; resolvent-form check")
     p.add_argument("--model", default=None)
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--order", type=_positive_int, default=2)
     p.add_argument("--dim", type=_positive_int, default=3)
     p.add_argument("--seed", type=_positive_int, default=7)
@@ -548,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("converge", help="coupling-halving truncation scaling")
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.1)
     p.add_argument("--ratio-tol", type=_positive_float, default=0.25)
     _add_common(p)
@@ -569,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_positive_int, default=2)
     p.add_argument("--seed", type=_positive_int, default=3)
     p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.3)
-    p.add_argument("--E", type=float, default=0.37)
-    p.add_argument("--t", type=float, default=1.5)
+    p.add_argument("--E", type=_finite_float, default=0.37)
+    p.add_argument("--t", type=_finite_float, default=1.5)
     p.add_argument("--order", type=_positive_int, default=2)
     p.add_argument("--eps", type=_positive_float, default=0.1)
     p.add_argument("--quad-points", type=_positive_int, default=2000)

@@ -135,7 +135,9 @@ def dyson_term_quadrature(
 
     The ordered simplex 0 <= t_l <= ... <= t_1 <= t is mapped to the unit
     cube by t_k = t * u_1 * ... * u_k, keeping all quadrature nodes interior.
-    Cost grows as npoints**l, so l is capped at 3.
+    The outer l-1 axes are looped over; the innermost axis is one block of
+    npoints integrands, an (npoints, d, d) stack.  Arithmetic still grows as
+    npoints**l, so l is capped at 3; memory is npoints * d**2 per block.
     """
     if l < 0 or l > 3:
         raise ValueError("quadrature oracle supports orders 0..3 only")
@@ -152,24 +154,24 @@ def dyson_term_quadrature(
     w = w / 2.0
     h1 = model.h1
     total = np.zeros((d, d), dtype=complex)
-    for idx in itertools.product(range(npoints), repeat=l):
-        us = [u[k] for k in idx]
-        weight = np.prod([w[k] for k in idx])
-        times = []
-        acc = t
-        jac = t**l
-        for m, uu in enumerate(us):
-            acc *= uu
-            times.append(acc)
-            if m < l - 1:
-                jac *= uu ** (l - 1 - m)
+    powers = np.arange(l - 1, 0, -1)
+    # row p holds t_0 = t, t_1, ..., t_l, t_(l+1) = 0 at innermost node p
+    times = np.zeros((npoints, l + 2))
+    times[:, 0] = t
+    for outer in itertools.product(range(npoints), repeat=l - 1):
+        # outer axes fixed, the innermost axis runs over all its nodes
+        uo, wo = u[list(outer)], w[list(outer)]
+        times[:, 1:l] = t * np.cumprod(uo)
+        times[:, l] = t * np.prod(uo) * u
+        # Jacobian t^l * u_1^(l-1) * ... * u_(l-1) times the product weight
+        weight = t**l * np.prod(uo**powers) * np.prod(wo) * w
+        # phases of the steps t_m - t_(m+1), shape (npoints, l+1, d)
+        phases = np.exp(-1j * (times[:, :-1] - times[:, 1:])[:, :, np.newaxis] * e)
         # integrand: e^{-iH0(t - t1)} H1 e^{-iH0(t1 - t2)} ... H1 e^{-iH0 tl}
-        mat = np.diag(np.exp(-1j * e * (t - times[0])))
-        for m in range(l):
-            tau = times[m] - (times[m + 1] if m + 1 < l else 0.0)
-            mat = mat @ h1
-            mat = mat * np.exp(-1j * e * tau)[np.newaxis, :]
-        total += weight * jac * mat
+        stack = phases[:, 0, :, np.newaxis] * h1 * phases[:, np.newaxis, 1, :]
+        for m in range(2, l + 1):
+            stack = (stack @ h1) * phases[:, np.newaxis, m, :]
+        total += np.einsum("p,pab->ab", weight, stack)
     total *= (-1j) ** l
     return OperatorMatrix(total, "series-term", {"t": t, "l": l, "npoints": npoints})
 

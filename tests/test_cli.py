@@ -42,6 +42,18 @@ def test_parse_rejects_negative_order():
         build_parser().parse_args(["propagate", "--order", "-1"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--t", "inf"],
+    ["green-ft", "--E", "nan"],
+    ["propagate", "--lambda", "inf"],
+])
+def test_non_finite_floats_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_parse_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])

@@ -1,7 +1,11 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from dysonprop.model import random_model, two_level_model
 from dysonprop.oracle import (
@@ -97,6 +101,30 @@ def test_quadrature_first_order_closed_form():
     assert a1[0, 1] == pytest.approx(want, abs=1e-10)
 
 
+def _quadrature_per_node(m, l, t, npoints):
+    # the oracle's sum written one node tuple at a time
+    x, w = leggauss(npoints)
+    u, w = (x + 1.0) / 2.0, w / 2.0
+    total = np.zeros((m.dim, m.dim), dtype=complex)
+    for idx in itertools.product(range(npoints), repeat=l):
+        times = t * np.cumprod(u[list(idx)])
+        jac = t**l * np.prod([u[k] ** (l - 1 - j) for j, k in enumerate(idx)])
+        mat = np.diag(np.exp(-1j * m.energies * (t - times[0])))
+        for j in range(l):
+            tau = times[j] - (times[j + 1] if j + 1 < l else 0.0)
+            mat = (mat @ m.h1) * np.exp(-1j * m.energies * tau)
+        total += np.prod(w[list(idx)]) * jac * mat
+    return (-1j) ** l * total
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_quadrature_matches_per_node_sum(l):
+    m = random_model(3, 3, lam=0.6)
+    for t in (1.5, -1.5):
+        got = dyson_term_quadrature(m, l, t, 16).entries
+        assert np.max(np.abs(got - _quadrature_per_node(m, l, t, 16))) <= 1e-14
+
+
 def test_quadrature_refinement_monotone():
     m = random_model(3, 11, lam=0.5)
     ref = dyson_term_quadrature(m, 2, 1.0, 96).entries
@@ -141,3 +169,16 @@ def test_eigendecomposition_property(d, seed):
     dec = hermitian_eigendecomposition(a)
     recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.conj().T
     assert np.linalg.norm(recon - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
+
+
+def test_quadrature_memory_stays_one_axis_per_block():
+    # the innermost axis is one (npoints, d, d) block; a block over the
+    # whole l=2 grid (4096 rows at d=10) would need >= 6.5 MB per array
+    m = random_model(10, 1, 0.2)
+    tracemalloc.start()
+    try:
+        dyson_term_quadrature(m, 2, 1.0, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

@@ -38,13 +38,15 @@ def test_zero_coupling_kills_higher_orders():
         assert np.max(np.abs(a_matrix(m, l, 1.0).entries)) == 0.0
 
 
-@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("l", [1, 2, 3])
 def test_terms_match_quadrature_oracle(l):
+    npoints = 32 if l == 3 else 64
     for dim, seed, lam, t in ((3, 3, 0.6, 1.5), (3, 4, 0.6, 1.5), (8, 5, 0.2, 1.0)):
         m = random_model(dim, seed, lam=lam)
-        got = a_matrix(m, l, t).entries
-        want = dyson_term_quadrature(m, l, t, 64).entries
-        assert np.max(np.abs(got - want)) <= 1e-8
+        for tt in (t, -t):
+            got = a_matrix(m, l, tt).entries
+            want = dyson_term_quadrature(m, l, tt, npoints).entries
+            assert np.max(np.abs(got - want)) <= 1e-8
 
 
 def _degenerate_model(dim):
