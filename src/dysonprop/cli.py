@@ -232,7 +232,7 @@ def cmd_propagate(opts) -> Report:
     model = _load_or_random_model(opts)
     rows = []
     worst_term = 0.0
-    for l in range(min(opts.order, 3) + 1):
+    for l in range(opts.order + 1):
         computed = a_matrix(model, l, opts.t).entries
         ref = oracle.dyson_term_quadrature(model, l, opts.t, opts.quad_points).entries
         for i in range(model.dim):
@@ -241,7 +241,7 @@ def cmd_propagate(opts) -> Report:
                                       computed[i, j], ref[i, j]))
         worst_term = max(worst_term, float(np.max(np.abs(computed - ref))))
 
-    spec = TruncationSpec(min(opts.order, 2))
+    spec = TruncationSpec(opts.order)
     samples = [epsilon_form_evolution(model, spec, opts.t, e, opts.sign).entries
                for e in _EPS_LADDER]
     extrapolated = richardson_limit(_EPS_LADDER, samples)
@@ -270,6 +270,9 @@ def cmd_converge(opts) -> Report:
     SU(2) and its odd-order terms (off-diagonal) are anti-Hermitian.  The
     defect ratio is therefore 2^(N+1) for odd N and 2^(N+2) for even N.
     """
+    if opts.t == 0:
+        raise ValueError("--t 0 cannot be checked: at t = 0 both propagators are "
+                         "exactly the identity, so no --lambda gives an error to scale")
     base = two_level_model(1.0, 1.0)
     rows = []
     summary = []
@@ -502,10 +505,17 @@ def cmd_selftest(opts) -> Report:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _positive_int(text: str) -> int:
+def _nonnegative_int(text: str) -> int:
     v = int(text)
     if v < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
+    return v
+
+
+def _positive_int(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
     return v
 
 
@@ -544,12 +554,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="series terms vs quadrature oracle; resolvent-form check")
     p.add_argument("--model", default=None)
     p.add_argument("--t", type=_finite_float, default=1.0)
-    p.add_argument("--order", type=_positive_int, default=2)
-    p.add_argument("--dim", type=_positive_int, default=3)
-    p.add_argument("--seed", type=_positive_int, default=7)
+    p.add_argument("--order", type=_nonnegative_int, default=2)
+    p.add_argument("--dim", type=_nonnegative_int, default=3)
+    p.add_argument("--seed", type=_nonnegative_int, default=7)
     p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.2)
     p.add_argument("--sign", choices=("+", "-"), default="+")
-    p.add_argument("--quad-points", type=_positive_int, default=64)
+    p.add_argument("--quad-points", type=_nonnegative_int, default=64)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--eps-tol", type=_positive_float, default=1e-6)
     _add_common(p)
@@ -562,10 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dyson-check", help="resolvent partial sum vs direct solve")
     p.add_argument("--model", default=None)
-    p.add_argument("--dim", type=_positive_int, default=4)
-    p.add_argument("--seed", type=_positive_int, default=11)
+    p.add_argument("--dim", type=_nonnegative_int, default=4)
+    p.add_argument("--seed", type=_nonnegative_int, default=11)
     p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.3)
-    p.add_argument("--order", type=_positive_int, default=40)
+    p.add_argument("--order", type=_nonnegative_int, default=40)
     p.add_argument("--eps", type=_positive_float, default=0.05)
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.add_argument("--tol", type=_positive_float, default=1e-8)
@@ -573,17 +583,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("green-ft", help="Fourier reciprocity of the Green operator")
     p.add_argument("--model", default=None)
-    p.add_argument("--dim", type=_positive_int, default=2)
-    p.add_argument("--seed", type=_positive_int, default=3)
+    p.add_argument("--dim", type=_nonnegative_int, default=2)
+    p.add_argument("--seed", type=_nonnegative_int, default=3)
     p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.3)
     p.add_argument("--E", type=_finite_float, default=0.37)
     p.add_argument("--t", type=_finite_float, default=1.5)
-    p.add_argument("--order", type=_positive_int, default=2)
+    p.add_argument("--order", type=_nonnegative_int, default=2)
     p.add_argument("--eps", type=_positive_float, default=0.1)
-    p.add_argument("--quad-points", type=_positive_int, default=2000)
+    p.add_argument("--quad-points", type=_nonnegative_int, default=2000)
     p.add_argument("--quad-domain", type=_positive_float, default=200.0)
     p.add_argument("--window", type=_positive_float, default=40.0)
-    p.add_argument("--fwd-points", type=_positive_int, default=2000)
+    p.add_argument("--fwd-points", type=_nonnegative_int, default=2000)
     p.add_argument("--tol", type=_positive_float, default=1e-5)
     p.add_argument("--causal-tol", type=_positive_float, default=1e-3)
     _add_common(p)
@@ -591,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("amplitude", help="lattice amplitude relation checks")
     p.add_argument("--lattice", default=None)
     p.add_argument("--t", type=_positive_float, default=1.0)
-    p.add_argument("--order", type=_positive_int, default=2)
+    p.add_argument("--order", type=_nonnegative_int, default=2)
     p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.1)
     p.add_argument("--ratio-tol", type=_positive_float, default=0.30)
     p.add_argument("--tol", type=_positive_float, default=1e-3)
@@ -599,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("selftest", help="deterministic cross-module battery")
-    p.add_argument("--seed", type=_positive_int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     _add_common(p)
 
     return parser

@@ -55,7 +55,6 @@ class ResolventQuery:
 class QuadratureSpec:
     domain: tuple
     npoints: int
-    rule: str = "gauss-legendre"
 
     def __post_init__(self):
         a, b = self.domain
@@ -63,19 +62,11 @@ class QuadratureSpec:
             raise ValueError(f"domain must be a finite interval, got {self.domain}")
         if self.npoints < 2:
             raise ValueError("need at least 2 quadrature points")
-        if self.rule not in ("gauss-legendre", "trapezoid"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
     def nodes_weights(self):
         a, b = self.domain
-        if self.rule == "gauss-legendre":
-            x, w = leggauss(self.npoints)
-            return (a + b) / 2 + (b - a) / 2 * x, (b - a) / 2 * w
-        x = np.linspace(a, b, self.npoints)
-        w = np.full(self.npoints, (b - a) / (self.npoints - 1))
-        w[0] /= 2
-        w[-1] /= 2
-        return x, w
+        x, w = leggauss(self.npoints)
+        return (a + b) / 2 + (b - a) / 2 * x, (b - a) / 2 * w
 
 
 def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:

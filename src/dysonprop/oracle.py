@@ -2,24 +2,25 @@
 
 Nothing here touches the divided-difference machinery: eigensolves use a
 hand-rolled cyclic Jacobi iteration, linear systems a partial-pivoted LU,
-and low-order series terms a nested Gauss-Legendre quadrature of the
-time-ordered integrals.  These are the oracles every other module is
-checked against.
+and series terms of every order a recursive Legendre spectral integration
+of the time-ordered integrals.  These are the oracles every other module
+is checked against.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legvander
 
 from .model import SpectralModel, hamiltonian
 from .propagator import OperatorMatrix
 
 JACOBI_SWEEP_BUDGET = 30
 _JACOBI_OFF_TOL = 1e-14
+#: node cap of the series oracle: leggauss costs O(n^3), its matrices n^2
+_MAX_NODES = 512
 
 
 class NotHermitianError(ValueError):
@@ -131,49 +132,42 @@ def exact_evolution(model_or_matrix, t: float) -> OperatorMatrix:
 def dyson_term_quadrature(
     model: SpectralModel, l: int, t: float, npoints: int = 64
 ) -> OperatorMatrix:
-    """Order-l time-ordered integral evaluated by nested Gauss-Legendre.
+    """Order-l time-ordered integral by recursive Legendre spectral integration.
 
-    The ordered simplex 0 <= t_l <= ... <= t_1 <= t is mapped to the unit
-    cube by t_k = t * u_1 * ... * u_k, keeping all quadrature nodes interior.
-    The outer l-1 axes are looped over; the innermost axis is one block of
-    npoints integrands, an (npoints, d, d) stack.  Arithmetic still grows as
-    npoints**l, so l is capped at 3; memory is npoints * d**2 per block.
+    The term is e^{-iH0 t} b_l(t), where b_0 = 1 and b_k(s) is -i times the
+    integral of V(r) b_(k-1)(r) over [0, s], with V(r) = e^{iH0 r} H1 e^{-iH0 r}.
+    Each b_k is held at n Gauss-Legendre nodes of [0, t] and integrated by the
+    Legendre spectral integration matrix (Greengard, SIAM J. Numer. Anal. 28
+    (1991) 1071): O(l (n^2 d^2 + n d^3)) for any order l >= 0.  The integrands
+    oscillate up to the level spread dE, so n = max(npoints, ceil(|t| dE / 2) +
+    24); n above _MAX_NODES raises ConvergenceError, not unresolved terms.
     """
-    if l < 0 or l > 3:
-        raise ValueError("quadrature oracle supports orders 0..3 only")
+    if l < 0:
+        raise ValueError(f"order must be >= 0, got {l}")
+    if npoints < 16:
+        raise ValueError("need at least 16 quadrature points")
     e = model.energies
     d = model.dim
-    if l == 0:
-        return OperatorMatrix(
-            np.diag(np.exp(-1j * e * t)), "series-term", {"t": t, "l": 0}
-        )
-    if npoints < 16:
-        raise ValueError("need at least 16 quadrature points per axis")
-    x, w = leggauss(npoints)
-    u = (x + 1.0) / 2.0
-    w = w / 2.0
-    h1 = model.h1
-    total = np.zeros((d, d), dtype=complex)
-    powers = np.arange(l - 1, 0, -1)
-    # row p holds t_0 = t, t_1, ..., t_l, t_(l+1) = 0 at innermost node p
-    times = np.zeros((npoints, l + 2))
-    times[:, 0] = t
-    for outer in itertools.product(range(npoints), repeat=l - 1):
-        # outer axes fixed, the innermost axis runs over all its nodes
-        uo, wo = u[list(outer)], w[list(outer)]
-        times[:, 1:l] = t * np.cumprod(uo)
-        times[:, l] = t * np.prod(uo) * u
-        # Jacobian t^l * u_1^(l-1) * ... * u_(l-1) times the product weight
-        weight = t**l * np.prod(uo**powers) * np.prod(wo) * w
-        # phases of the steps t_m - t_(m+1), shape (npoints, l+1, d)
-        phases = np.exp(-1j * (times[:, :-1] - times[:, 1:])[:, :, np.newaxis] * e)
-        # integrand: e^{-iH0(t - t1)} H1 e^{-iH0(t1 - t2)} ... H1 e^{-iH0 tl}
-        stack = phases[:, 0, :, np.newaxis] * h1 * phases[:, np.newaxis, 1, :]
-        for m in range(2, l + 1):
-            stack = (stack @ h1) * phases[:, np.newaxis, m, :]
-        total += np.einsum("p,pab->ab", weight, stack)
-    total *= (-1j) ** l
-    return OperatorMatrix(total, "series-term", {"t": t, "l": l, "npoints": npoints})
+    half_phase = abs(t) * float(np.ptp(e)) / 2.0
+    n = max(npoints, int(np.ceil(half_phase)) + 24)
+    if n > _MAX_NODES:
+        raise ConvergenceError(
+            f"series term cannot be resolved: it needs {n} nodes (|t|*dE = "
+            f"{2.0 * half_phase:.3e}, npoints {npoints}), above the maximum {_MAX_NODES}")
+    x, w = leggauss(n)
+    s = t * (x + 1.0) / 2.0
+    # values at the nodes -> Legendre coefficients, by the Gauss rule itself
+    to_coef = (np.arange(n) + 0.5)[:, np.newaxis] * legvander(x, n - 1).T * w
+    # -i times the integral from 0 of the interpolant, at every node and at s = t
+    integ = (-0.5j * t) * (
+        legvander(np.append(x, 1.0), n) @ legint(np.eye(n), lbnd=-1) @ to_coef)
+    v = np.exp(1j * s[:, np.newaxis, np.newaxis] * (e[:, np.newaxis] - e)) * model.h1
+    # rows 0..n-1 hold b at the nodes, row n at s = t
+    b = np.broadcast_to(np.eye(d, dtype=complex), (n + 1, d, d))
+    for _ in range(l):
+        b = (integ @ (v @ b[:n]).reshape(n, d * d)).reshape(n + 1, d, d)
+    total = np.exp(-1j * e * t)[:, np.newaxis] * b[n]
+    return OperatorMatrix(total, "series-term", {"t": t, "l": l, "npoints": n})
 
 
 def linear_solve(a, b) -> np.ndarray:

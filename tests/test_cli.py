@@ -54,6 +54,14 @@ def test_non_finite_floats_rejected(argv, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_max_nodes_zero_rejected(capsys):
+    # zero nodes would run no identity at all and report a failed case count
+    with pytest.raises(SystemExit) as exc:
+        main(["identity-check", "--max-nodes", "0"])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_parse_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
@@ -132,6 +140,20 @@ def test_propagate_zero_coupling(tmp_path):
     assert higher and all(r["abs_error"] == 0.0 for r in higher)
 
 
+def test_propagate_checks_every_order_it_reports(tmp_path):
+    reports = {}
+    for order in (2, 4):
+        out = tmp_path / f"prop{order}.json"
+        assert main(["propagate", "--order", str(order), "--out", str(out)]) == 0
+        reports[order] = json.loads(out.read_text())
+    assert {r["inputs"]["l"] for r in reports[4]["rows"]} == {0, 1, 2, 3, 4}
+    # the resolvent form runs at the requested order, not at a clipped one
+    eps_dev = {order: [item["value"] for item in rep["summary"]
+                       if item["name"] == "resolvent_form_extrapolated"][0]
+               for order, rep in reports.items()}
+    assert eps_dev[4] != eps_dev[2]
+
+
 def test_missing_model_file_is_clean_error(capsys):
     code = main(["propagate", "--model", "/nonexistent/m.json"])
     assert code == 2
@@ -164,6 +186,14 @@ def test_converge_refuses_ratio_at_roundoff_floor(capsys):
     assert "roundoff floor" in err
     assert "larger --lambda" in err
     assert "[FAIL]" not in err and "[PASS]" not in err
+
+
+def test_converge_refuses_zero_time(capsys):
+    # at t = 0 both propagators are the identity; no coupling gives an error
+    assert main(["converge", "--t", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "t = 0" in err and "identity" in err
+    assert "larger --lambda" not in err
 
 
 def test_amplitude_refuses_ratio_at_roundoff_floor(capsys):

@@ -138,8 +138,3 @@ def test_quadrature_spec_rules():
     x, w = spec.nodes_weights()
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all((x > 0) & (x < 1))
-    trap = QuadratureSpec((0.0, 1.0), 51, rule="trapezoid")
-    xt, wt = trap.nodes_weights()
-    assert wt.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        QuadratureSpec((0.0, 1.0), 50, rule="simpson")

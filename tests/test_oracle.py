@@ -9,6 +9,7 @@ from numpy.polynomial.legendre import leggauss
 
 from dysonprop.model import random_model, two_level_model
 from dysonprop.oracle import (
+    ConvergenceError,
     NotHermitianError,
     SingularMatrixError,
     dyson_term_quadrature,
@@ -16,6 +17,7 @@ from dysonprop.oracle import (
     hermitian_eigendecomposition,
     linear_solve,
 )
+from dysonprop.propagator import a_matrix
 
 
 def random_hermitian(d, seed):
@@ -136,9 +138,33 @@ def test_quadrature_refinement_monotone():
 def test_quadrature_order_guard():
     m = random_model(2, 0)
     with pytest.raises(ValueError):
-        dyson_term_quadrature(m, 4, 1.0, 16)
+        dyson_term_quadrature(m, -1, 1.0, 16)
     with pytest.raises(ValueError):
         dyson_term_quadrature(m, 1, 1.0, 8)
+
+
+@given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=50),
+       st.integers(min_value=0, max_value=8), st.floats(min_value=0.01, max_value=40.0),
+       st.sampled_from([1.0, -1.0]))
+@settings(max_examples=40, deadline=None)
+def test_quadrature_matches_series_terms(d, seed, l, half_phase, sign):
+    # every order, at |t| * dE / 2 up to 40, where dE is the level spread.
+    # A close pair of levels makes |t| large (up to 1600 here); the phases
+    # E * t then carry a rounding error of |t| * max|E| ulps in any route,
+    # and that floor, not the 1e-13, bounds the agreement.
+    m = random_model(d, seed, lam=0.5)
+    t = sign * 2.0 * half_phase / float(np.ptp(m.energies))
+    want = a_matrix(m, l, t).entries
+    got = dyson_term_quadrature(m, l, t).entries
+    floor = 4.0 * abs(t) * float(np.max(np.abs(m.energies))) * np.finfo(float).eps
+    assert np.max(np.abs(got - want)) <= max(1e-13, floor) * np.max(np.abs(want))
+
+
+def test_quadrature_refuses_unresolvable_time():
+    # |t| * dE / 2 = 1000 would need more than the largest node count
+    m = two_level_model(1.0, 0.3)
+    with pytest.raises(ConvergenceError, match=r"\|t\|\*dE"):
+        dyson_term_quadrature(m, 1, 2000.0)
 
 
 def test_linear_solve_identity_and_diagonal():
