@@ -232,9 +232,10 @@ def cmd_propagate(opts) -> Report:
     model = _load_or_random_model(opts)
     rows = []
     worst_term = 0.0
-    for l in range(opts.order + 1):
+    terms = oracle._dyson_terms(model, opts.order, opts.t, opts.quad_points)
+    for l, term in enumerate(terms):
         computed = a_matrix(model, l, opts.t).entries
-        ref = oracle.dyson_term_quadrature(model, l, opts.t, opts.quad_points).entries
+        ref = term.entries
         for i in range(model.dim):
             for j in range(model.dim):
                 rows.append(ReportRow({"l": l, "row": i, "col": j},

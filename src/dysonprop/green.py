@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .model import SpectralModel, hamiltonian
-from .oracle import linear_solve
+from .oracle import gauss_legendre, linear_solve
 from .propagator import (
     OperatorMatrix,
     TruncationSpec,
@@ -65,7 +64,7 @@ class QuadratureSpec:
 
     def nodes_weights(self):
         a, b = self.domain
-        x, w = leggauss(self.npoints)
+        x, w = gauss_legendre(self.npoints)
         return (a + b) / 2 + (b - a) / 2 * x, (b - a) / 2 * w
 
 

@@ -1,10 +1,11 @@
 """Independent ground-truth computations.
 
 Nothing here touches the divided-difference machinery: eigensolves use a
-hand-rolled cyclic Jacobi iteration, linear systems a partial-pivoted LU,
-and series terms of every order a recursive Legendre spectral integration
-of the time-ordered integrals.  These are the oracles every other module
-is checked against.
+hand-rolled cyclic Jacobi iteration, linear systems a partial-pivoted
+Gauss-Jordan elimination, and series terms of every order a recursive
+Legendre spectral integration of the time-ordered integrals, on the
+Gauss-Legendre rule of ``gauss_legendre``.  These are the oracles every
+other module is checked against.
 """
 
 from __future__ import annotations
@@ -12,15 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legint, legvander
+from numpy.polynomial.legendre import legint, legvander
 
 from .model import SpectralModel, hamiltonian
 from .propagator import OperatorMatrix
 
 JACOBI_SWEEP_BUDGET = 30
 _JACOBI_OFF_TOL = 1e-14
-#: node cap of the series oracle: leggauss costs O(n^3), its matrices n^2
+#: node cap of the series oracle: it bounds its n x n integration matrices
 _MAX_NODES = 512
+_NEWTON_BUDGET = 10
 
 
 class NotHermitianError(ValueError):
@@ -129,6 +131,78 @@ def exact_evolution(model_or_matrix, t: float) -> OperatorMatrix:
     return OperatorMatrix(u, "propagator", {"t": t, "N": None, "exact": True})
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) by the three-term recurrence and P_n'(x) from P_(n-1), n >= 1."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        xp = x * p
+        p_prev, p = p, xp + (k / (k + 1)) * (xp - p_prev)
+    return p, n * (p_prev - x * p) / (1 - x * x)
+
+
+def gauss_legendre(n: int):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on the three-term recurrence, started from Tricomi's
+    approximations (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652),
+    over the nodes in [0, 1) at once, mirrored onto (-1, 0): O(n^2) work and
+    O(n) memory.  The weights are 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    if n < 1:
+        raise ValueError(f"need at least 1 node, got {n}")
+    theta = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    x = np.cos(theta) * (1 - (n - 1) / (8 * n**3)
+                         - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4))
+    # after a step s Newton's error is x/(1-x^2) s^2 <= n^2 s^2: below
+    # sqrt(eps)/n the nodes are at roundoff
+    tol = np.sqrt(np.finfo(float).eps) / n
+    for _ in range(_NEWTON_BUDGET):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= tol:
+            break
+    else:
+        raise ConvergenceError(
+            f"Gauss-Legendre Newton iteration did not converge for n = {n} "
+            f"(last step {np.max(np.abs(step)):.3e} > {tol:.3e})")
+    _, dp = _legendre(n, x)
+    w = 2 / ((1 - x * x) * dp * dp)
+    return np.concatenate((-x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
+
+
+def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
+    """Yield the series terms of orders 0..l from one spectral-integration
+    pass; see ``dyson_term_quadrature``."""
+    if l < 0:
+        raise ValueError(f"order must be >= 0, got {l}")
+    if npoints < 16:
+        raise ValueError("need at least 16 quadrature points")
+    e = model.energies
+    d = model.dim
+    half_phase = abs(t) * float(np.ptp(e)) / 2.0
+    n = max(npoints, int(np.ceil(half_phase)) + 24)
+    if n > _MAX_NODES:
+        raise ConvergenceError(
+            f"series term cannot be resolved: it needs {n} nodes (|t|*dE = "
+            f"{2.0 * half_phase:.3e}, npoints {npoints}), above the maximum {_MAX_NODES}")
+    x, w = gauss_legendre(n)
+    s = t * (x + 1.0) / 2.0
+    # values at the nodes -> Legendre coefficients, by the Gauss rule itself
+    to_coef = (np.arange(n) + 0.5)[:, np.newaxis] * legvander(x, n - 1).T * w
+    # -i times the integral from 0 of the interpolant, at every node and at s = t
+    integ = (-0.5j * t) * (
+        legvander(np.append(x, 1.0), n) @ legint(np.eye(n), lbnd=-1) @ to_coef)
+    v = np.exp(1j * s[:, np.newaxis, np.newaxis] * (e[:, np.newaxis] - e)) * model.h1
+    u0 = np.exp(-1j * e * t)[:, np.newaxis]  # e^{-iH0 t} as a column
+    # rows 0..n-1 hold b at the nodes, row n at s = t
+    b = np.broadcast_to(np.eye(d, dtype=complex), (n + 1, d, d))
+    for k in range(l + 1):
+        if k:
+            b = (integ @ (v @ b[:n]).reshape(n, d * d)).reshape(n + 1, d, d)
+        yield OperatorMatrix(u0 * b[n], "series-term", {"t": t, "l": k, "npoints": n})
+
+
 def dyson_term_quadrature(
     model: SpectralModel, l: int, t: float, npoints: int = 64
 ) -> OperatorMatrix:
@@ -142,66 +216,45 @@ def dyson_term_quadrature(
     oscillate up to the level spread dE, so n = max(npoints, ceil(|t| dE / 2) +
     24); n above _MAX_NODES raises ConvergenceError, not unresolved terms.
     """
-    if l < 0:
-        raise ValueError(f"order must be >= 0, got {l}")
-    if npoints < 16:
-        raise ValueError("need at least 16 quadrature points")
-    e = model.energies
-    d = model.dim
-    half_phase = abs(t) * float(np.ptp(e)) / 2.0
-    n = max(npoints, int(np.ceil(half_phase)) + 24)
-    if n > _MAX_NODES:
-        raise ConvergenceError(
-            f"series term cannot be resolved: it needs {n} nodes (|t|*dE = "
-            f"{2.0 * half_phase:.3e}, npoints {npoints}), above the maximum {_MAX_NODES}")
-    x, w = leggauss(n)
-    s = t * (x + 1.0) / 2.0
-    # values at the nodes -> Legendre coefficients, by the Gauss rule itself
-    to_coef = (np.arange(n) + 0.5)[:, np.newaxis] * legvander(x, n - 1).T * w
-    # -i times the integral from 0 of the interpolant, at every node and at s = t
-    integ = (-0.5j * t) * (
-        legvander(np.append(x, 1.0), n) @ legint(np.eye(n), lbnd=-1) @ to_coef)
-    v = np.exp(1j * s[:, np.newaxis, np.newaxis] * (e[:, np.newaxis] - e)) * model.h1
-    # rows 0..n-1 hold b at the nodes, row n at s = t
-    b = np.broadcast_to(np.eye(d, dtype=complex), (n + 1, d, d))
-    for _ in range(l):
-        b = (integ @ (v @ b[:n]).reshape(n, d * d)).reshape(n + 1, d, d)
-    total = np.exp(-1j * e * t)[:, np.newaxis] * b[n]
-    return OperatorMatrix(total, "series-term", {"t": t, "l": l, "npoints": n})
+    *_, term = _dyson_terms(model, l, t, npoints)
+    return term
 
 
 def linear_solve(a, b) -> np.ndarray:
-    """Solve A X = B by Gaussian elimination with partial pivoting."""
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
+    """Solve A X = B by Gauss-Jordan elimination with partial pivoting.
+
+    Works on the augmented array [A | B] and never swaps rows: step k takes
+    the largest |entry| of column k among the rows not yet used as pivots,
+    scales that row and clears column k from every other row with one rank-1
+    update.  The rows of X are then the right-hand blocks in pivot order.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("A must be square")
-    if b.ndim == 1:
+    squeeze = b.ndim == 1
+    if squeeze:
         b = b[:, np.newaxis]
-        squeeze = True
-    else:
-        squeeze = False
     if b.shape[0] != n:
         raise ValueError("B is not conformable with A")
     peak = max(float(np.max(np.abs(a))), 1e-300)
-    pivots = np.empty(n)
+    aug = np.concatenate((a, b), axis=1)
+    free = np.ones(n)  # 1.0 for rows not yet used as pivots
+    order = []
     for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        piv = abs(a[p, k])
-        pivots[k] = piv
+        mags = np.abs(aug[:, k]) * free
+        p = int(np.argmax(mags))
+        piv = mags[p]
         if piv <= 1e-14 * peak:
             cond = peak / max(piv, 1e-300)
             raise SingularMatrixError(
                 f"matrix singular to working precision (condition >= {cond:.3e})"
             )
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
-            b[[k, p], :] = b[[p, k], :]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= factors[:, np.newaxis] * a[k, k:][np.newaxis, :]
-        b[k + 1 :, :] -= factors[:, np.newaxis] * b[k, :][np.newaxis, :]
-    x = np.zeros_like(b)
-    for k in range(n - 1, -1, -1):
-        x[k, :] = (b[k, :] - a[k, k + 1 :] @ x[k + 1 :, :]) / a[k, k]
+        free[p] = 0.0
+        order.append(p)
+        row = aug[p] / aug[p, k]
+        aug -= aug[:, k, np.newaxis] * row
+        aug[p] = row
+    x = aug[order, n:]
     return x[:, 0] if squeeze else x

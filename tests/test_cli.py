@@ -1,19 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dysonprop
 from dysonprop.cli import (
     Report,
     ReportConsistencyError,
     ReportRow,
     SummaryItem,
+    _load_or_random_model,
     build_parser,
+    cmd_propagate,
     main,
     render_csv,
     render_json,
 )
 from dysonprop.model import emit_model, random_model
+from dysonprop.oracle import dyson_term_quadrature
 
 
 def small_report():
@@ -111,6 +119,19 @@ def test_selftest_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_package_runs_as_module(tmp_path):
+    # python -m dysonprop from a source checkout, without installing
+    out = tmp_path / "m.json"
+    src = Path(dysonprop.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "dysonprop", "selftest", "--out", str(out)],
+                          env=env, cwd=tmp_path, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    ref = tmp_path / "ref.json"
+    assert main(["selftest", "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_identity_check_passes(tmp_path):
     out = tmp_path / "id.json"
     code = main(["identity-check", "--max-nodes", "4", "--out", str(out)])
@@ -152,6 +173,20 @@ def test_propagate_checks_every_order_it_reports(tmp_path):
                        if item["name"] == "resolvent_form_extrapolated"][0]
                for order, rep in reports.items()}
     assert eps_dev[4] != eps_dev[2]
+
+
+def test_propagate_oracle_rows_match_per_order_calls():
+    # one spectral-integration pass yields every order; its node count does
+    # not depend on the order, so each row equals the order's own call bitwise
+    opts = build_parser().parse_args(["propagate", "--order", "5"])
+    report = cmd_propagate(opts)
+    model = _load_or_random_model(opts)
+    refs = [dyson_term_quadrature(model, l, opts.t, opts.quad_points).entries
+            for l in range(6)]
+    assert len(report.rows) == 6 * model.dim**2
+    for row in report.rows:
+        ins = row.inputs
+        assert row.oracle == refs[ins["l"]][ins["row"], ins["col"]]
 
 
 def test_missing_model_file_is_clean_error(capsys):

@@ -1,12 +1,15 @@
 import itertools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from dysonprop import oracle
+from dysonprop.green import QuadratureSpec
 from dysonprop.model import random_model, two_level_model
 from dysonprop.oracle import (
     ConvergenceError,
@@ -14,6 +17,7 @@ from dysonprop.oracle import (
     SingularMatrixError,
     dyson_term_quadrature,
     exact_evolution,
+    gauss_legendre,
     hermitian_eigendecomposition,
     linear_solve,
 )
@@ -105,7 +109,7 @@ def test_quadrature_first_order_closed_form():
 
 def _quadrature_per_node(m, l, t, npoints):
     # the oracle's sum written one node tuple at a time
-    x, w = leggauss(npoints)
+    x, w = gauss_legendre(npoints)
     u, w = (x + 1.0) / 2.0, w / 2.0
     total = np.zeros((m.dim, m.dim), dtype=complex)
     for idx in itertools.product(range(npoints), repeat=l):
@@ -184,8 +188,111 @@ def test_linear_solve_residual():
 
 
 def test_linear_solve_singular():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match=r"condition >= \d"):
         linear_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
+
+
+def _planted_system(d, cond, seed):
+    # A = Q1 diag(s) Q2 with singular values from 1 down to 1/cond
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+              for _ in range(2))
+    a = (q1 * np.logspace(0, -np.log10(cond), d)) @ q2
+    x = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+    return a, x, a @ x
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+def test_linear_solve_planted_solution(cond):
+    for seed in range(5):
+        a, want, b = _planted_system(24, cond, seed)
+        got = linear_solve(a, b)
+        assert np.max(np.abs(got - want)) <= cond * 1e-14 * np.max(np.abs(want))
+        residual = np.linalg.norm(a @ got - b) / (np.linalg.norm(a) * np.linalg.norm(got))
+        assert residual <= 1e-14
+
+
+def test_linear_solve_zero_leading_entry():
+    # row 0 cannot be the first pivot
+    a = np.array([[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [4.0, 0.0, 1j]])
+    want = np.array([[1.0, -2.0], [0.5j, 3.0], [-1.0, 0.0]])
+    got = linear_solve(a, a @ want)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_linear_solve_one_dimensional_rhs():
+    a = np.array([[0.0, 1.0], [2.0, 1.0]])
+    got = linear_solve(a, np.array([3.0, 5.0]))
+    assert got.shape == (2,)
+    assert np.allclose(got, [1.0, 3.0], atol=1e-15)
+
+
+def test_linear_solve_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="square"):
+        linear_solve(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValueError, match="conformable"):
+        linear_solve(np.eye(2), np.ones((3, 2)))
+
+
+def _mp_gauss_legendre(n, x0):
+    # roots of mpmath's own P_n, at 40 digits, near the nodes under test
+    with mpmath.workdps(40):
+        nodes = [mpmath.findroot(lambda y: mpmath.legendre(n, y), mpmath.mpf(float(x)))
+                 for x in x0]
+        weights = []
+        for r in nodes:
+            dp = n * (r * mpmath.legendre(n, r) - mpmath.legendre(n - 1, r)) / (r * r - 1)
+            weights.append(2 / ((1 - r * r) * dp * dp))
+        return np.array(nodes, dtype=float), np.array(weights, dtype=float)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24, 31, 64])
+def test_gauss_legendre_matches_mpmath(n):
+    x, w = gauss_legendre(n)
+    want_x, want_w = _mp_gauss_legendre(n, x)
+    assert np.max(np.abs(x - want_x)) <= 1e-15
+    assert np.max(np.abs(w - want_w) / want_w) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 64, 250, 800, 2000])
+def test_gauss_legendre_integrates_oscillation(n):
+    # a = n/2 is well inside the rule's resolution
+    a = n / 2
+    x, w = gauss_legendre(n)
+    assert abs(w @ np.exp(1j * a * x) - 2 * np.sin(a) / a) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 251, 800])
+def test_gauss_legendre_symmetry_and_numpy_nodes(n):
+    x, w = gauss_legendre(n)
+    assert abs(np.sum(w) - 2.0) <= 1e-14
+    assert np.max(np.abs(x + x[::-1])) <= 2e-16
+    assert np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0)
+    assert np.max(np.abs(x - leggauss(n)[0])) <= 2e-16
+
+
+def test_gauss_legendre_rejects_empty_rule():
+    with pytest.raises(ValueError):
+        gauss_legendre(0)
+
+
+def test_gauss_legendre_newton_cap(monkeypatch):
+    # one step from Tricomi's guesses leaves n = 64 short of convergence
+    monkeypatch.setattr(oracle, "_NEWTON_BUDGET", 1)
+    with pytest.raises(ConvergenceError, match="did not converge for n = 64"):
+        gauss_legendre(64)
+
+
+def test_gauss_legendre_memory_is_linear():
+    # numpy's companion matrix alone would take 2000^2 * 8 bytes = 32 MB
+    tracemalloc.start()
+    try:
+        QuadratureSpec((0.0, 1.0), 2000).nodes_weights()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=50))
