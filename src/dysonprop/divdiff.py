@@ -34,6 +34,11 @@ class SingularNodesError(ValueError):
     """Raised by the raw denominator form when nodes coincide."""
 
 
+class TaylorConvergenceError(RuntimeError):
+    """The Taylor sum of ``_phase_exp`` missed its entrywise stop test
+    within ``_TAYLOR_MAX_TERMS`` terms."""
+
+
 @dataclass(frozen=True)
 class NodeList:
     """Ordered list of (possibly coincident, possibly complex) energy nodes."""
@@ -79,30 +84,49 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t m) for a square matrix m.
 
     The mean diagonal entry is factored out first so the shifted matrix is
-    small; the remainder is scaled to 1-norm <= 0.5, summed as a Taylor
-    series and squared back up.  The series stops when every entry of the
-    last term is below _TAYLOR_RTOL of the same entry of the sum, not of
-    the largest entry: the entries wanted here, divided differences over
-    many nodes and high-order series terms, can lie many orders below it.
+    small; the remainder is scaled to 1-norm theta <= 0.5, summed as a
+    Taylor series and squared back up.  The series stops when every entry
+    of the last term is below _TAYLOR_RTOL of the same entry of the sum,
+    not of the largest entry: the entries wanted here, divided differences
+    over many nodes and high-order series terms, can lie many orders below
+    it.  That entrywise test (five array operations) runs only from the
+    first k at which the norm bound theta^k / k! of term k, a Python float,
+    is below _TAYLOR_RTOL too; a term before it costs one product, one
+    division and one sum.  The bound never stops the series by itself: the
+    series ends at the same term as a test of every term would, or later
+    when that term comes before the bound's k (nearly nilpotent shifted
+    matrices such as the bidiagonal J of few nodes), and those extra terms
+    lie below the last bit of the sum.  Raises TaylorConvergenceError when
+    _TAYLOR_MAX_TERMS terms do not meet the test.
     """
     n = m.shape[0]
-    mu = np.trace(m) / n
-    a = -1j * t * (m - mu * np.eye(n))
-    norm = float(np.abs(a).sum(axis=0).max())
+    mu = m.trace() / n
+    a = m.astype(complex)
+    a.flat[:: n + 1] -= mu
+    a *= -1j * t
+    theta = float(np.abs(a).sum(axis=0).max())
     s = 0
-    while norm > 0.5:
-        norm /= 2.0
+    while theta > 0.5:
+        theta /= 2.0
         s += 1
     b = a / (2.0**s)
-    f = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, _TAYLOR_MAX_TERMS + 1):
-        term = term @ b / k
+    f = np.eye(n, dtype=complex) + b
+    term, bound, k = b, theta, 1
+    while not (bound < _TAYLOR_RTOL and (abs(term) <= _TAYLOR_RTOL * abs(f)).all()):
+        if k == _TAYLOR_MAX_TERMS:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(term == 0, 0.0, abs(term) / abs(f))
+            raise TaylorConvergenceError(
+                f"Taylor series of exp(-i t m) did not converge in {k} terms: "
+                f"worst entry ratio |term| / |sum| = {ratio.max():.3e} > {_TAYLOR_RTOL:.0e}"
+            )
+        k += 1
+        # ndarray.dot runs the same BLAS product as @ with less dispatch
+        term = term.dot(b) / k
         f += term
-        if np.all(abs(term) <= _TAYLOR_RTOL * abs(f)):
-            break
+        bound *= theta / k
     for _ in range(s):
-        f = f @ f
+        f = f.dot(f)
     f *= np.exp(-1j * mu * t)
     return f
 
@@ -110,7 +134,8 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
 def _phase_bidiagonal_row(nodes: tuple, t: float) -> np.ndarray:
     """First row of exp(-i t J) for the upper-bidiagonal node matrix J."""
     n = len(nodes)
-    j = np.diag(np.array(nodes, dtype=complex)) + np.diag(np.ones(n - 1), 1)
+    j = np.diag(np.array(nodes, dtype=complex) + 0.0)  # + 0.0 turns -0.0 into 0.0
+    j.flat[1 :: n + 1] = 1.0
     return _phase_exp(j, t)[0, :].copy()
 
 

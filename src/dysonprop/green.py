@@ -10,7 +10,7 @@ relationship can be verified at matched finite eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,8 +52,13 @@ class ResolventQuery:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Gauss-Legendre rule of ``npoints`` nodes mapped onto ``domain``,
+    computed once on construction and kept as read-only arrays."""
+
     domain: tuple
     npoints: int
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = self.domain
@@ -61,11 +66,14 @@ class QuadratureSpec:
             raise ValueError(f"domain must be a finite interval, got {self.domain}")
         if self.npoints < 2:
             raise ValueError("need at least 2 quadrature points")
+        x, w = gauss_legendre(self.npoints)
+        nodes, weights = (a + b) / 2 + (b - a) / 2 * x, (b - a) / 2 * w
+        nodes.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     def nodes_weights(self):
-        a, b = self.domain
-        x, w = gauss_legendre(self.npoints)
-        return (a + b) / 2 + (b - a) / 2 * x, (b - a) / 2 * w
+        return self.nodes, self.weights
 
 
 def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:

@@ -43,7 +43,7 @@ class OperatorMatrix:
         self.entries = np.asarray(self.entries, dtype=complex)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("operator matrices must be square")
-        if not np.all(np.isfinite(self.entries)):
+        if not np.isfinite(self.entries).all():
             raise ValueError("operator entries must be finite")
 
     @property
@@ -124,7 +124,9 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
         return OperatorMatrix(
             np.diag(np.exp(-1j * e * t)), "series-term", {"t": t, "l": 0}
         )
-    m = np.diag(np.tile(e, l + 1).astype(complex))
+    n = (l + 1) * d
+    m = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(m, e)  # repeats e down all l + 1 blocks
     for k in range(l):
         m[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = model.h1
     out = _phase_exp(m, t)[:d, l * d :].copy()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dysonprop
+from dysonprop import divdiff
 from dysonprop.cli import (
     Report,
     ReportConsistencyError,
@@ -117,6 +118,21 @@ def test_selftest_deterministic(tmp_path):
     assert main(["selftest", "--out", str(p1)]) == 0
     assert main(["selftest", "--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_selftest_matches_golden_output(tmp_path):
+    # tests/data/selftest_seed0.json is `dysonprop selftest --seed 0 --format json`
+    # as checked in; a change to it is a change of the report format or values
+    out = tmp_path / "s.json"
+    assert main(["selftest", "--seed", "0", "--format", "json", "--out", str(out)]) == 0
+    golden = Path(__file__).resolve().parent / "data" / "selftest_seed0.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_taylor_term_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
+    assert main(["selftest"]) == 2
+    assert "did not converge in 3 terms: worst entry ratio" in capsys.readouterr().err
 
 
 def test_package_runs_as_module(tmp_path):

@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dysonprop import divdiff
 from dysonprop.divdiff import (
     SingularNodesError,
+    TaylorConvergenceError,
+    _phase_exp,
     dd_monomial,
     dd_phase,
     dd_phase_table,
     denominator_d,
     identity_suite,
 )
+from dysonprop.model import random_model
 
 
 def mp_dd_phase(nodes, t, prec=60):
@@ -171,3 +175,65 @@ def test_identity_suite_counts_and_exactness():
 def test_identity_suite_rejects_duplicate_pool():
     with pytest.raises(ValueError):
         list(identity_suite((1, 1, 2), 3))
+
+
+def reference_phase_exp(m, t):
+    """exp(-i t m) with the entrywise stop test run after every Taylor term."""
+    n = m.shape[0]
+    mu = np.trace(m) / n
+    a = -1j * t * (m - mu * np.eye(n))
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = 0
+    while norm > 0.5:
+        norm /= 2.0
+        s += 1
+    b = a / (2.0**s)
+    f = np.eye(n, dtype=complex)
+    term = np.eye(n, dtype=complex)
+    for k in range(1, 65):
+        term = term @ b / k
+        f += term
+        if np.all(abs(term) <= 1e-18 * abs(f)):
+            break
+    for _ in range(s):
+        f = f @ f
+    f *= np.exp(-1j * mu * t)
+    return f
+
+
+def _block_bidiagonal(d, l):
+    m = random_model(d, 0, 0.5)
+    out = np.diag(np.tile(m.energies, l + 1).astype(complex))
+    for k in range(l):
+        out[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = m.h1
+    return out
+
+
+def _node_bidiagonal(nodes):
+    return np.diag(np.array(nodes, dtype=complex)) + np.diag(np.ones(len(nodes) - 1), 1)
+
+
+_STOP_RULE_MATRICES = {
+    **{f"block-d{d}-l{l}": _block_bidiagonal(d, l) for d in range(2, 11) for l in range(1, 4)},
+    # on this grid the entrywise test passes from 14 terms before the norm
+    # bound's k (paired nodes) to 10 terms after it (spaced nodes)
+    **{f"spaced-n{n}": _node_bidiagonal([0.11 * k for k in range(n)]) for n in range(2, 13)},
+    **{f"paired-n{n}": _node_bidiagonal([0.11 * (k // 2) for k in range(n)]) for n in range(2, 13)},
+}
+_STOP_RULE_TIMES = [s * t for t in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0)
+                    for s in (1, -1)]
+
+
+@pytest.mark.parametrize("name", _STOP_RULE_MATRICES)
+def test_phase_exp_bitwise_equals_every_term_stop_test(name):
+    # the norm bound only defers the entrywise test: the sum must end on
+    # the same bits as the loop that tests every term
+    m = _STOP_RULE_MATRICES[name]
+    for t in _STOP_RULE_TIMES:
+        assert _phase_exp(m, t).tobytes() == reference_phase_exp(m, t).tobytes(), t
+
+
+def test_phase_exp_raises_at_the_term_cap(monkeypatch):
+    monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
+    with pytest.raises(TaylorConvergenceError, match=r"in 3 terms: worst entry ratio .* > 1e-18"):
+        dd_phase([0.0, 0.11, 0.22], 1.0)

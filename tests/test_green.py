@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dysonprop import green
 from dysonprop.green import (
     QuadratureDomainError,
     QuadratureSpec,
@@ -13,7 +14,7 @@ from dysonprop.green import (
     unperturbed_resolvent,
 )
 from dysonprop.model import hamiltonian, random_model, scale_coupling, two_level_model
-from dysonprop.oracle import exact_evolution
+from dysonprop.oracle import exact_evolution, gauss_legendre
 from dysonprop.propagator import TruncationSpec, truncated_evolution
 
 
@@ -131,6 +132,25 @@ def test_forward_fourier_window_guard():
     m = two_level_model(1.0, 0.3)
     with pytest.raises(QuadratureDomainError):
         forward_fourier(m, QuadratureSpec((-1.0, 2.0), 100), 1.0, 0.0, "+", 0.1)
+
+
+def test_quadrature_spec_computes_its_rule_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return gauss_legendre(n)
+
+    monkeypatch.setattr(green, "gauss_legendre", counting)
+    spec = QuadratureSpec((-1.0, 3.0), 40)
+    x, w = spec.nodes_weights()
+    assert spec.nodes_weights()[0] is x and spec.nodes_weights()[1] is w
+    assert calls == [40]
+    assert not x.flags.writeable and not w.flags.writeable
+    # the rule follows from the fields: it is not part of eq, hash or repr
+    assert spec == QuadratureSpec((-1.0, 3.0), 40)
+    assert hash(spec) == hash(QuadratureSpec((-1.0, 3.0), 40))
+    assert repr(spec) == "QuadratureSpec(domain=(-1.0, 3.0), npoints=40)"
 
 
 def test_quadrature_spec_rules():
