@@ -5,7 +5,6 @@ from .amplitude import (
     LatticeSpec,
     LatticeSystem,
     build_lattice,
-    c_kernel,
     k0_amplitude,
     k_exact,
     k_truncated_direct,
@@ -24,7 +23,6 @@ from .green import (
     unperturbed_resolvent,
 )
 from .model import (
-    CouplingScale,
     SpectralModel,
     emit_model,
     load_model,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParseError, SpectralModel
+from .model import ModelParseError, ModelValidationError, SpectralModel
 from .oracle import hermitian_eigendecomposition
 from .propagator import (
     TruncationSpec,
@@ -87,9 +87,14 @@ def load_lattice(text: str) -> LatticeSpec:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelParseError(f"invalid lattice file: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ModelParseError("lattice file must contain a top-level object")
     try:
+        M = obj["M"]
+        if not isinstance(M, int) or isinstance(M, bool):
+            raise ModelValidationError(f"lattice M must be an integer, got {M!r}")
         return LatticeSpec(
-            M=int(obj["M"]),
+            M=M,
             x0=float(obj["x0"]),
             h=float(obj["h"]),
             mass=float(obj["mass"]),
@@ -148,23 +153,24 @@ def _full_decomposition(sys: LatticeSystem):
     return sys._full_cache[key]
 
 
-def k0_amplitude(sys: LatticeSystem, xb: int, tb: float, xa: int, ta: float) -> complex:
-    """Unperturbed amplitude <x_b| e^{-i H0 (tb-ta)} |x_a> on the lattice."""
+def _eigen_amplitude(psi, energies, xb: int, tb: float, xa: int, ta: float) -> complex:
+    """<x_b| e^{-iH(tb-ta)} |x_a> from eigenvalues and lattice-normalized
+    eigenfunctions psi[n, g] of H."""
     if tb < ta:
         raise AmplitudeError("tb must be >= ta")
-    psi = sys.basis
-    phases = np.exp(-1j * sys.model.energies * (tb - ta))
+    phases = np.exp(-1j * energies * (tb - ta))
     return complex(np.sum(psi[xb, :] * phases * np.conj(psi[xa, :])))
+
+
+def k0_amplitude(sys: LatticeSystem, xb: int, tb: float, xa: int, ta: float) -> complex:
+    """Unperturbed amplitude <x_b| e^{-i H0 (tb-ta)} |x_a> on the lattice."""
+    return _eigen_amplitude(sys.basis, sys.model.energies, xb, tb, xa, ta)
 
 
 def k_exact(sys: LatticeSystem, xb: int, tb: float, xa: int, ta: float) -> complex:
     """Exact amplitude of the full lattice Hamiltonian (oracle eigensolve)."""
-    if tb < ta:
-        raise AmplitudeError("tb must be >= ta")
     dec = _full_decomposition(sys)
-    psi = dec.vectors / np.sqrt(sys.spec.h)
-    phases = np.exp(-1j * dec.values * (tb - ta))
-    return complex(np.sum(psi[xb, :] * phases * np.conj(psi[xa, :])))
+    return _eigen_amplitude(dec.vectors / np.sqrt(sys.spec.h), dec.values, xb, tb, xa, ta)
 
 
 def k_truncated_direct(
@@ -204,20 +210,6 @@ def c_kernel_matrix(
     psi = sys.basis
     weight = (left @ psi[xb, :]) * (right[::-1] @ np.conj(psi[xa, :]))
     return (np.conj(psi) * weight[:, np.newaxis, :]) @ psi.T
-
-
-def c_kernel(
-    sys: LatticeSystem,
-    spec: TruncationSpec,
-    eps: float,
-    xb: int,
-    yb: int,
-    xa: int,
-    ya: int,
-    sign="+",
-) -> np.ndarray:
-    """Kernel values C_m(x_b, y_b; x_a, y_a), one per tuple position m."""
-    return c_kernel_matrix(sys, spec, eps, xb, xa, sign)[:, yb, ya]
 
 
 def k_via_relation(

@@ -40,21 +40,6 @@ class UnresolvedRatioError(ValueError):
     """A coupling-halving ratio of two errors at the roundoff floor."""
 
 
-def _halving_ratio(name: str, errs, scale: float = 1.0) -> float:
-    """errs[0] / errs[1] for couplings lambda and lambda/2.
-
-    When either error sits at the roundoff floor the ratio measures noise,
-    not the coupling order, so it is refused instead of reported.
-    """
-    floor = _ROUNDOFF_ULPS * np.finfo(float).eps * scale
-    if min(errs) <= floor:
-        raise UnresolvedRatioError(
-            f"{name} cannot be resolved: the errors {errs[0]:.3e} (lambda) and "
-            f"{errs[1]:.3e} (lambda/2) are not both above the roundoff floor "
-            f"{floor:.1e}; use a larger --lambda")
-    return errs[0] / errs[1]
-
-
 @dataclass
 class ReportRow:
     inputs: dict  # small scalars / labels identifying the case
@@ -77,6 +62,39 @@ class SummaryItem:
     value: float
     threshold: float
     passed: bool
+
+
+def _at_most(name: str, value, tol: float) -> SummaryItem:
+    value = float(value)
+    return SummaryItem(name, value, tol, value <= tol)
+
+
+def _halving_item(name: str, errs, expected: float, tol: float,
+                  scale: float = 1.0) -> SummaryItem:
+    """Passes when errs[0] / errs[1], for couplings lambda and lambda/2, is
+    within relative ``tol`` of ``expected``.
+
+    When either error sits at the roundoff floor the ratio measures noise,
+    not the coupling order, so it is refused instead of reported.
+    """
+    floor = _ROUNDOFF_ULPS * np.finfo(float).eps * scale
+    if min(errs) <= floor:
+        raise UnresolvedRatioError(
+            f"{name} cannot be resolved: the errors {errs[0]:.3e} (lambda) and "
+            f"{errs[1]:.3e} (lambda/2) are not both above the roundoff floor "
+            f"{floor:.1e}; use a larger --lambda")
+    ratio = errs[0] / errs[1]
+    return SummaryItem(name, ratio, tol, abs(ratio / expected - 1.0) <= tol)
+
+
+def _entry_rows(*cases, keys=("row", "col")) -> list:
+    """ReportRows for every entry (i, j) of square matrices, row-major, case
+    by case within an entry.  A case is (inputs, computed, oracle); a row's
+    inputs are ``inputs`` with keys[0] set to i and keys[1] to j, which keep
+    their place when ``inputs`` already holds them."""
+    n = len(cases[0][1])
+    return [ReportRow({**inputs, keys[0]: i, keys[1]: j}, computed[i, j], ref[i, j])
+            for i in range(n) for j in range(n) for inputs, computed, ref in cases]
 
 
 @dataclass
@@ -210,8 +228,7 @@ def cmd_identity_check(opts) -> Report:
                 complex(float_dev), complex(0.0)))
     summary = [
         SummaryItem("exact_identities", float(n_exact_fail), 0.5, n_exact_fail == 0),
-        SummaryItem("float_dev_min_gap_1", float_dev_gap1, opts.tol,
-                    float_dev_gap1 <= opts.tol),
+        _at_most("float_dev_min_gap_1", float_dev_gap1, opts.tol),
         SummaryItem("case_count", float(count), 500.0, count >= 500),
     ]
     params = {"max_nodes": opts.max_nodes, "tol": opts.tol,
@@ -236,10 +253,7 @@ def cmd_propagate(opts) -> Report:
     for l, term in enumerate(terms):
         computed = a_matrix(model, l, opts.t).entries
         ref = term.entries
-        for i in range(model.dim):
-            for j in range(model.dim):
-                rows.append(ReportRow({"l": l, "row": i, "col": j},
-                                      computed[i, j], ref[i, j]))
+        rows += _entry_rows(({"l": l}, computed, ref))
         worst_term = max(worst_term, float(np.max(np.abs(computed - ref))))
 
     spec = TruncationSpec(opts.order)
@@ -249,10 +263,8 @@ def cmd_propagate(opts) -> Report:
     direct = truncated_evolution(model, spec, opts.t).entries
     eps_dev = float(np.max(np.abs(extrapolated - direct)))
     summary = [
-        SummaryItem("series_term_vs_quadrature", worst_term, opts.tol,
-                    worst_term <= opts.tol),
-        SummaryItem("resolvent_form_extrapolated", eps_dev, opts.eps_tol,
-                    eps_dev <= opts.eps_tol),
+        _at_most("series_term_vs_quadrature", worst_term, opts.tol),
+        _at_most("resolvent_form_extrapolated", eps_dev, opts.eps_tol),
     ]
     params = {"t": opts.t, "order": opts.order, "seed": opts.seed, "dim": model.dim,
               "lambda": opts.lam, "quad_points": opts.quad_points,
@@ -293,16 +305,9 @@ def cmd_converge(opts) -> Report:
                                   complex(err), complex(0.0)))
             rows.append(ReportRow({"N": N, "lambda": lam, "what": "unitarity_defect"},
                                   complex(defect), complex(0.0)))
-        expected = 2.0 ** (N + 1)
-        expected_defect = 2.0 ** (N + 1 if N % 2 else N + 2)
-        ratio = _halving_ratio(f"error_ratio_N{N}", errs)
-        dratio = _halving_ratio(f"unitarity_ratio_N{N}", defects)
-        summary.append(SummaryItem(
-            f"error_ratio_N{N}", ratio, opts.ratio_tol,
-            abs(ratio / expected - 1.0) <= opts.ratio_tol))
-        summary.append(SummaryItem(
-            f"unitarity_ratio_N{N}", dratio, opts.ratio_tol,
-            abs(dratio / expected_defect - 1.0) <= opts.ratio_tol))
+        summary.append(_halving_item(f"error_ratio_N{N}", errs, 2.0 ** (N + 1), opts.ratio_tol))
+        summary.append(_halving_item(f"unitarity_ratio_N{N}", defects,
+                                     2.0 ** (N + 1 if N % 2 else N + 2), opts.ratio_tol))
     params = {"t": opts.t, "lambda": opts.lam, "ratio_tol": opts.ratio_tol}
     return Report("converge", params, rows, summary)
 
@@ -319,22 +324,17 @@ def cmd_dyson_check(opts) -> Report:
     q = green.ResolventQuery(E, opts.sign, opts.eps)
     partial = green.dyson_partial(model, q, opts.order)
     direct = green.complete_resolvent_direct(model, q)
-    rows = []
-    for i in range(model.dim):
-        for j in range(model.dim):
-            rows.append(ReportRow({"row": i, "col": j},
-                                  partial.entries[i, j], direct.entries[i, j]))
+    rows = _entry_rows(({}, partial.entries, direct.entries))
     err = float(np.max(np.abs(partial.entries - direct.entries)))
     rho = partial.params["rho"]
-    g0_norm = float(np.linalg.norm(
-        np.diag(1.0 / (q.z - model.energies)), 2))
+    g0_norm = float(np.linalg.norm(green.unperturbed_resolvent(model, q).entries, 2))
     # geometric tail plus a roundoff floor; at large orders the analytic
     # tail drops far below working precision
     floor = 1e-13 * float(np.max(np.abs(direct.entries)))
     tail_bound = g0_norm * rho ** (opts.order + 1) / (1.0 - rho) + floor
     summary = [
-        SummaryItem("partial_vs_direct", err, opts.tol, err <= opts.tol),
-        SummaryItem("geometric_tail_bound", err, tail_bound, err <= tail_bound),
+        _at_most("partial_vs_direct", err, opts.tol),
+        _at_most("geometric_tail_bound", err, tail_bound),
         SummaryItem("contraction_factor", rho, 0.5, rho <= 0.5 + 1e-12),
     ]
     params = {"E": E, "sign": q.sign, "eps": opts.eps, "order": opts.order,
@@ -354,10 +354,7 @@ def cmd_green_ft(opts) -> Report:
         lhs = green.inverse_fourier_check(model, spec, opts.E, sgn, opts.eps, quad)
         rhs = green.dyson_partial(
             model, green.ResolventQuery(opts.E, sgn, opts.eps), opts.order)
-        for i in range(model.dim):
-            for j in range(model.dim):
-                rows.append(ReportRow({"check": "inverse", "sign": sgn, "row": i, "col": j},
-                                      lhs.entries[i, j], rhs.entries[i, j]))
+        rows += _entry_rows(({"check": "inverse", "sign": sgn}, lhs.entries, rhs.entries))
         worst_inv = max(worst_inv, float(np.max(np.abs(lhs.entries - rhs.entries))))
 
     e_min = float(np.min(model.energies))
@@ -368,17 +365,12 @@ def cmd_green_ft(opts) -> Report:
     causal = green.forward_fourier(model, fwd_quad, abs(opts.t), 0.0, "+", opts.eps)
     damped = (-1j * oracle.exact_evolution(model, abs(opts.t)).entries
               * np.exp(-opts.eps * abs(opts.t)))
-    for i in range(model.dim):
-        for j in range(model.dim):
-            rows.append(ReportRow({"check": "acausal", "sign": 1, "row": i, "col": j},
-                                  acausal.entries[i, j], 0.0))
-            rows.append(ReportRow({"check": "causal", "sign": 1, "row": i, "col": j},
-                                  causal.entries[i, j], damped[i, j]))
+    rows += _entry_rows(({"check": "acausal", "sign": 1}, acausal.entries, np.zeros_like(damped)),
+                        ({"check": "causal", "sign": 1}, causal.entries, damped))
     acausal_max = float(np.max(np.abs(acausal.entries)))
     summary = [
-        SummaryItem("inverse_transform", worst_inv, opts.tol, worst_inv <= opts.tol),
-        SummaryItem("causality", acausal_max, opts.causal_tol,
-                    acausal_max <= opts.causal_tol),
+        _at_most("inverse_transform", worst_inv, opts.tol),
+        _at_most("causality", acausal_max, opts.causal_tol),
     ]
     params = {"E": opts.E, "eps": opts.eps, "order": opts.order, "t": opts.t,
               "quad_points": opts.quad_points, "quad_domain": opts.quad_domain,
@@ -412,22 +404,18 @@ def cmd_amplitude(opts) -> Report:
     scale = 0.0
     for lam, sys_ in systems:
         m = sys_.spec.M
-        rel_max = 0.0
-        dir_max = 0.0
+        exact, via, direct = (np.empty((m, m), dtype=complex) for _ in range(3))
         for b in range(m):
             for a in range(m):
-                exact = amp.k_exact(sys_, b, tb, a, ta)
-                via = amp.k_via_relation_extrapolated(sys_, spec, _EPS_LADDER, b, tb, a, ta)
-                direct = amp.k_truncated_direct(sys_, spec, b, tb, a, ta)
-                rows.append(ReportRow({"lambda": lam, "xb": b, "xa": a, "what": "relation"},
-                                      via, exact))
-                rows.append(ReportRow({"lambda": lam, "xb": b, "xa": a, "what": "direct"},
-                                      direct, exact))
-                rel_max = max(rel_max, abs(via - exact))
-                dir_max = max(dir_max, abs(direct - exact))
-                scale = max(scale, abs(exact))
-        rel_errs.append(rel_max)
-        dir_errs.append(dir_max)
+                exact[b, a] = amp.k_exact(sys_, b, tb, a, ta)
+                via[b, a] = amp.k_via_relation_extrapolated(sys_, spec, _EPS_LADDER, b, tb, a, ta)
+                direct[b, a] = amp.k_truncated_direct(sys_, spec, b, tb, a, ta)
+        pair = {"lambda": lam, "xb": 0, "xa": 0}  # xb, xa hold their column places
+        rows += _entry_rows(({**pair, "what": "relation"}, via, exact),
+                            ({**pair, "what": "direct"}, direct, exact), keys=("xb", "xa"))
+        rel_errs.append(float(np.max(np.abs(via - exact))))
+        dir_errs.append(float(np.max(np.abs(direct - exact))))
+        scale = max(scale, float(np.max(np.abs(exact))))
 
     # free (v1 = 0) reduction must be exact
     sys0 = amp.build_lattice(_default_lattice(0.0))
@@ -436,22 +424,16 @@ def cmd_amplitude(opts) -> Report:
             - amp.k0_amplitude(sys0, b, tb, a, ta))
         for b in range(sys0.spec.M) for a in range(sys0.spec.M))
 
-    summary = []
     expected = 2.0 ** (opts.order + 1)
     if len(systems) == 2:
-        ratio_rel = _halving_ratio("relation_error_ratio", rel_errs, scale)
-        ratio_dir = _halving_ratio("direct_error_ratio", dir_errs, scale)
-        summary.append(SummaryItem("relation_error_ratio", ratio_rel, opts.ratio_tol,
-                                   abs(ratio_rel / expected - 1.0) <= opts.ratio_tol))
-        summary.append(SummaryItem("direct_error_ratio", ratio_dir, opts.ratio_tol,
-                                   abs(ratio_dir / expected - 1.0) <= opts.ratio_tol))
+        summary = [
+            _halving_item("relation_error_ratio", rel_errs, expected, opts.ratio_tol, scale),
+            _halving_item("direct_error_ratio", dir_errs, expected, opts.ratio_tol, scale),
+        ]
     else:
-        summary.append(SummaryItem("relation_error", rel_errs[0], opts.tol,
-                                   rel_errs[0] <= opts.tol))
-        summary.append(SummaryItem("direct_error", dir_errs[0], opts.tol,
-                                   dir_errs[0] <= opts.tol))
-    summary.append(SummaryItem("free_reduction", float(free_dev), opts.free_tol,
-                               free_dev <= opts.free_tol))
+        summary = [_at_most("relation_error", rel_errs[0], opts.tol),
+                   _at_most("direct_error", dir_errs[0], opts.tol)]
+    summary.append(_at_most("free_reduction", free_dev, opts.free_tol))
     params = {"t": opts.t, "order": opts.order, "lambda": opts.lam,
               "ratio_tol": opts.ratio_tol, "free_tol": opts.free_tol,
               "lattice": opts.lattice or "(built-in well)"}
@@ -499,7 +481,7 @@ def cmd_selftest(opts) -> Report:
     rows.append(ReportRow({"check": "lattice_amplitude"}, kd, ke))
     checks.append(("lattice_amplitude", abs(kd - ke), 1e-3))
 
-    summary = [SummaryItem(name, float(v), tol, v <= tol) for name, v, tol in checks]
+    summary = [_at_most(name, v, tol) for name, v, tol in checks]
     return Report("selftest", {"seed": opts.seed}, rows, summary)
 
 
@@ -534,6 +516,13 @@ def _positive_float(text: str) -> float:
     return v
 
 
+def _add_model_flags(p, dim: int, seed: int, lam: float):
+    p.add_argument("--model", default=None)
+    p.add_argument("--dim", type=_nonnegative_int, default=dim)
+    p.add_argument("--seed", type=_nonnegative_int, default=seed)
+    p.add_argument("--lambda", dest="lam", type=_positive_float, default=lam)
+
+
 def _add_common(p):
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -553,12 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propagate",
                        help="series terms vs quadrature oracle; resolvent-form check")
-    p.add_argument("--model", default=None)
+    _add_model_flags(p, dim=3, seed=7, lam=0.2)
     p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--order", type=_nonnegative_int, default=2)
-    p.add_argument("--dim", type=_nonnegative_int, default=3)
-    p.add_argument("--seed", type=_nonnegative_int, default=7)
-    p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.2)
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.add_argument("--quad-points", type=_nonnegative_int, default=64)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
@@ -572,10 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("dyson-check", help="resolvent partial sum vs direct solve")
-    p.add_argument("--model", default=None)
-    p.add_argument("--dim", type=_nonnegative_int, default=4)
-    p.add_argument("--seed", type=_nonnegative_int, default=11)
-    p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.3)
+    _add_model_flags(p, dim=4, seed=11, lam=0.3)
     p.add_argument("--order", type=_nonnegative_int, default=40)
     p.add_argument("--eps", type=_positive_float, default=0.05)
     p.add_argument("--sign", choices=("+", "-"), default="+")
@@ -584,9 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("green-ft", help="Fourier reciprocity of the Green operator")
     p.add_argument("--model", default=None)
-    p.add_argument("--dim", type=_nonnegative_int, default=2)
-    p.add_argument("--seed", type=_nonnegative_int, default=3)
-    p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.3)
     p.add_argument("--E", type=_finite_float, default=0.37)
     p.add_argument("--t", type=_finite_float, default=1.5)
     p.add_argument("--order", type=_nonnegative_int, default=2)

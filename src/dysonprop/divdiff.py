@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,47 +36,6 @@ class SingularNodesError(ValueError):
 class TaylorConvergenceError(RuntimeError):
     """The Taylor sum of ``_phase_exp`` missed its entrywise stop test
     within ``_TAYLOR_MAX_TERMS`` terms."""
-
-
-@dataclass(frozen=True)
-class NodeList:
-    """Ordered list of (possibly coincident, possibly complex) energy nodes."""
-
-    nodes: tuple
-
-    def __post_init__(self):
-        nodes = tuple(complex(x) for x in self.nodes)
-        if len(nodes) < 1:
-            raise ValueError("a node list needs at least one node")
-        if not all(np.isfinite(z.real) and np.isfinite(z.imag) for z in nodes):
-            raise ValueError("nodes must be finite")
-        object.__setattr__(self, "nodes", nodes)
-
-    def __len__(self):
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class PhaseSpec:
-    """Time parameter of the phase function e^{-iEt}."""
-
-    t: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.t):
-            raise ValueError("t must be finite")
-
-
-def _as_nodes(nodes) -> tuple:
-    if isinstance(nodes, NodeList):
-        return nodes.nodes
-    return NodeList(tuple(nodes)).nodes
-
-
-def _as_t(phase) -> float:
-    if isinstance(phase, PhaseSpec):
-        return phase.t
-    return PhaseSpec(float(phase)).t
 
 
 def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
@@ -131,27 +89,23 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     return f
 
 
-def _phase_bidiagonal_row(nodes: tuple, t: float) -> np.ndarray:
-    """First row of exp(-i t J) for the upper-bidiagonal node matrix J."""
-    n = len(nodes)
-    j = np.diag(np.array(nodes, dtype=complex) + 0.0)  # + 0.0 turns -0.0 into 0.0
+def dd_phase(nodes, t) -> complex:
+    """Divided difference of e^{-iEt}; repeated nodes get confluent limits.
+
+    The corner entry of exp(-i t J) for the upper-bidiagonal node matrix J.
+    """
+    nodes = np.array(nodes, dtype=complex) + 0.0  # + 0.0 turns -0.0 into 0.0
+    if nodes.ndim != 1 or nodes.size < 1:
+        raise ValueError("a node list needs at least one node")
+    if not np.isfinite(nodes).all():
+        raise ValueError("nodes must be finite")
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
+    n = nodes.size
+    j = np.diag(nodes)
     j.flat[1 :: n + 1] = 1.0
-    return _phase_exp(j, t)[0, :].copy()
-
-
-def dd_phase_table(nodes, phase) -> np.ndarray:
-    """All leading divided differences f[E_1], f[E_1,E_2], ..., f[E_1..E_n]
-    of f(E) = e^{-iEt}, in one pass."""
-    nd = _as_nodes(nodes)
-    t = _as_t(phase)
-    return _phase_bidiagonal_row(nd, t)
-
-
-def dd_phase(nodes, phase) -> complex:
-    """Divided difference of e^{-iEt}; repeated nodes get confluent limits."""
-    nd = _as_nodes(nodes)
-    t = _as_t(phase)
-    return complex(_phase_bidiagonal_row(nd, t)[-1])
+    return complex(_phase_exp(j, t)[0, -1])
 
 
 def _is_exact_scalar(x) -> bool:
@@ -168,7 +122,7 @@ def dd_monomial(nodes, K: int, exact: bool | None = None):
     """
     if K < 0 or int(K) != K:
         raise ValueError(f"monomial degree must be a nonnegative integer, got {K}")
-    raw = tuple(nodes.nodes) if isinstance(nodes, NodeList) else tuple(nodes)
+    raw = tuple(nodes)
     if len(raw) < 1:
         raise ValueError("a node list needs at least one node")
     if exact is None:
@@ -192,7 +146,7 @@ def denominator_d(nodes, i: int):
     so that (-1)^{i-1} / d_i = 1 / prod_{j != i} (E_i - E_j).  Singular for
     coincident nodes; exact over integer/rational nodes.
     """
-    raw = tuple(nodes.nodes) if isinstance(nodes, NodeList) else tuple(nodes)
+    raw = tuple(nodes)
     n = len(raw)
     if not 1 <= i <= n:
         raise ValueError(f"index i={i} out of range 1..{n}")

@@ -72,14 +72,11 @@ class QuadratureSpec:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def nodes_weights(self):
-        return self.nodes, self.weights
-
 
 def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:
     """Diagonal resolvent 1 / (E - E_g +- i*eps) of the solvable part."""
     entries = np.diag(1.0 / (q.z - model.energies))
-    return OperatorMatrix(entries, "resolvent", {"E": q.E, "sign": q.sign, "eps": q.eps})
+    return OperatorMatrix(entries, {"E": q.E, "sign": q.sign, "eps": q.eps})
 
 
 def complete_resolvent_direct(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:
@@ -92,9 +89,7 @@ def complete_resolvent_direct(model: SpectralModel, q: ResolventQuery) -> Operat
         raise np.linalg.LinAlgError(
             f"resolvent solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
         )
-    return OperatorMatrix(
-        x, "resolvent", {"E": q.E, "sign": q.sign, "eps": q.eps, "residual": residual}
-    )
+    return OperatorMatrix(x, {"E": q.E, "sign": q.sign, "eps": q.eps, "residual": residual})
 
 
 def dyson_partial(model: SpectralModel, q: ResolventQuery, N: int) -> OperatorMatrix:
@@ -106,7 +101,7 @@ def dyson_partial(model: SpectralModel, q: ResolventQuery, N: int) -> OperatorMa
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    g0 = np.diag(1.0 / (q.z - model.energies))
+    g0 = unperturbed_resolvent(model, q).entries
     step = model.h1 @ g0
     rho = float(np.linalg.norm(step, 2))
     acc = np.eye(model.dim, dtype=complex)
@@ -114,11 +109,7 @@ def dyson_partial(model: SpectralModel, q: ResolventQuery, N: int) -> OperatorMa
     for _ in range(N):
         power = step @ power
         acc += power
-    return OperatorMatrix(
-        g0 @ acc,
-        "resolvent",
-        {"E": q.E, "sign": q.sign, "eps": q.eps, "N": N, "rho": rho},
-    )
+    return OperatorMatrix(g0 @ acc, {"E": q.E, "sign": q.sign, "eps": q.eps, "N": N, "rho": rho})
 
 
 def timedep_green(
@@ -132,8 +123,8 @@ def timedep_green(
         entries = np.zeros((d, d), dtype=complex)
     else:
         entries = -1j * sgn * truncated_evolution(model, spec, tau).entries
-    return OperatorMatrix(entries, "green-td", {"t": t, "tp": tp, "sign": sgn,
-                                                "N": spec.N if isinstance(spec, TruncationSpec) else spec})
+    return OperatorMatrix(entries, {"t": t, "tp": tp, "sign": sgn,
+                                    "N": spec.N if isinstance(spec, TruncationSpec) else spec})
 
 
 def inverse_fourier_check(
@@ -162,15 +153,14 @@ def inverse_fourier_check(
         raise QuadratureDomainError(
             f"domain too short: exp(-eps*T) = {np.exp(-eps * b):.3e} > {_DAMPING_TOL}"
         )
-    taus, ws = quad.nodes_weights()
     d = model.dim
     total = np.zeros((d, d), dtype=complex)
-    for tau, w in zip(taus, ws):
+    for tau, w in zip(quad.nodes, quad.weights):
         # sign '-' integrates over tau < 0; mirror the node onto (0, T)
         u = truncated_evolution(model, spec, sgn * tau).entries
         total += w * (-1j * sgn) * np.exp((1j * sgn * E - eps) * tau) * u
     return OperatorMatrix(
-        total, "resolvent", {"E": E, "sign": sgn, "eps": eps, "N": spec.N, "quad": quad.npoints}
+        total, {"E": E, "sign": sgn, "eps": eps, "N": spec.N, "quad": quad.npoints}
     )
 
 
@@ -207,9 +197,8 @@ def forward_fourier(
     d = model.dim
     e0 = float(np.mean(model.energies))
     eye = np.eye(d, dtype=complex)
-    xs, ws = quad.nodes_weights()
     total = np.zeros((d, d), dtype=complex)
-    for x, w in zip(xs, ws):
+    for x, w in zip(quad.nodes, quad.weights):
         q = ResolventQuery(float(x), sgn, eps)
         if N is None:
             g = complete_resolvent_direct(model, q).entries
@@ -221,7 +210,4 @@ def forward_fourier(
     if (sgn > 0 and tau >= 0) or (sgn < 0 and tau <= 0):
         total += -1j * sgn * np.exp(-1j * e0 * tau) * np.exp(-eps * abs(tau)) * eye
     return OperatorMatrix(
-        total,
-        "green-td",
-        {"t": t, "tp": tp, "sign": sgn, "eps": eps, "N": N, "quad": quad.npoints},
-    )
+        total, {"t": t, "tp": tp, "sign": sgn, "eps": eps, "N": N, "quad": quad.npoints})

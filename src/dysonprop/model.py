@@ -37,17 +37,6 @@ def _fmt(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class CouplingScale:
-    """Nonnegative multiplier applied to the perturbing matrix."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not (self.lam >= 0):
-            raise ModelValidationError(f"coupling scale must be >= 0, got {self.lam}")
-
-
-@dataclass(frozen=True)
 class SpectralModel:
     """Unperturbed eigenvalues plus the perturbation in the eigenbasis.
 
@@ -122,19 +111,21 @@ def load_model(text: str) -> SpectralModel:
     except KeyError as exc:
         raise ModelParseError(f"model file missing key {exc}") from exc
     label = obj.get("label", "")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ModelValidationError(f"dim must be a positive integer, got {dim!r}")
+    if not isinstance(energies, list):
+        raise ModelValidationError(f"energies must be a list, got {energies!r}")
     if len(energies) != dim:
         raise ModelValidationError(
             f"energies has length {len(energies)}, expected {dim}"
         )
-    if len(h1_pairs) != dim or any(len(row) != dim for row in h1_pairs):
+    if (not isinstance(h1_pairs, list) or len(h1_pairs) != dim
+            or any(not isinstance(row, list) or len(row) != dim for row in h1_pairs)):
         raise ModelValidationError("h1 must be a dim x dim array")
     try:
-        h1 = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in h1_pairs], dtype=complex
-        )
-    except (TypeError, IndexError) as exc:
+        # unpacking refuses entries of any length but 2
+        h1 = np.array([[complex(re, im) for re, im in row] for row in h1_pairs], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise ModelParseError("h1 entries must be [re, im] pairs") from exc
     return SpectralModel(np.array(energies, dtype=float), h1, label=str(label))
 
@@ -174,9 +165,11 @@ def random_model(dim: int, seed: int, lam: float = 1.0) -> SpectralModel:
     return SpectralModel(energies, h1, label=f"random(dim={dim}, seed={seed}, lam={lam})")
 
 
-def scale_coupling(model: SpectralModel, s: CouplingScale | float) -> SpectralModel:
-    """Copy of ``model`` with the perturbation multiplied by the scale."""
-    lam = s.lam if isinstance(s, CouplingScale) else float(CouplingScale(float(s)).lam)
+def scale_coupling(model: SpectralModel, lam: float) -> SpectralModel:
+    """Copy of ``model`` with the perturbation multiplied by ``lam`` >= 0."""
+    lam = float(lam)
+    if not lam >= 0:
+        raise ModelValidationError(f"coupling scale must be >= 0, got {lam}")
     return SpectralModel(model.energies.copy(), model.h1 * lam, label=model.label)
 
 

@@ -119,16 +119,12 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def exact_evolution(model_or_matrix, t: float) -> OperatorMatrix:
+def exact_evolution(model: SpectralModel, t: float) -> OperatorMatrix:
     """e^{-iHt} via eigendecomposition; unitary to working accuracy."""
-    if isinstance(model_or_matrix, SpectralModel):
-        h = hamiltonian(model_or_matrix)
-    else:
-        h = np.asarray(model_or_matrix, dtype=complex)
-    dec = hermitian_eigendecomposition(h)
+    dec = hermitian_eigendecomposition(hamiltonian(model))
     phases = np.exp(-1j * dec.values * t)
     u = (dec.vectors * phases) @ dec.vectors.conj().T
-    return OperatorMatrix(u, "propagator", {"t": t, "N": None, "exact": True})
+    return OperatorMatrix(u, {"t": t, "N": None, "exact": True})
 
 
 def _legendre(n: int, x: np.ndarray):
@@ -200,7 +196,7 @@ def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
     for k in range(l + 1):
         if k:
             b = (integ @ (v @ b[:n]).reshape(n, d * d)).reshape(n + 1, d, d)
-        yield OperatorMatrix(u0 * b[n], "series-term", {"t": t, "l": k, "npoints": n})
+        yield OperatorMatrix(u0 * b[n], {"t": t, "l": k, "npoints": n})
 
 
 def dyson_term_quadrature(

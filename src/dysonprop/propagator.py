@@ -33,10 +33,9 @@ from .model import SpectralModel
 
 @dataclass
 class OperatorMatrix:
-    """Dense complex matrix tagged with its meaning and parameters."""
+    """Dense complex matrix with the parameters it was computed for."""
 
     entries: np.ndarray
-    kind: str  # "propagator" | "resolvent" | "green-td" | "series-term"
     params: dict
 
     def __post_init__(self):
@@ -45,10 +44,6 @@ class OperatorMatrix:
             raise ValueError("operator matrices must be square")
         if not np.isfinite(self.entries).all():
             raise ValueError("operator entries must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -121,16 +116,14 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     d = model.dim
     e = model.energies
     if l == 0:
-        return OperatorMatrix(
-            np.diag(np.exp(-1j * e * t)), "series-term", {"t": t, "l": 0}
-        )
+        return OperatorMatrix(np.diag(np.exp(-1j * e * t)), {"t": t, "l": 0})
     n = (l + 1) * d
     m = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(m, e)  # repeats e down all l + 1 blocks
     for k in range(l):
         m[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = model.h1
     out = _phase_exp(m, t)[:d, l * d :].copy()
-    return OperatorMatrix(out, "series-term", {"t": t, "l": l})
+    return OperatorMatrix(out, {"t": t, "l": l})
 
 
 def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float) -> OperatorMatrix:
@@ -140,7 +133,7 @@ def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float) ->
     total = np.zeros((model.dim, model.dim), dtype=complex)
     for l in range(spec.N + 1):
         total += a_matrix(model, l, t).entries
-    return OperatorMatrix(total, "propagator", {"t": t, "N": spec.N})
+    return OperatorMatrix(total, {"t": t, "N": spec.N})
 
 
 def _graded_chains(model: SpectralModel, N: int, eps: float, sgn: int):
@@ -194,9 +187,7 @@ def epsilon_form_evolution(
         left[m].T @ (np.exp(-1j * nodes[m] * t)[:, np.newaxis] * right[spec.N - m])
         for m in range(spec.N + 1)
     )
-    return OperatorMatrix(
-        out, "propagator", {"t": t, "N": spec.N, "eps": eps, "sign": sgn}
-    )
+    return OperatorMatrix(out, {"t": t, "N": spec.N, "eps": eps, "sign": sgn})
 
 
 def richardson_limit(eps_values, samples):

@@ -5,7 +5,6 @@ from dysonprop.amplitude import (
     AmplitudeError,
     LatticeSpec,
     build_lattice,
-    c_kernel,
     c_kernel_matrix,
     k0_amplitude,
     k_exact,
@@ -14,8 +13,8 @@ from dysonprop.amplitude import (
     k_via_relation_extrapolated,
     load_lattice,
 )
-from dysonprop.model import ModelParseError
-from dysonprop.propagator import TruncationSpec
+from dysonprop.model import ModelParseError, ModelValidationError
+from dysonprop.propagator import TruncationSpec, _graded_chains
 from test_propagator import _graded_tuple_sum
 
 
@@ -43,6 +42,18 @@ def test_load_lattice_roundtrip():
         load_lattice("{bad")
     with pytest.raises(ModelParseError):
         load_lattice('{"M": 4}')
+
+
+def test_load_lattice_rejects_fractional_point_count():
+    text = ('{"M": 6.7, "x0": 0.0, "h": 0.5, "mass": 1.0, '
+            '"v0": [0, 0, 0, 0, 0, 0], "v1": [0, 0, 0, 0, 0, 0]}')
+    with pytest.raises(ModelValidationError, match="lattice M must be an integer, got 6.7"):
+        load_lattice(text)
+
+
+def test_load_lattice_rejects_top_level_array():
+    with pytest.raises(ModelParseError, match="lattice file must contain a top-level object"):
+        load_lattice('[{"M": 4}]')
 
 
 def test_free_spectrum_closed_form():
@@ -173,14 +184,17 @@ def test_relation_vs_direct_gap_structure():
 
 
 def test_c_kernel_scalar_consistent_with_matrix():
+    # one kernel value C_m(x_b, y_b; x_a, y_a) as a scalar sum over levels g
     sys_ = build_lattice(well_spec(0.2))
     spec = TruncationSpec(1)
     mat = c_kernel_matrix(sys_, spec, 1e-2, 1, 2)
     assert mat.shape == (spec.N + 1, sys_.spec.M, sys_.spec.M)
-    vals = c_kernel(sys_, spec, 1e-2, 1, 3, 2, 4)
-    assert vals.shape == (spec.N + 1,)
+    _, left, right = _graded_chains(sys_.model, spec.N, 1e-2, 1)
+    psi = sys_.basis
     for m in range(spec.N + 1):
-        assert vals[m] == pytest.approx(mat[m, 3, 4])
+        want = sum((left[m, g] @ psi[1]) * (right[spec.N - m, g] @ np.conj(psi[2]))
+                   * np.conj(psi[3, g]) * psi[4, g] for g in range(sys_.spec.M))
+        assert mat[m, 3, 4] == pytest.approx(want, abs=1e-13)
 
 
 def test_c_kernel_matches_tuple_sum():

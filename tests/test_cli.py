@@ -129,6 +129,36 @@ def test_selftest_matches_golden_output(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+#: golden file under tests/data -> the arguments that wrote it; the green-ft
+#: flags are the perfbench ``fourier`` workload's, which keep it under a second
+GOLDEN_REPORTS = {
+    "identity-check.json": ["identity-check"],
+    "propagate.json": ["propagate"],
+    "converge.json": ["converge"],
+    "dyson-check.json": ["dyson-check"],
+    "amplitude.json": ["amplitude"],
+    "green-ft_fourier.json": ["green-ft", "--eps", "0.3", "--quad-domain", "80",
+                              "--quad-points", "250", "--fwd-points", "800"],
+    "propagate.csv": ["propagate", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_REPORTS))
+def test_report_matches_golden_output(golden, tmp_path):
+    out = tmp_path / golden
+    assert main([*GOLDEN_REPORTS[golden], "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).resolve().parent / "data" / golden).read_bytes()
+
+
+def test_green_ft_rejects_removed_flags(capsys):
+    # --dim, --seed and --lambda never reached the green-ft model
+    for flag in ("--dim", "--seed", "--lambda"):
+        with pytest.raises(SystemExit) as exc:
+            main(["green-ft", flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
 def test_taylor_term_cap_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
     assert main(["selftest"]) == 2

@@ -13,7 +13,6 @@ from dysonprop.divdiff import (
     _phase_exp,
     dd_monomial,
     dd_phase,
-    dd_phase_table,
     denominator_d,
     identity_suite,
 )
@@ -42,6 +41,19 @@ def mp_dd_phase(nodes, t, prec=60):
 
 def test_single_node():
     assert dd_phase([1.5], 2.0) == pytest.approx(np.exp(-3.0j), abs=1e-15)
+
+
+def test_dd_phase_rejects_bad_nodes_and_time():
+    with pytest.raises(ValueError, match="at least one node"):
+        dd_phase([], 1.0)
+    with pytest.raises(ValueError, match="nodes must be finite"):
+        dd_phase([0.5, np.nan], 1.0)
+    with pytest.raises(ValueError, match="nodes must be finite"):
+        dd_phase([complex(0.5, np.inf)], 1.0)
+    with pytest.raises(ValueError, match="t must be finite"):
+        dd_phase([0.5, 1.0], np.inf)
+    with pytest.raises(ValueError, match="t must be finite"):
+        dd_phase([0.5], np.nan)
 
 
 def test_two_distinct_nodes_closed_form():
@@ -86,13 +98,6 @@ def test_clustered_nodes_stable():
     got = dd_phase(nodes, 1.0)
     want = mp_dd_phase(nodes, 1.0)
     assert abs(got - want) <= 1e-13
-
-
-def test_table_prefixes():
-    nodes = (0.0, 0.4, 1.7, 3.0)
-    table = dd_phase_table(nodes, 1.1)
-    for n in range(1, 5):
-        assert table[n - 1] == pytest.approx(dd_phase(nodes[:n], 1.1), abs=1e-13)
 
 
 @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=2, max_size=5,

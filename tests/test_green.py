@@ -143,8 +143,7 @@ def test_quadrature_spec_computes_its_rule_once(monkeypatch):
 
     monkeypatch.setattr(green, "gauss_legendre", counting)
     spec = QuadratureSpec((-1.0, 3.0), 40)
-    x, w = spec.nodes_weights()
-    assert spec.nodes_weights()[0] is x and spec.nodes_weights()[1] is w
+    x, w = spec.nodes, spec.weights
     assert calls == [40]
     assert not x.flags.writeable and not w.flags.writeable
     # the rule follows from the fields: it is not part of eq, hash or repr
@@ -155,6 +154,6 @@ def test_quadrature_spec_computes_its_rule_once(monkeypatch):
 
 def test_quadrature_spec_rules():
     spec = QuadratureSpec((0.0, 1.0), 50)
-    x, w = spec.nodes_weights()
+    x, w = spec.nodes, spec.weights
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all((x > 0) & (x < 1))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dysonprop.model import (
-    CouplingScale,
     ModelParseError,
     ModelValidationError,
     SpectralModel,
@@ -66,6 +65,24 @@ def test_load_rejects_shape_mismatch():
                    '"h1": [[[0,0],[1,0]],[[1,0],[0,0]]], "label": "x"}')
 
 
+def test_load_rejects_boolean_dim():
+    # JSON true is a Python bool, which is an int subclass
+    with pytest.raises(ModelValidationError, match="dim must be a positive integer, got True"):
+        load_model('{"dim": true, "energies": [0.0], "h1": [[[0.0, 0.0]]]}')
+
+
+def test_load_rejects_h1_entry_with_three_numbers():
+    text = ('{"dim": 2, "energies": [0.0, 1.0], '
+            '"h1": [[[0.0, 0.0], [0.1, 0.0, 7.0]], [[0.1, 0.0], [0.0, 0.0]]]}')
+    with pytest.raises(ModelParseError, match=r"h1 entries must be \[re, im\] pairs"):
+        load_model(text)
+
+
+def test_load_rejects_scalar_energies():
+    with pytest.raises(ModelValidationError, match="energies must be a list, got 0.5"):
+        load_model('{"dim": 1, "energies": 0.5, "h1": [[[0.0, 0.0]]]}')
+
+
 def test_random_model_deterministic():
     a = random_model(5, seed=42)
     b = random_model(5, seed=42)
@@ -84,11 +101,12 @@ def test_scale_coupling():
     s = scale_coupling(m, 0.25)
     assert np.allclose(s.h1, 0.25 * m.h1)
     assert np.array_equal(s.energies, m.energies)
-    with pytest.raises(ModelValidationError):
-        CouplingScale(-0.5)
 
 
 def test_coupling_scale_object():
     m = two_level_model(1.0, 1.0)
-    s = scale_coupling(m, CouplingScale(0.5))
-    assert s.h1[0, 1] == pytest.approx(0.5)
+    assert scale_coupling(m, 0.5).h1[0, 1] == pytest.approx(0.5)
+    assert not scale_coupling(m, 0.0).h1.any()
+    for bad in (-0.5, float("nan")):
+        with pytest.raises(ModelValidationError, match="coupling scale must be >= 0"):
+            scale_coupling(m, bad)
