@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParseError, ModelValidationError, SpectralModel
+from .model import ModelParseError, ModelValidationError, SpectralModel, _real, _reals
 from .oracle import hermitian_eigendecomposition
 from .propagator import (
     TruncationSpec,
@@ -95,11 +95,11 @@ def load_lattice(text: str) -> LatticeSpec:
             raise ModelValidationError(f"lattice M must be an integer, got {M!r}")
         return LatticeSpec(
             M=M,
-            x0=float(obj["x0"]),
-            h=float(obj["h"]),
-            mass=float(obj["mass"]),
-            v0=np.array(obj["v0"], dtype=float),
-            v1=np.array(obj["v1"], dtype=float),
+            x0=_real("x0", obj["x0"]),
+            h=_real("h", obj["h"]),
+            mass=_real("mass", obj["mass"]),
+            v0=_reals("v0", obj["v0"]),
+            v1=_reals("v1", obj["v1"]),
             bc=obj.get("bc", "dirichlet"),
         )
     except KeyError as exc:

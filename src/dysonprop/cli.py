@@ -345,6 +345,10 @@ def cmd_dyson_check(opts) -> Report:
 
 def cmd_green_ft(opts) -> Report:
     """Fourier reciprocity between the stationary and time-dependent forms."""
+    if opts.t == 0:
+        raise ValueError("--t 0 cannot be checked: tau = 0 sits on the jump of the step "
+                         "function theta(tau), where the Green operator is ambiguous, so "
+                         "the causal and acausal transforms have no single value to match")
     model = two_level_model(1.0, 0.3) if not opts.model else _load_or_random_model(opts)
     spec = TruncationSpec(opts.order)
     quad = green.QuadratureSpec((0.0, opts.quad_domain), opts.quad_points)
@@ -361,8 +365,8 @@ def cmd_green_ft(opts) -> Report:
     e_max = float(np.max(model.energies))
     fwd_quad = green.QuadratureSpec((e_min - opts.window, e_max + opts.window),
                                     opts.fwd_points)
-    acausal = green.forward_fourier(model, fwd_quad, -abs(opts.t), 0.0, "+", opts.eps)
-    causal = green.forward_fourier(model, fwd_quad, abs(opts.t), 0.0, "+", opts.eps)
+    acausal, causal = green.forward_fourier(
+        model, fwd_quad, (-abs(opts.t), abs(opts.t)), 0.0, "+", opts.eps)
     damped = (-1j * oracle.exact_evolution(model, abs(opts.t)).entries
               * np.exp(-opts.eps * abs(opts.t)))
     rows += _entry_rows(({"check": "acausal", "sign": 1}, acausal.entries, np.zeros_like(damped)),

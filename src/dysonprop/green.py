@@ -10,6 +10,7 @@ relationship can be verified at matched finite eps.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,10 +82,10 @@ def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMa
 
 def complete_resolvent_direct(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:
     """Resolvent of the full Hamiltonian by a dense direct solve."""
-    d = model.dim
-    a = q.z * np.eye(d, dtype=complex) - hamiltonian(model)
-    x = linear_solve(a, np.eye(d, dtype=complex))
-    residual = float(np.max(np.abs(a @ x - np.eye(d))))
+    eye = np.eye(model.dim, dtype=complex)
+    a = q.z * eye - hamiltonian(model)
+    x = linear_solve(a, eye)
+    residual = float(np.abs(a @ x - eye).max())
     if residual > _RESIDUAL_TOL:
         raise np.linalg.LinAlgError(
             f"resolvent solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
@@ -167,12 +168,12 @@ def inverse_fourier_check(
 def forward_fourier(
     model: SpectralModel,
     quad: QuadratureSpec,
-    t: float,
+    t: float | Sequence[float],
     tp: float,
     sign,
     eps: float,
     N: int | None = None,
-) -> OperatorMatrix:
+) -> OperatorMatrix | list[OperatorMatrix]:
     """Reconstruct the time-dependent Green operator from stationary
     resolvents: (1/2pi) integral dE G_E^{(+-)} e^{-iE(t-t')}.
 
@@ -182,11 +183,18 @@ def forward_fourier(
     O(1/E^2) remainder that a finite window integrates accurately.
     Stationary resolvents come from the direct dense solve, or from the
     Dyson partial sum when ``N`` is given.
+
+    ``t`` is one time or a sequence of times.  Each node's resolvent is
+    computed once and shared by every time, so a sequence costs one solve
+    per node, not one per node and time.  A single time gives one
+    OperatorMatrix, a sequence a list of them in the same order.
     """
     sgn = normalize_sign(sign)
     if not eps > 0:
         raise ValueError("eps must be positive")
-    tau = t - tp
+    single = np.ndim(t) == 0
+    times = [t] if single else list(t)
+    taus = [s - tp for s in times]
     lo, hi = quad.domain
     e_min, e_max = float(np.min(model.energies)), float(np.max(model.energies))
     w_width = min(e_min - lo, hi - e_max)
@@ -197,17 +205,22 @@ def forward_fourier(
     d = model.dim
     e0 = float(np.mean(model.energies))
     eye = np.eye(d, dtype=complex)
-    total = np.zeros((d, d), dtype=complex)
+    totals = [np.zeros((d, d), dtype=complex) for _ in taus]
     for x, w in zip(quad.nodes, quad.weights):
         q = ResolventQuery(float(x), sgn, eps)
         if N is None:
             g = complete_resolvent_direct(model, q).entries
         else:
             g = dyson_partial(model, q, N).entries
-        total += w * (g - eye / (q.z - e0)) * np.exp(-1j * x * tau)
-    total /= 2 * np.pi
-    # exact transform of the subtracted reference pole
-    if (sgn > 0 and tau >= 0) or (sgn < 0 and tau <= 0):
-        total += -1j * sgn * np.exp(-1j * e0 * tau) * np.exp(-eps * abs(tau)) * eye
-    return OperatorMatrix(
-        total, {"t": t, "tp": tp, "sign": sgn, "eps": eps, "N": N, "quad": quad.npoints})
+        r = w * (g - eye / (q.z - e0))
+        for total, tau in zip(totals, taus):
+            total += r * np.exp(-1j * x * tau)
+    results = []
+    for s, tau, total in zip(times, taus, totals):
+        total /= 2 * np.pi
+        # exact transform of the subtracted reference pole
+        if (sgn > 0 and tau >= 0) or (sgn < 0 and tau <= 0):
+            total += -1j * sgn * np.exp(-1j * e0 * tau) * np.exp(-eps * abs(tau)) * eye
+        results.append(OperatorMatrix(
+            total, {"t": s, "tp": tp, "sign": sgn, "eps": eps, "N": N, "quad": quad.npoints}))
+    return results[0] if single else results

@@ -96,6 +96,26 @@ def hamiltonian(model: SpectralModel) -> np.ndarray:
     return np.diag(model.energies.astype(complex)) + model.h1
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _real(key: str, value) -> float:
+    """A JSON number of a model or lattice file, as a float."""
+    if not _is_real(value):
+        raise ModelValidationError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(key: str, value) -> np.ndarray:
+    """A JSON list of numbers of a model or lattice file, as a float array."""
+    if not isinstance(value, list):
+        raise ModelValidationError(f"{key} must be a list, got {value!r}")
+    if not all(_is_real(x) for x in value):
+        raise ModelValidationError(f"{key} entries must be numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
 def load_model(text: str) -> SpectralModel:
     """Parse the model file format (JSON object, see ``emit_model``)."""
     try:
@@ -111,10 +131,11 @@ def load_model(text: str) -> SpectralModel:
     except KeyError as exc:
         raise ModelParseError(f"model file missing key {exc}") from exc
     label = obj.get("label", "")
+    if not isinstance(label, str):
+        raise ModelValidationError(f"label must be a string, got {label!r}")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ModelValidationError(f"dim must be a positive integer, got {dim!r}")
-    if not isinstance(energies, list):
-        raise ModelValidationError(f"energies must be a list, got {energies!r}")
+    energies = _reals("energies", energies)
     if len(energies) != dim:
         raise ModelValidationError(
             f"energies has length {len(energies)}, expected {dim}"
@@ -127,7 +148,7 @@ def load_model(text: str) -> SpectralModel:
         h1 = np.array([[complex(re, im) for re, im in row] for row in h1_pairs], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ModelParseError("h1 entries must be [re, im] pairs") from exc
-    return SpectralModel(np.array(energies, dtype=float), h1, label=str(label))
+    return SpectralModel(energies, h1, label=label)
 
 
 def emit_model(model: SpectralModel) -> str:

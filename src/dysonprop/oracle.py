@@ -234,13 +234,13 @@ def linear_solve(a, b) -> np.ndarray:
         b = b[:, np.newaxis]
     if b.shape[0] != n:
         raise ValueError("B is not conformable with A")
-    peak = max(float(np.max(np.abs(a))), 1e-300)
+    peak = max(float(np.abs(a).max()), 1e-300)
     aug = np.concatenate((a, b), axis=1)
     free = np.ones(n)  # 1.0 for rows not yet used as pivots
     order = []
     for k in range(n):
         mags = np.abs(aug[:, k]) * free
-        p = int(np.argmax(mags))
+        p = int(mags.argmax())
         piv = mags[p]
         if piv <= 1e-14 * peak:
             cond = peak / max(piv, 1e-300)

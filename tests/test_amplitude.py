@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,23 @@ def test_load_lattice_rejects_fractional_point_count():
 def test_load_lattice_rejects_top_level_array():
     with pytest.raises(ModelParseError, match="lattice file must contain a top-level object"):
         load_lattice('[{"M": 4}]')
+
+
+def _lattice_text(**override):
+    obj = {"M": 4, "x0": 0.0, "h": 0.5, "mass": 1.0, "v0": [0, 0, 0, 0], "v1": [0, 0, 0, 0]}
+    return json.dumps({**obj, **override})
+
+
+def test_load_lattice_rejects_non_numeric_origin():
+    with pytest.raises(ModelValidationError, match="x0 must be a number, got 'abc'"):
+        load_lattice(_lattice_text(x0="abc"))
+
+
+def test_load_lattice_rejects_non_numeric_potential():
+    with pytest.raises(ModelValidationError, match="v0 must be a list, got 'ab'"):
+        load_lattice(_lattice_text(v0="ab"))
+    with pytest.raises(ModelValidationError, match=r"v1 entries must be numbers"):
+        load_lattice(_lattice_text(v1=[0, "1", 0, 0]))
 
 
 def test_free_spectrum_closed_form():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dysonprop
-from dysonprop import divdiff
+from dysonprop import divdiff, green
 from dysonprop.cli import (
     Report,
     ReportConsistencyError,
@@ -22,7 +22,7 @@ from dysonprop.cli import (
     render_json,
 )
 from dysonprop.model import emit_model, random_model
-from dysonprop.oracle import dyson_term_quadrature
+from dysonprop.oracle import dyson_term_quadrature, linear_solve
 
 
 def small_report():
@@ -275,6 +275,34 @@ def test_converge_refuses_zero_time(capsys):
     err = capsys.readouterr().err
     assert "t = 0" in err and "identity" in err
     assert "larger --lambda" not in err
+
+
+def test_green_ft_refuses_zero_time(monkeypatch, capsys):
+    # tau = 0 is the jump of the step function: refused before any transform
+    def unreachable(*args, **kwargs):
+        raise AssertionError("green-ft --t 0 ran a transform")
+
+    monkeypatch.setattr(green, "inverse_fourier_check", unreachable)
+    monkeypatch.setattr(green, "forward_fourier", unreachable)
+    for t in ("0", "-0.0"):
+        assert main(["green-ft", "--t", t]) == 2
+        err = capsys.readouterr().err
+        assert "--t 0 cannot be checked" in err and "jump of the step function" in err
+        assert "[FAIL]" not in err and "[PASS]" not in err
+
+
+def test_green_ft_shares_each_forward_solve_across_both_times(monkeypatch, tmp_path):
+    # the golden fourier flags: 800 forward nodes, one solve each for the
+    # acausal and the causal time together
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return linear_solve(a, b)
+
+    monkeypatch.setattr(green, "linear_solve", counting)
+    assert main([*GOLDEN_REPORTS["green-ft_fourier.json"], "--out", str(tmp_path / "g.json")]) == 0
+    assert len(calls) == 800
 
 
 def test_amplitude_refuses_ratio_at_roundoff_floor(capsys):

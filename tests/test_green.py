@@ -14,8 +14,8 @@ from dysonprop.green import (
     unperturbed_resolvent,
 )
 from dysonprop.model import hamiltonian, random_model, scale_coupling, two_level_model
-from dysonprop.oracle import exact_evolution, gauss_legendre
-from dysonprop.propagator import TruncationSpec, truncated_evolution
+from dysonprop.oracle import exact_evolution, gauss_legendre, linear_solve
+from dysonprop.propagator import OperatorMatrix, TruncationSpec, truncated_evolution
 
 
 def test_query_validation():
@@ -126,6 +126,43 @@ def test_forward_fourier_reproduces_damped_evolution():
     g = forward_fourier(m, quad, tau, 0.0, "+", 0.1)
     want = -1j * exact_evolution(m, tau).entries * np.exp(-0.1 * tau)
     assert np.max(np.abs(g.entries - want)) <= 1e-3
+
+
+@pytest.mark.parametrize("N", [None, 3])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_forward_fourier_over_times_matches_per_time_calls(N, sign):
+    m = random_model(3, 8, lam=0.2)
+    quad = QuadratureSpec((-30.0, 31.0), 120)
+    times, tp = [-1.5, 0.25, 0.4, 2.0], 0.25
+    together = forward_fourier(m, quad, times, tp, sign, 0.1, N)
+    assert isinstance(together, list) and len(together) == len(times)
+    for t, g in zip(times, together):
+        alone = forward_fourier(m, quad, t, tp, sign, 0.1, N)
+        assert np.array_equal(g.entries, alone.entries)
+        assert g.params == alone.params
+
+
+def test_forward_fourier_scalar_time_gives_one_operator():
+    m = two_level_model(1.0, 0.3)
+    quad = QuadratureSpec((-40.0, 41.0), 50)
+    g = forward_fourier(m, quad, 1.5, 0.0, "+", 0.1)
+    assert isinstance(g, OperatorMatrix)
+    assert g.params["t"] == 1.5
+    [one] = forward_fourier(m, quad, (1.5,), 0.0, "+", 0.1)
+    assert np.array_equal(one.entries, g.entries) and one.params == g.params
+
+
+def test_forward_fourier_solves_once_per_node_for_all_times(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return linear_solve(a, b)
+
+    monkeypatch.setattr(green, "linear_solve", counting)
+    m = two_level_model(1.0, 0.3)
+    forward_fourier(m, QuadratureSpec((-40.0, 41.0), 70), (-1.5, 1.5), 0.0, "+", 0.1)
+    assert calls == [(2, 2)] * 70
 
 
 def test_forward_fourier_window_guard():

@@ -83,6 +83,17 @@ def test_load_rejects_scalar_energies():
         load_model('{"dim": 1, "energies": 0.5, "h1": [[[0.0, 0.0]]]}')
 
 
+def test_load_rejects_non_numeric_energy():
+    with pytest.raises(ModelValidationError,
+                       match=r"energies entries must be numbers, got \['a'\]"):
+        load_model('{"dim": 1, "energies": ["a"], "h1": [[[0.0, 0.0]]]}')
+
+
+def test_load_rejects_non_string_label():
+    with pytest.raises(ModelValidationError, match="label must be a string, got 5"):
+        load_model('{"dim": 1, "energies": [0.0], "h1": [[[0.0, 0.0]]], "label": 5}')
+
+
 def test_random_model_deterministic():
     a = random_model(5, seed=42)
     b = random_model(5, seed=42)

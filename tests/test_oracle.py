@@ -10,7 +10,7 @@ from numpy.polynomial.legendre import leggauss
 
 from dysonprop import oracle
 from dysonprop.green import QuadratureSpec
-from dysonprop.model import random_model, two_level_model
+from dysonprop.model import hamiltonian, random_model, two_level_model
 from dysonprop.oracle import (
     ConvergenceError,
     NotHermitianError,
@@ -232,6 +232,50 @@ def test_linear_solve_rejects_bad_shapes():
         linear_solve(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError, match="conformable"):
         linear_solve(np.eye(2), np.ones((3, 2)))
+
+
+def reference_linear_solve(a, b):
+    """The full-width swap-free Gauss-Jordan elimination written out plainly:
+    every step updates every column of [A | B]."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    n = a.shape[0]
+    squeeze = b.ndim == 1
+    if squeeze:
+        b = b[:, np.newaxis]
+    aug = np.concatenate((a, b), axis=1)
+    free = np.ones(n)
+    order = []
+    for k in range(n):
+        p = int(np.argmax(np.abs(aug[:, k]) * free))
+        free[p] = 0.0
+        order.append(p)
+        row = aug[p] / aug[p, k]
+        aug -= aug[:, k, np.newaxis] * row
+        aug[p] = row
+    x = aug[order, n:]
+    return x[:, 0] if squeeze else x
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(float), y.view(float))
+
+
+def test_linear_solve_matches_reference_bitwise():
+    rng = np.random.default_rng(21)
+    for d in range(1, 49):
+        m = random_model(d, d, lam=0.5)
+        z = rng.uniform(-2.0, 2.0) + 1j * rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.5)
+        a = z * np.eye(d) - hamiltonian(m)
+        for b in (np.eye(d, dtype=complex),
+                  rng.standard_normal(d) + 1j * rng.standard_normal(d),
+                  rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))):
+            assert _same_bits(linear_solve(a, b), reference_linear_solve(a, b)), d
+    for cond in (1e2, 1e6, 1e10):
+        for seed in range(3):
+            a, _, b = _planted_system(24, cond, seed)
+            assert _same_bits(linear_solve(a, b), reference_linear_solve(a, b)), (cond, seed)
+            assert _same_bits(linear_solve(a, b[:, 0]), reference_linear_solve(a, b[:, 0]))
 
 
 def _mp_gauss_legendre(n, x0):
