@@ -71,6 +71,84 @@ def test_max_nodes_zero_rejected(capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+#: vars(parse_args([command])): every flag's destination and default
+PARSED_DEFAULTS = {
+    "identity-check": {"command": "identity-check", "max_nodes": 6, "tol": 1e-12,
+                       "format": "json", "out": None},
+    "propagate": {"command": "propagate", "model": None, "dim": 3, "seed": 7, "lam": 0.2,
+                  "t": 1.0, "order": 2, "sign": "+", "quad_points": 64, "tol": 1e-06,
+                  "eps_tol": 1e-06, "format": "json", "out": None},
+    "converge": {"command": "converge", "t": 1.0, "lam": 0.1, "ratio_tol": 0.25,
+                 "format": "json", "out": None},
+    "dyson-check": {"command": "dyson-check", "model": None, "dim": 4, "seed": 11,
+                    "lam": 0.3, "order": 40, "eps": 0.05, "sign": "+", "tol": 1e-08,
+                    "format": "json", "out": None},
+    "green-ft": {"command": "green-ft", "model": None, "E": 0.37, "t": 1.5, "order": 2,
+                 "eps": 0.1, "quad_points": 2000, "quad_domain": 200.0, "window": 40.0,
+                 "fwd_points": 2000, "tol": 1e-05, "causal_tol": 0.001,
+                 "format": "json", "out": None},
+    "amplitude": {"command": "amplitude", "lattice": None, "t": 1.0, "order": 2,
+                  "lam": 0.1, "ratio_tol": 0.3, "tol": 0.001, "free_tol": 1e-12,
+                  "format": "json", "out": None},
+    "selftest": {"command": "selftest", "seed": 0, "format": "json", "out": None},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+def test_parser_defaults(command):
+    parsed = vars(build_parser().parse_args([command]))
+    assert parsed == PARSED_DEFAULTS[command]
+    assert list(parsed) == list(PARSED_DEFAULTS[command])
+
+
+@pytest.mark.parametrize("argv", [
+    ["propagate", "--sign", "x"],
+    ["selftest", "--format", "xml"],
+    ["dyson-check", "--dim", "-1"],
+    ["dyson-check", "--eps", "0"],
+    ["propagate", "--quad-points", "-1"],
+])
+def test_parser_rejects_bad_values(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: " in capsys.readouterr().err
+
+
+#: the flags each command's --help must name, besides --format and --out
+HELP_FLAGS = {
+    "identity-check": ["--max-nodes", "--tol"],
+    "propagate": ["--model", "--dim", "--seed", "--lambda", "--t", "--order", "--sign",
+                  "--quad-points", "--tol", "--eps-tol"],
+    "converge": ["--t", "--lambda", "--ratio-tol"],
+    "dyson-check": ["--model", "--dim", "--seed", "--lambda", "--order", "--eps", "--sign",
+                    "--tol"],
+    "green-ft": ["--model", "--E", "--t", "--order", "--eps", "--quad-points",
+                 "--quad-domain", "--window", "--fwd-points", "--tol", "--causal-tol"],
+    "amplitude": ["--lattice", "--t", "--order", "--lambda", "--ratio-tol", "--tol",
+                  "--free-tol"],
+    "selftest": ["--seed"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_names_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in [*HELP_FLAGS[command], "--format", "--out"]:
+        assert f"  {flag} " in text
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert all(command in text for command in HELP_FLAGS)
+
+
 def test_parse_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
