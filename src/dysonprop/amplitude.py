@@ -8,13 +8,13 @@ factors.  The perturbation is restricted to a multiplicative (diagonal)
 potential on the grid.
 
 The kernel is regularized by shifting node m of each index tuple to
-E - i*sgn*m*eps, so it comes as one time-independent kernel C_m per tuple
-position m, and the relation reads
+E - i*m*eps (the retarded prescription), so it comes as one
+time-independent kernel C_m per tuple position m, and the relation reads
 
-    K(t_b; t_a) = sum_m e^{-sgn*m*eps*(t_b - t_a)} * h^2 sum_{y_b, y_a}
+    K(t_b; t_a) = sum_m e^{-m*eps*(t_b - t_a)} * h^2 sum_{y_b, y_a}
                   C_m(x_b, y_b; x_a, y_a) * K0(y_b, t_b; y_a, t_a),
 
-the time-domain side of G0(E + i*sgn*m*eps).  The damping is what makes the
+the time-domain side of G0(E + i*m*eps).  The damping is what makes the
 eps -> 0 limit the truncated amplitude: for tuples with coincident energies
 the partial fractions grow like 1/eps, and the O(eps) part of the damping
 times them is the secular t * e^{-iEt} contribution.
@@ -32,7 +32,6 @@ from .oracle import hermitian_eigendecomposition
 from .propagator import (
     TruncationSpec,
     _graded_chains,
-    normalize_sign,
     richardson_limit,
     truncated_evolution,
 )
@@ -75,10 +74,6 @@ class LatticeSpec:
         v1.flags.writeable = False
         object.__setattr__(self, "v0", v0)
         object.__setattr__(self, "v1", v1)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.x0 + self.h * np.arange(self.M)
 
 
 def load_lattice(text: str) -> LatticeSpec:
@@ -191,22 +186,21 @@ def c_kernel_matrix(
     eps: float,
     xb: int,
     xa: int,
-    sign="+",
 ) -> np.ndarray:
     """Kernels C_m(x_b, y_b; x_a, y_a) for fixed endpoints, as an
     (N+1) x M x M array over (m, y_b, y_a).
 
-    Node m of each index tuple is shifted to E - i*sgn*m*eps, the graded
-    shifts of ``propagator._graded_chains``; the partial fraction of node m
-    goes into C_m, and ``k_via_relation`` supplies its factor
-    e^{-sgn*m*eps*t}.  The |Phi_g><Phi_g| weight at position m is
+    Node m of each index tuple is shifted to E - i*m*eps, the retarded
+    graded shifts of ``propagator._graded_chains``; the partial fraction of
+    node m goes into C_m, and ``k_via_relation`` supplies its factor
+    e^{-m*eps*t}.  The |Phi_g><Phi_g| weight at position m is
     (left[m] @ psi[x_b])[g] * (right[N-m] @ psi*[x_a])[g].
     """
     if isinstance(spec, int):
         spec = TruncationSpec(spec)
     if not eps > 0:
         raise AmplitudeError(f"eps must be positive, got {eps}")
-    _, left, right = _graded_chains(sys.model, spec.N, eps, normalize_sign(sign))
+    _, left, right = _graded_chains(sys.model, spec.N, eps, 1)
     psi = sys.basis
     weight = (left @ psi[xb, :]) * (right[::-1] @ np.conj(psi[xa, :]))
     return (np.conj(psi) * weight[:, np.newaxis, :]) @ psi.T
@@ -220,18 +214,17 @@ def k_via_relation(
     tb: float,
     xa: int,
     ta: float,
-    sign="+",
 ) -> complex:
     """Amplitude assembled from the kernels: sum over positions m of
-    e^{-sgn*m*eps*(t_b - t_a)} times the h^2-weighted double grid sum of
+    e^{-m*eps*(t_b - t_a)} times the h^2-weighted double grid sum of
     C_m(x_b, y_b; x_a, y_a) * K0(y_b, t_b; y_a, t_a)."""
     if tb <= ta:
         raise AmplitudeError("tb must be > ta")
-    c = c_kernel_matrix(sys, spec, eps, xb, xa, sign)
+    c = c_kernel_matrix(sys, spec, eps, xb, xa)
     psi = sys.basis
     phases = np.exp(-1j * sys.model.energies * (tb - ta))
     k0 = (psi * phases[np.newaxis, :]) @ psi.conj().T  # K0[yb, ya]
-    damping = np.exp(-normalize_sign(sign) * eps * (tb - ta) * np.arange(c.shape[0]))
+    damping = np.exp(-eps * (tb - ta) * np.arange(c.shape[0]))
     return complex(sys.spec.h**2 * np.sum(damping * np.sum(c * k0, axis=(1, 2))))
 
 
@@ -243,10 +236,7 @@ def k_via_relation_extrapolated(
     tb: float,
     xa: int,
     ta: float,
-    sign="+",
 ) -> complex:
     """Richardson (Neville) extrapolation of ``k_via_relation`` to eps = 0."""
-    samples = [
-        k_via_relation(sys, spec, eps, xb, tb, xa, ta, sign) for eps in eps_values
-    ]
+    samples = [k_via_relation(sys, spec, eps, xb, tb, xa, ta) for eps in eps_values]
     return complex(richardson_limit(eps_values, samples))

@@ -287,16 +287,18 @@ def cmd_converge(opts) -> Report:
         raise ValueError("--t 0 cannot be checked: at t = 0 both propagators are "
                          "exactly the identity, so no --lambda gives an error to scale")
     base = two_level_model(1.0, 1.0)
+    cases = []  # (lambda, model, exact evolution), one reference per coupling
+    for lam in (opts.lam, opts.lam / 2):
+        m = scale_coupling(base, lam)
+        cases.append((lam, m, oracle.exact_evolution(m, opts.t).entries))
     rows = []
     summary = []
     for N in (1, 2, 3):
         spec = TruncationSpec(N)
         errs = []
         defects = []
-        for lam in (opts.lam, opts.lam / 2):
-            m = scale_coupling(base, lam)
+        for lam, m, ref in cases:
             u = truncated_evolution(m, spec, opts.t).entries
-            ref = oracle.exact_evolution(m, opts.t).entries
             err = float(np.max(np.abs(u - ref)))
             defect = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
             errs.append(err)
@@ -520,16 +522,42 @@ def _positive_float(text: str) -> float:
     return v
 
 
-def _add_model_flags(p, dim: int, seed: int, lam: float):
-    p.add_argument("--model", default=None)
-    p.add_argument("--dim", type=_nonnegative_int, default=dim)
-    p.add_argument("--seed", type=_nonnegative_int, default=seed)
-    p.add_argument("--lambda", dest="lam", type=_positive_float, default=lam)
+#: command -> (handler, help line, flags); a flag is (name, type or a tuple
+#: of choices, default).  Every command also takes --format and --out.
+_COMMANDS = {
+    "identity-check": (
+        cmd_identity_check, "exact divided-difference identities over integer nodes",
+        [("--max-nodes", _positive_int, 6), ("--tol", _positive_float, 1e-12)]),
+    "propagate": (cmd_propagate, "series terms vs quadrature oracle; resolvent-form check", [
+        ("--model", None, None), ("--dim", _nonnegative_int, 3),
+        ("--seed", _nonnegative_int, 7), ("--lambda", _positive_float, 0.2),
+        ("--t", _finite_float, 1.0), ("--order", _nonnegative_int, 2),
+        ("--sign", ("+", "-"), "+"), ("--quad-points", _nonnegative_int, 64),
+        ("--tol", _positive_float, 1e-6), ("--eps-tol", _positive_float, 1e-6)]),
+    "converge": (cmd_converge, "coupling-halving truncation scaling", [
+        ("--t", _finite_float, 1.0), ("--lambda", _positive_float, 0.1),
+        ("--ratio-tol", _positive_float, 0.25)]),
+    "dyson-check": (cmd_dyson_check, "resolvent partial sum vs direct solve", [
+        ("--model", None, None), ("--dim", _nonnegative_int, 4),
+        ("--seed", _nonnegative_int, 11), ("--lambda", _positive_float, 0.3),
+        ("--order", _nonnegative_int, 40), ("--eps", _positive_float, 0.05),
+        ("--sign", ("+", "-"), "+"), ("--tol", _positive_float, 1e-8)]),
+    "green-ft": (cmd_green_ft, "Fourier reciprocity of the Green operator", [
+        ("--model", None, None), ("--E", _finite_float, 0.37), ("--t", _finite_float, 1.5),
+        ("--order", _nonnegative_int, 2), ("--eps", _positive_float, 0.1),
+        ("--quad-points", _nonnegative_int, 2000), ("--quad-domain", _positive_float, 200.0),
+        ("--window", _positive_float, 40.0), ("--fwd-points", _nonnegative_int, 2000),
+        ("--tol", _positive_float, 1e-5), ("--causal-tol", _positive_float, 1e-3)]),
+    "amplitude": (cmd_amplitude, "lattice amplitude relation checks", [
+        ("--lattice", None, None), ("--t", _positive_float, 1.0),
+        ("--order", _nonnegative_int, 2), ("--lambda", _positive_float, 0.1),
+        ("--ratio-tol", _positive_float, 0.30), ("--tol", _positive_float, 1e-3),
+        ("--free-tol", _positive_float, 1e-12)]),
+    "selftest": (cmd_selftest, "deterministic cross-module battery", [
+        ("--seed", _nonnegative_int, 0)]),
+}
 
-
-def _add_common(p):
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
+_DISPATCH = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,78 +565,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dysonprop",
         description="perturbation-series propagator and Green-operator validation suites")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("identity-check",
-                       help="exact divided-difference identities over integer nodes")
-    p.add_argument("--max-nodes", type=_positive_int, default=6)
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
-    _add_common(p)
-
-    p = sub.add_parser("propagate",
-                       help="series terms vs quadrature oracle; resolvent-form check")
-    _add_model_flags(p, dim=3, seed=7, lam=0.2)
-    p.add_argument("--t", type=_finite_float, default=1.0)
-    p.add_argument("--order", type=_nonnegative_int, default=2)
-    p.add_argument("--sign", choices=("+", "-"), default="+")
-    p.add_argument("--quad-points", type=_nonnegative_int, default=64)
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.add_argument("--eps-tol", type=_positive_float, default=1e-6)
-    _add_common(p)
-
-    p = sub.add_parser("converge", help="coupling-halving truncation scaling")
-    p.add_argument("--t", type=_finite_float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.1)
-    p.add_argument("--ratio-tol", type=_positive_float, default=0.25)
-    _add_common(p)
-
-    p = sub.add_parser("dyson-check", help="resolvent partial sum vs direct solve")
-    _add_model_flags(p, dim=4, seed=11, lam=0.3)
-    p.add_argument("--order", type=_nonnegative_int, default=40)
-    p.add_argument("--eps", type=_positive_float, default=0.05)
-    p.add_argument("--sign", choices=("+", "-"), default="+")
-    p.add_argument("--tol", type=_positive_float, default=1e-8)
-    _add_common(p)
-
-    p = sub.add_parser("green-ft", help="Fourier reciprocity of the Green operator")
-    p.add_argument("--model", default=None)
-    p.add_argument("--E", type=_finite_float, default=0.37)
-    p.add_argument("--t", type=_finite_float, default=1.5)
-    p.add_argument("--order", type=_nonnegative_int, default=2)
-    p.add_argument("--eps", type=_positive_float, default=0.1)
-    p.add_argument("--quad-points", type=_nonnegative_int, default=2000)
-    p.add_argument("--quad-domain", type=_positive_float, default=200.0)
-    p.add_argument("--window", type=_positive_float, default=40.0)
-    p.add_argument("--fwd-points", type=_nonnegative_int, default=2000)
-    p.add_argument("--tol", type=_positive_float, default=1e-5)
-    p.add_argument("--causal-tol", type=_positive_float, default=1e-3)
-    _add_common(p)
-
-    p = sub.add_parser("amplitude", help="lattice amplitude relation checks")
-    p.add_argument("--lattice", default=None)
-    p.add_argument("--t", type=_positive_float, default=1.0)
-    p.add_argument("--order", type=_nonnegative_int, default=2)
-    p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.1)
-    p.add_argument("--ratio-tol", type=_positive_float, default=0.30)
-    p.add_argument("--tol", type=_positive_float, default=1e-3)
-    p.add_argument("--free-tol", type=_positive_float, default=1e-12)
-    _add_common(p)
-
-    p = sub.add_parser("selftest", help="deterministic cross-module battery")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    _add_common(p)
-
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, kind, default in flags:
+            # "lambda" is a keyword, so --lambda is stored as lam
+            dest = "lam" if flag == "--lambda" else None
+            if isinstance(kind, tuple):
+                p.add_argument(flag, dest=dest, choices=kind, default=default)
+            else:
+                p.add_argument(flag, dest=dest, type=kind, default=default)
+        p.add_argument("--format", choices=("csv", "json"), default="json")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
-
-
-_DISPATCH = {
-    "identity-check": cmd_identity_check,
-    "propagate": cmd_propagate,
-    "converge": cmd_converge,
-    "dyson-check": cmd_dyson_check,
-    "green-ft": cmd_green_ft,
-    "amplitude": cmd_amplitude,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None) -> int:

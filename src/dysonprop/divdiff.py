@@ -20,7 +20,6 @@ polynomials and evaluate exactly over integer or rational nodes.
 from __future__ import annotations
 
 import itertools
-import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -108,25 +107,20 @@ def dd_phase(nodes, t) -> complex:
     return complex(_phase_exp(j, t)[0, -1])
 
 
-def _is_exact_scalar(x) -> bool:
-    return isinstance(x, (numbers.Integral, Fraction)) and not isinstance(x, bool)
-
-
-def dd_monomial(nodes, K: int, exact: bool | None = None):
+def dd_monomial(nodes, K: int, exact: bool):
     """Divided difference of E^K over the nodes.
 
     Equals the complete homogeneous symmetric polynomial of degree
     K - (n - 1) in the nodes, hence exactly 0 for K < n-1 and exactly 1
-    for K = n-1.  Integer or Fraction nodes are evaluated exactly unless
-    ``exact=False``; repeated nodes need no special casing.
+    for K = n-1.  With ``exact`` the nodes are taken as Fractions and the
+    result is exact over integer or rational nodes; without it the sum runs
+    in complex floating point.  Repeated nodes need no special casing.
     """
     if K < 0 or int(K) != K:
         raise ValueError(f"monomial degree must be a nonnegative integer, got {K}")
     raw = tuple(nodes)
     if len(raw) < 1:
         raise ValueError("a node list needs at least one node")
-    if exact is None:
-        exact = all(_is_exact_scalar(x) for x in raw)
     vals = [Fraction(x) if exact else complex(x) for x in raw]
     m = int(K) - (len(vals) - 1)
     if m < 0:

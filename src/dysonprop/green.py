@@ -76,8 +76,7 @@ class QuadratureSpec:
 
 def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:
     """Diagonal resolvent 1 / (E - E_g +- i*eps) of the solvable part."""
-    entries = np.diag(1.0 / (q.z - model.energies))
-    return OperatorMatrix(entries, {"E": q.E, "sign": q.sign, "eps": q.eps})
+    return OperatorMatrix(np.diag(1.0 / (q.z - model.energies)))
 
 
 def complete_resolvent_direct(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:
@@ -90,14 +89,14 @@ def complete_resolvent_direct(model: SpectralModel, q: ResolventQuery) -> Operat
         raise np.linalg.LinAlgError(
             f"resolvent solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
         )
-    return OperatorMatrix(x, {"E": q.E, "sign": q.sign, "eps": q.eps, "residual": residual})
+    return OperatorMatrix(x, {"residual": residual})
 
 
 def dyson_partial(model: SpectralModel, q: ResolventQuery, N: int) -> OperatorMatrix:
     """N-term Dyson partial sum G0 * sum_{l<=N} (H1 G0)^l.
 
     Divergence is not an error: the measured contraction factor
-    rho = ||H1 G0||_2 is recorded in the result parameters so callers can
+    rho = ||H1 G0||_2 is recorded as ``params["rho"]`` so callers can
     apply the geometric tail bound themselves.
     """
     if N < 0:
@@ -110,7 +109,7 @@ def dyson_partial(model: SpectralModel, q: ResolventQuery, N: int) -> OperatorMa
     for _ in range(N):
         power = step @ power
         acc += power
-    return OperatorMatrix(g0 @ acc, {"E": q.E, "sign": q.sign, "eps": q.eps, "N": N, "rho": rho})
+    return OperatorMatrix(g0 @ acc, {"rho": rho})
 
 
 def timedep_green(
@@ -124,8 +123,7 @@ def timedep_green(
         entries = np.zeros((d, d), dtype=complex)
     else:
         entries = -1j * sgn * truncated_evolution(model, spec, tau).entries
-    return OperatorMatrix(entries, {"t": t, "tp": tp, "sign": sgn,
-                                    "N": spec.N if isinstance(spec, TruncationSpec) else spec})
+    return OperatorMatrix(entries)
 
 
 def inverse_fourier_check(
@@ -160,9 +158,7 @@ def inverse_fourier_check(
         # sign '-' integrates over tau < 0; mirror the node onto (0, T)
         u = truncated_evolution(model, spec, sgn * tau).entries
         total += w * (-1j * sgn) * np.exp((1j * sgn * E - eps) * tau) * u
-    return OperatorMatrix(
-        total, {"E": E, "sign": sgn, "eps": eps, "N": spec.N, "quad": quad.npoints}
-    )
+    return OperatorMatrix(total)
 
 
 def forward_fourier(
@@ -172,7 +168,6 @@ def forward_fourier(
     tp: float,
     sign,
     eps: float,
-    N: int | None = None,
 ) -> OperatorMatrix | list[OperatorMatrix]:
     """Reconstruct the time-dependent Green operator from stationary
     resolvents: (1/2pi) integral dE G_E^{(+-)} e^{-iE(t-t')}.
@@ -181,8 +176,7 @@ def forward_fourier(
     a single reference pole at the mean unperturbed energy is subtracted
     from the integrand and its exact transform added back, leaving an
     O(1/E^2) remainder that a finite window integrates accurately.
-    Stationary resolvents come from the direct dense solve, or from the
-    Dyson partial sum when ``N`` is given.
+    Stationary resolvents come from the direct dense solve.
 
     ``t`` is one time or a sequence of times.  Each node's resolvent is
     computed once and shared by every time, so a sequence costs one solve
@@ -193,8 +187,7 @@ def forward_fourier(
     if not eps > 0:
         raise ValueError("eps must be positive")
     single = np.ndim(t) == 0
-    times = [t] if single else list(t)
-    taus = [s - tp for s in times]
+    taus = [s - tp for s in ([t] if single else t)]
     lo, hi = quad.domain
     e_min, e_max = float(np.min(model.energies)), float(np.max(model.energies))
     w_width = min(e_min - lo, hi - e_max)
@@ -208,19 +201,15 @@ def forward_fourier(
     totals = [np.zeros((d, d), dtype=complex) for _ in taus]
     for x, w in zip(quad.nodes, quad.weights):
         q = ResolventQuery(float(x), sgn, eps)
-        if N is None:
-            g = complete_resolvent_direct(model, q).entries
-        else:
-            g = dyson_partial(model, q, N).entries
+        g = complete_resolvent_direct(model, q).entries
         r = w * (g - eye / (q.z - e0))
         for total, tau in zip(totals, taus):
             total += r * np.exp(-1j * x * tau)
     results = []
-    for s, tau, total in zip(times, taus, totals):
+    for tau, total in zip(taus, totals):
         total /= 2 * np.pi
         # exact transform of the subtracted reference pole
         if (sgn > 0 and tau >= 0) or (sgn < 0 and tau <= 0):
             total += -1j * sgn * np.exp(-1j * e0 * tau) * np.exp(-eps * abs(tau)) * eye
-        results.append(OperatorMatrix(
-            total, {"t": s, "tp": tp, "sign": sgn, "eps": eps, "N": N, "quad": quad.npoints}))
+        results.append(OperatorMatrix(total))
     return results[0] if single else results

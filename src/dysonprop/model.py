@@ -13,10 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Levels closer than this (absolute, energy units) count as coincident in
-#: ``SpectralModel.nondegenerate``; no computation path depends on it.
-DEGENERACY_TOL = 1e-9
-
 _HERMITICITY_RTOL = 1e-12
 
 
@@ -78,17 +74,6 @@ class SpectralModel:
     @property
     def dim(self) -> int:
         return self.energies.size
-
-    @property
-    def min_gap(self) -> float:
-        if self.dim < 2:
-            return float("inf")
-        e = np.sort(self.energies)
-        return float(np.min(np.diff(e)))
-
-    @property
-    def nondegenerate(self) -> bool:
-        return self.min_gap > DEGENERACY_TOL
 
 
 def hamiltonian(model: SpectralModel) -> np.ndarray:

@@ -124,7 +124,7 @@ def exact_evolution(model: SpectralModel, t: float) -> OperatorMatrix:
     dec = hermitian_eigendecomposition(hamiltonian(model))
     phases = np.exp(-1j * dec.values * t)
     u = (dec.vectors * phases) @ dec.vectors.conj().T
-    return OperatorMatrix(u, {"t": t, "N": None, "exact": True})
+    return OperatorMatrix(u)
 
 
 def _legendre(n: int, x: np.ndarray):
@@ -196,7 +196,7 @@ def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
     for k in range(l + 1):
         if k:
             b = (integ @ (v @ b[:n]).reshape(n, d * d)).reshape(n + 1, d, d)
-        yield OperatorMatrix(u0 * b[n], {"t": t, "l": k, "npoints": n})
+        yield OperatorMatrix(u0 * b[n])
 
 
 def dyson_term_quadrature(

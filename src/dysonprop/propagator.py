@@ -23,7 +23,7 @@ divided-difference route as epsilon -> 0 and is meant to be extrapolated
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,10 +33,11 @@ from .model import SpectralModel
 
 @dataclass
 class OperatorMatrix:
-    """Dense complex matrix with the parameters it was computed for."""
+    """Dense complex matrix, plus what its routine measured on the way
+    (``rho`` of ``dyson_partial``, ``residual`` of the direct solve)."""
 
     entries: np.ndarray
-    params: dict
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -116,14 +117,13 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     d = model.dim
     e = model.energies
     if l == 0:
-        return OperatorMatrix(np.diag(np.exp(-1j * e * t)), {"t": t, "l": 0})
+        return OperatorMatrix(np.diag(np.exp(-1j * e * t)))
     n = (l + 1) * d
     m = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(m, e)  # repeats e down all l + 1 blocks
     for k in range(l):
         m[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = model.h1
-    out = _phase_exp(m, t)[:d, l * d :].copy()
-    return OperatorMatrix(out, {"t": t, "l": l})
+    return OperatorMatrix(_phase_exp(m, t)[:d, l * d :].copy())
 
 
 def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float) -> OperatorMatrix:
@@ -133,7 +133,7 @@ def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float) ->
     total = np.zeros((model.dim, model.dim), dtype=complex)
     for l in range(spec.N + 1):
         total += a_matrix(model, l, t).entries
-    return OperatorMatrix(total, {"t": t, "N": spec.N})
+    return OperatorMatrix(total)
 
 
 def _graded_chains(model: SpectralModel, N: int, eps: float, sgn: int):
@@ -187,7 +187,7 @@ def epsilon_form_evolution(
         left[m].T @ (np.exp(-1j * nodes[m] * t)[:, np.newaxis] * right[spec.N - m])
         for m in range(spec.N + 1)
     )
-    return OperatorMatrix(out, {"t": t, "N": spec.N, "eps": eps, "sign": sgn})
+    return OperatorMatrix(out)
 
 
 def richardson_limit(eps_values, samples):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dysonprop
-from dysonprop import divdiff, green
+from dysonprop import divdiff, green, oracle
 from dysonprop.cli import (
     Report,
     ReportConsistencyError,
@@ -22,7 +22,7 @@ from dysonprop.cli import (
     render_json,
 )
 from dysonprop.model import emit_model, random_model
-from dysonprop.oracle import dyson_term_quadrature, linear_solve
+from dysonprop.oracle import dyson_term_quadrature, exact_evolution, linear_solve
 
 
 def small_report():
@@ -334,6 +334,19 @@ def test_csv_output_format(tmp_path):
 
 def test_converge_default_flags_pass(tmp_path):
     assert main(["converge", "--out", str(tmp_path / "c.json")]) == 0
+
+
+def test_converge_makes_one_exact_evolution_per_coupling(monkeypatch, tmp_path):
+    # the reference of each coupling is shared by all three orders
+    calls = []
+
+    def counting(model, t):
+        calls.append(t)
+        return exact_evolution(model, t)
+
+    monkeypatch.setattr(oracle, "exact_evolution", counting)
+    assert main(["converge", "--out", str(tmp_path / "c.json")]) == 0
+    assert calls == [1.0, 1.0]
 
 
 def test_converge_refuses_ratio_at_roundoff_floor(capsys):
