@@ -268,7 +268,8 @@ def cmd_propagate(opts) -> Report:
     ]
     params = {"t": opts.t, "order": opts.order, "seed": opts.seed, "dim": model.dim,
               "lambda": opts.lam, "quad_points": opts.quad_points,
-              "tol": opts.tol, "eps_tol": opts.eps_tol, "model": opts.model or "(random)"}
+              "tol": opts.tol, "eps_tol": opts.eps_tol, "model": opts.model or "(random)",
+              "sign": opts.sign}
     return Report("propagate", params, rows, summary)
 
 
@@ -341,7 +342,7 @@ def cmd_dyson_check(opts) -> Report:
     ]
     params = {"E": E, "sign": q.sign, "eps": opts.eps, "order": opts.order,
               "seed": opts.seed, "dim": model.dim, "tol": opts.tol,
-              "rho": rho, "model": opts.model or "(random)"}
+              "rho": rho, "model": opts.model or "(random)", "lambda": opts.lam}
     return Report("dyson-check", params, rows, summary)
 
 
@@ -381,7 +382,8 @@ def cmd_green_ft(opts) -> Report:
     params = {"E": opts.E, "eps": opts.eps, "order": opts.order, "t": opts.t,
               "quad_points": opts.quad_points, "quad_domain": opts.quad_domain,
               "window": opts.window, "fwd_points": opts.fwd_points,
-              "tol": opts.tol, "causal_tol": opts.causal_tol}
+              "tol": opts.tol, "causal_tol": opts.causal_tol,
+              "model": opts.model or "(two-level)"}
     return Report("green-ft", params, rows, summary)
 
 
@@ -442,7 +444,7 @@ def cmd_amplitude(opts) -> Report:
     summary.append(_at_most("free_reduction", free_dev, opts.free_tol))
     params = {"t": opts.t, "order": opts.order, "lambda": opts.lam,
               "ratio_tol": opts.ratio_tol, "free_tol": opts.free_tol,
-              "lattice": opts.lattice or "(built-in well)"}
+              "lattice": opts.lattice or "(built-in well)", "tol": opts.tol}
     return Report("amplitude", params, rows, summary)
 
 

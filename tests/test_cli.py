@@ -21,7 +21,7 @@ from dysonprop.cli import (
     render_csv,
     render_json,
 )
-from dysonprop.model import emit_model, random_model
+from dysonprop.model import emit_model, random_model, two_level_model
 from dysonprop.oracle import dyson_term_quadrature, exact_evolution, linear_solve
 
 
@@ -226,6 +226,38 @@ def test_report_matches_golden_output(golden, tmp_path):
     out = tmp_path / golden
     assert main([*GOLDEN_REPORTS[golden], "--out", str(out)]) == 0
     assert out.read_bytes() == (Path(__file__).resolve().parent / "data" / golden).read_bytes()
+
+
+def _params(argv, path):
+    main([*argv, "--out", str(path)])
+    return json.loads(path.read_text())["params"]
+
+
+@pytest.mark.parametrize("argv, flag, key, values", [
+    (["propagate"], "--sign", "sign", ("+", "-")),
+    # both couplings are rescaled to the same contraction factor
+    (["dyson-check"], "--lambda", "lambda", ("2", "4")),
+    (["amplitude"], "--tol", "tol", ("1e-3", "1e-2")),
+])
+def test_params_record_every_flag_that_changes_the_result(argv, flag, key, values, tmp_path):
+    if argv == ["amplitude"]:  # --tol applies to a lattice file only
+        lattice = tmp_path / "lattice.json"
+        lattice.write_text(json.dumps({"M": 6, "x0": 0.0, "h": 0.5, "mass": 1.0,
+                                       "v0": [0.0] * 6, "v1": [-0.1, -0.2, -0.1, 0, 0, 0]}))
+        argv = [*argv, "--lattice", str(lattice)]
+    a, b = (_params([*argv, flag, v], tmp_path / f"{i}.json") for i, v in enumerate(values))
+    assert a[key] != b[key]
+    assert list(a)[-1] == key
+
+
+def test_green_ft_params_record_the_model_file(tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text(emit_model(two_level_model(1.0, 0.3)))
+    argv = GOLDEN_REPORTS["green-ft_fourier.json"]
+    builtin = _params(argv, tmp_path / "a.json")
+    from_file = _params([*argv, "--model", str(model)], tmp_path / "b.json")
+    assert (builtin["model"], from_file["model"]) == ("(two-level)", str(model))
+    assert {k for k in builtin if builtin[k] != from_file[k]} == {"model"}
 
 
 def test_green_ft_rejects_removed_flags(capsys):
