@@ -48,12 +48,10 @@ class LatticeSpec:
     """1D grid geometry plus base and perturbing potentials."""
 
     M: int
-    x0: float
     h: float
     mass: float
     v0: np.ndarray
     v1: np.ndarray
-    bc: str = "dirichlet"
 
     def __post_init__(self):
         if self.M < 2:
@@ -62,8 +60,6 @@ class LatticeSpec:
             raise AmplitudeError("grid spacing must be positive")
         if not self.mass > 0:
             raise AmplitudeError("mass must be positive")
-        if self.bc != "dirichlet":
-            raise AmplitudeError(f"unsupported boundary condition {self.bc!r}")
         v0 = np.asarray(self.v0, dtype=float)
         v1 = np.asarray(self.v1, dtype=float)
         if v0.shape != (self.M,) or v1.shape != (self.M,):
@@ -77,7 +73,8 @@ class LatticeSpec:
 
 
 def load_lattice(text: str) -> LatticeSpec:
-    """Parse the lattice spec file (JSON keys M, x0, h, mass, v0, v1)."""
+    """Parse the lattice spec file (JSON keys M, h, mass, v0, v1; an optional
+    bc must be "dirichlet", and x0, the grid origin, changes no amplitude)."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -88,14 +85,14 @@ def load_lattice(text: str) -> LatticeSpec:
         M = obj["M"]
         if not isinstance(M, int) or isinstance(M, bool):
             raise ModelValidationError(f"lattice M must be an integer, got {M!r}")
+        if obj.get("bc", "dirichlet") != "dirichlet":
+            raise AmplitudeError(f"unsupported boundary condition {obj['bc']!r}")
         return LatticeSpec(
             M=M,
-            x0=_real("x0", obj["x0"]),
             h=_real("h", obj["h"]),
             mass=_real("mass", obj["mass"]),
             v0=_reals("v0", obj["v0"]),
             v1=_reals("v1", obj["v1"]),
-            bc=obj.get("bc", "dirichlet"),
         )
     except KeyError as exc:
         raise ModelParseError(f"lattice file missing key {exc}") from exc
@@ -128,10 +125,7 @@ def build_lattice(spec: LatticeSpec) -> LatticeSystem:
     """Diagonalize the base lattice Hamiltonian and rotate the perturbing
     potential into its eigenbasis."""
     dec = hermitian_eigendecomposition(base_hamiltonian(spec))
-    vectors = np.real_if_close(dec.vectors, tol=1e6)
-    if np.iscomplexobj(vectors):
-        vectors = dec.vectors
-    basis = vectors / np.sqrt(spec.h)
+    basis = np.real_if_close(dec.vectors, tol=1e6) / np.sqrt(spec.h)
     gram = spec.h * basis.conj().T @ basis
     if float(np.max(np.abs(gram - np.eye(spec.M)))) > _ORTHO_TOL:
         raise AmplitudeError("eigenbasis failed the lattice orthonormality check")

@@ -3,12 +3,15 @@
 Each subcommand runs one validation suite over the library and writes a
 Report as CSV or JSON.  Exit status is 0 exactly when every summary
 criterion passed.  Reports are deterministic: fixed inputs and seeds give
-byte-identical JSON output (no timestamps, 17-significant-digit floats).
+byte-identical output (no timestamps; shortest round-trip floats).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import json
 import sys
 from dataclasses import dataclass, field
 
@@ -16,11 +19,12 @@ import numpy as np
 
 from . import amplitude as amp
 from . import divdiff, green, oracle
-from .model import _fmt, load_model, random_model, scale_coupling, two_level_model
+from .model import load_model, random_model, scale_coupling, two_level_model
 from .propagator import (
     TruncationSpec,
     a_matrix,
     epsilon_form_evolution,
+    normalize_sign,
     richardson_limit,
     truncated_evolution,
 )
@@ -60,8 +64,9 @@ class ReportRow:
 class SummaryItem:
     name: str
     value: float
-    threshold: float
+    threshold: float  # a bound on value, or its relative tolerance about expected
     passed: bool
+    expected: float | None = None  # the value a halving ratio should take
 
 
 def _at_most(name: str, value, tol: float) -> SummaryItem:
@@ -84,7 +89,7 @@ def _halving_item(name: str, errs, expected: float, tol: float,
             f"{errs[1]:.3e} (lambda/2) are not both above the roundoff floor "
             f"{floor:.1e}; use a larger --lambda")
     ratio = errs[0] / errs[1]
-    return SummaryItem(name, ratio, tol, abs(ratio / expected - 1.0) <= tol)
+    return SummaryItem(name, ratio, tol, abs(ratio / expected - 1.0) <= tol, expected)
 
 
 def _entry_rows(*cases, keys=("row", "col")) -> list:
@@ -120,71 +125,36 @@ def _check_rows(report: Report):
             raise ReportConsistencyError("stored abs_error does not match recomputation")
 
 
-def _json_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return _fmt(v)
-    if isinstance(v, complex):
-        return f"[{_fmt(v.real)}, {_fmt(v.imag)}]"
-    if v is None:
-        return "null"
-    s = str(v).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{s}"'
+def _block(items) -> str:
+    """The body of a JSON object or array, one item per line."""
+    return "".join(f"\n    {item}," for item in items).rstrip(",") + "\n  "
 
 
 def render_json(report: Report) -> str:
+    """The report as JSON, one line per params key, row and summary item."""
     _check_rows(report)
-    lines = ["{"]
-    lines.append(f'  "command": {_json_value(report.command)},')
-    lines.append("  \"params\": {")
-    items = list(report.params.items())
-    for i, (k, v) in enumerate(items):
-        comma = "," if i + 1 < len(items) else ""
-        lines.append(f"    {_json_value(str(k))}: {_json_value(v)}{comma}")
-    lines.append("  },")
-    lines.append('  "rows": [')
-    for i, row in enumerate(report.rows):
-        ins = ", ".join(f"{_json_value(str(k))}: {_json_value(v)}" for k, v in row.inputs.items())
-        comma = "," if i + 1 < len(report.rows) else ""
-        lines.append(
-            "    {\"inputs\": {%s}, \"computed\": %s, \"oracle\": %s, "
-            "\"abs_error\": %s, \"rel_error\": %s}%s"
-            % (ins, _json_value(row.computed), _json_value(row.oracle),
-               _fmt(row.abs_error), _fmt(row.rel_error), comma)
-        )
-    lines.append("  ],")
-    lines.append('  "summary": [')
-    for i, item in enumerate(report.summary):
-        comma = "," if i + 1 < len(report.summary) else ""
-        lines.append(
-            "    {\"name\": %s, \"value\": %s, \"threshold\": %s, \"passed\": %s}%s"
-            % (_json_value(item.name), _fmt(item.value), _fmt(item.threshold),
-               "true" if item.passed else "false", comma)
-        )
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    params = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in report.params.items()]
+    rows = [json.dumps({"inputs": r.inputs, "computed": [r.computed.real, r.computed.imag],
+                        "oracle": [r.oracle.real, r.oracle.imag], "abs_error": r.abs_error,
+                        "rel_error": r.rel_error}) for r in report.rows]
+    summary = [json.dumps({"name": s.name, "value": s.value, "expected": s.expected,
+                           "threshold": s.threshold, "passed": s.passed}) for s in report.summary]
+    return (f'{{\n  "command": {json.dumps(report.command)},\n'
+            f'  "params": {{{_block(params)}}},\n'
+            f'  "rows": [{_block(rows)}],\n'
+            f'  "summary": [{_block(summary)}]\n}}\n')
 
 
 def render_csv(report: Report) -> str:
     _check_rows(report)
-    input_keys = list(report.rows[0].inputs.keys()) if report.rows else []
-    header = input_keys + [
-        "computed_re", "computed_im", "oracle_re", "oracle_im", "abs_error", "rel_error",
-    ]
-    out = [",".join(header)]
-    for row in report.rows:
-        cells = [str(row.inputs.get(k, "")) for k in input_keys]
-        cells += [
-            _fmt(row.computed.real), _fmt(row.computed.imag),
-            _fmt(row.oracle.real), _fmt(row.oracle.imag),
-            _fmt(row.abs_error), _fmt(row.rel_error),
-        ]
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+    keys = list(report.rows[0].inputs) if report.rows else []
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([*keys, "computed_re", "computed_im", "oracle_re", "oracle_im",
+                     "abs_error", "rel_error"])
+    writer.writerows([*(r.inputs.get(k, "") for k in keys), r.computed.real, r.computed.imag,
+                      r.oracle.real, r.oracle.imag, r.abs_error, r.rel_error] for r in report.rows)
+    return out.getvalue()
 
 
 def emit_report(report: Report, fmt: str, path=None):
@@ -199,8 +169,9 @@ def emit_report(report: Report, fmt: str, path=None):
 def _print_summary(report: Report):
     for item in report.summary:
         tag = "PASS" if item.passed else "FAIL"
-        print(f"[{tag}] {item.name}: value {item.value:.3e} vs threshold {item.threshold:.3e}",
-              file=sys.stderr)
+        verdict = (f"threshold {item.threshold:.3e}" if item.expected is None else
+                   f"expected {item.expected:.3e} within relative {item.threshold:.3e}")
+        print(f"[{tag}] {item.name}: value {item.value:.3e} vs {verdict}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +240,7 @@ def cmd_propagate(opts) -> Report:
     params = {"t": opts.t, "order": opts.order, "seed": opts.seed, "dim": model.dim,
               "lambda": opts.lam, "quad_points": opts.quad_points,
               "tol": opts.tol, "eps_tol": opts.eps_tol, "model": opts.model or "(random)",
-              "sign": opts.sign}
+              "sign": normalize_sign(opts.sign)}
     return Report("propagate", params, rows, summary)
 
 
@@ -390,8 +361,7 @@ def cmd_green_ft(opts) -> Report:
 def _default_lattice(lam: float) -> amp.LatticeSpec:
     m = 6
     well = -np.exp(-0.5 * (np.arange(m) - 2.5) ** 2)
-    return amp.LatticeSpec(M=m, x0=0.0, h=0.5, mass=1.0,
-                           v0=np.zeros(m), v1=lam * well)
+    return amp.LatticeSpec(M=m, h=0.5, mass=1.0, v0=np.zeros(m), v1=lam * well)
 
 
 def cmd_amplitude(opts) -> Report:
@@ -586,10 +556,10 @@ def main(argv=None) -> int:
     opts = parser.parse_args(argv)
     try:
         report = _DISPATCH[opts.command](opts)
+        emit_report(report, opts.format, opts.out)
     except Exception as exc:  # surface module errors with context, nonzero exit
         print(f"dysonprop {opts.command}: error: {exc}", file=sys.stderr)
         return 2
-    emit_report(report, opts.format, opts.out)
     _print_summary(report)
     return 0 if report.passed else 1
 

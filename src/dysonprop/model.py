@@ -28,10 +28,6 @@ class ModelValidationError(ModelError):
     """Structurally valid file describing an invalid model."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @dataclass(frozen=True)
 class SpectralModel:
     """Unperturbed eigenvalues plus the perturbation in the eigenbasis.
@@ -137,16 +133,13 @@ def load_model(text: str) -> SpectralModel:
 
 
 def emit_model(model: SpectralModel) -> str:
-    """Serialize a model with 17-significant-digit (round-trip exact) numbers."""
-    energies = ", ".join(_fmt(e) for e in model.energies)
-    rows = []
-    for row in model.h1:
-        rows.append("[" + ", ".join(f"[{_fmt(c.real)}, {_fmt(c.imag)}]" for c in row) + "]")
-    h1 = ",\n    ".join(rows)
+    """Serialize a model, one h1 row per line; floats are written in their
+    shortest round-trip form, so ``load_model`` gets the same bits back."""
+    h1 = ",\n    ".join(json.dumps([[z.real, z.imag] for z in row]) for row in model.h1.tolist())
     return (
         "{\n"
         f'  "dim": {model.dim},\n'
-        f'  "energies": [{energies}],\n'
+        f'  "energies": {json.dumps(model.energies.tolist())},\n'
         f'  "h1": [\n    {h1}\n  ],\n'
         f'  "label": {json.dumps(model.label)}\n'
         "}\n"

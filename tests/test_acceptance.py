@@ -244,8 +244,7 @@ def test_criterion_6_fourier_reciprocity(capfd):
 
 def _well_system(lam, m=6):
     v1 = -lam * np.exp(-0.5 * (np.arange(m) - (m - 1) / 2.0) ** 2)
-    return build_lattice(LatticeSpec(M=m, x0=0.0, h=0.5, mass=1.0,
-                                     v0=np.zeros(m), v1=v1))
+    return build_lattice(LatticeSpec(M=m, h=0.5, mass=1.0, v0=np.zeros(m), v1=v1))
 
 
 def _amplitude_errors(route):

@@ -22,16 +22,16 @@ from test_propagator import _graded_tuple_sum
 
 def well_spec(lam, m=6, h=0.5):
     v1 = -lam * np.exp(-0.5 * (np.arange(m) - (m - 1) / 2.0) ** 2)
-    return LatticeSpec(M=m, x0=0.0, h=h, mass=1.0, v0=np.zeros(m), v1=v1)
+    return LatticeSpec(M=m, h=h, mass=1.0, v0=np.zeros(m), v1=v1)
 
 
 def test_spec_validation():
     with pytest.raises(AmplitudeError):
-        LatticeSpec(M=1, x0=0.0, h=0.5, mass=1.0, v0=np.zeros(1), v1=np.zeros(1))
+        LatticeSpec(M=1, h=0.5, mass=1.0, v0=np.zeros(1), v1=np.zeros(1))
     with pytest.raises(AmplitudeError):
-        LatticeSpec(M=4, x0=0.0, h=-0.5, mass=1.0, v0=np.zeros(4), v1=np.zeros(4))
+        LatticeSpec(M=4, h=-0.5, mass=1.0, v0=np.zeros(4), v1=np.zeros(4))
     with pytest.raises(AmplitudeError):
-        LatticeSpec(M=4, x0=0.0, h=0.5, mass=1.0, v0=np.zeros(3), v1=np.zeros(4))
+        LatticeSpec(M=4, h=0.5, mass=1.0, v0=np.zeros(3), v1=np.zeros(4))
 
 
 def test_load_lattice_roundtrip():
@@ -62,9 +62,19 @@ def _lattice_text(**override):
     return json.dumps({**obj, **override})
 
 
-def test_load_lattice_rejects_non_numeric_origin():
-    with pytest.raises(ModelValidationError, match="x0 must be a number, got 'abc'"):
-        load_lattice(_lattice_text(x0="abc"))
+def test_load_lattice_ignores_origin_and_keeps_dirichlet_walls():
+    # no amplitude depends on the grid origin; the walls have one legal kind
+    def fields(text):
+        spec = load_lattice(text)
+        return spec.M, spec.h, spec.mass, spec.v0.tolist(), spec.v1.tolist()
+
+    plain = json.loads(_lattice_text())
+    del plain["x0"]
+    want = fields(json.dumps(plain))
+    assert fields(_lattice_text(x0=-1.0)) == want
+    assert fields(_lattice_text(bc="dirichlet")) == want
+    with pytest.raises(AmplitudeError, match="unsupported boundary condition 'periodic'"):
+        load_lattice(_lattice_text(bc="periodic"))
 
 
 def test_load_lattice_rejects_non_numeric_potential():
@@ -76,8 +86,7 @@ def test_load_lattice_rejects_non_numeric_potential():
 
 def test_free_spectrum_closed_form():
     m, h, mass = 8, 0.5, 1.0
-    sys_ = build_lattice(LatticeSpec(M=m, x0=0.0, h=h, mass=mass,
-                                     v0=np.zeros(m), v1=np.zeros(m)))
+    sys_ = build_lattice(LatticeSpec(M=m, h=h, mass=mass, v0=np.zeros(m), v1=np.zeros(m)))
     k = np.arange(1, m + 1)
     want = np.sort((1.0 - np.cos(k * np.pi / (m + 1))) / (mass * h * h))
     assert np.allclose(sys_.model.energies, want, atol=1e-12)

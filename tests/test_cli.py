@@ -1,3 +1,6 @@
+import csv
+import functools
+import io
 import json
 import os
 import subprocess
@@ -10,6 +13,7 @@ import pytest
 import dysonprop
 from dysonprop import divdiff, green, oracle
 from dysonprop.cli import (
+    _DISPATCH,
     Report,
     ReportConsistencyError,
     ReportRow,
@@ -162,6 +166,27 @@ def test_row_error_fields():
     assert row2.rel_error == 1.0
 
 
+@functools.cache
+def _default_report(argv: tuple) -> Report:
+    return _DISPATCH[argv[0]](build_parser().parse_args(argv))
+
+
+def _bits(values) -> list:
+    # float.hex tells -0.0 from 0.0 and keeps every bit of the mantissa
+    return [float(v).hex() for v in values]
+
+
+def _row_floats(row: ReportRow) -> list:
+    return [row.computed.real, row.computed.imag, row.oracle.real, row.oracle.imag,
+            row.abs_error, row.rel_error]
+
+
+def _default_runs() -> list:
+    # each command at its golden file's arguments, once whatever the format
+    runs = [argv for name, argv in GOLDEN_REPORTS.items() if name.endswith(".json")]
+    return [tuple(argv) for argv in [*runs, ["selftest"]]]
+
+
 def test_json_roundtrip():
     text = render_json(small_report())
     obj = json.loads(text)
@@ -169,6 +194,18 @@ def test_json_roundtrip():
     assert obj["rows"][0]["computed"] == [1.0, 2.0]
     assert obj["rows"][0]["abs_error"] == 0.5
     assert obj["summary"][0]["passed"] is True
+    assert list(obj["summary"][0]) == ["name", "value", "expected", "threshold", "passed"]
+    assert obj["summary"][0]["expected"] is None
+    # every float of every command's report parses back to the same bits
+    for argv in _default_runs():
+        report = _default_report(argv)
+        obj = json.loads(render_json(report))
+        assert len(obj["rows"]) == len(report.rows)
+        for row, got in zip(report.rows, obj["rows"]):
+            assert _bits(_row_floats(row)) == _bits([*got["computed"], *got["oracle"],
+                                                     got["abs_error"], got["rel_error"]])
+        assert (_bits(item.value for item in report.summary)
+                == _bits(item["value"] for item in obj["summary"]))
 
 
 def test_csv_shape():
@@ -176,6 +213,16 @@ def test_csv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "k,label,computed_re,computed_im,oracle_re,oracle_im,abs_error,rel_error"
     assert all(len(line.split(",")) == 8 for line in lines)
+    # the six float columns of every command's report parse back to the same bits
+    for argv in _default_runs():
+        report = _default_report(argv)
+        header, *cells = csv.reader(io.StringIO(render_csv(report)))
+        assert header[-6:] == ["computed_re", "computed_im", "oracle_re", "oracle_im",
+                               "abs_error", "rel_error"]
+        assert len(cells) == len(report.rows)
+        for row, got in zip(report.rows, cells):
+            assert len(got) == len(header)
+            assert _bits(_row_floats(row)) == _bits(float(x) for x in got[-6:])
 
 
 def test_csv_empty_rows_header_only():
@@ -345,6 +392,14 @@ def test_propagate_oracle_rows_match_per_order_calls():
         assert row.oracle == refs[ins["l"]][ins["row"], ins["col"]]
 
 
+def test_unwritable_out_path_is_clean_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["selftest", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dysonprop selftest: error: ") and str(out) in err
+    assert "[PASS]" not in err and not out.parent.exists()
+
+
 def test_missing_model_file_is_clean_error(capsys):
     code = main(["propagate", "--model", "/nonexistent/m.json"])
     assert code == 2
@@ -364,8 +419,11 @@ def test_csv_output_format(tmp_path):
     assert len({len(l.split(",")) for l in lines}) == 1
 
 
-def test_converge_default_flags_pass(tmp_path):
+def test_converge_default_flags_pass(tmp_path, capsys):
     assert main(["converge", "--out", str(tmp_path / "c.json")]) == 0
+    # a halving ratio is reported against its expected power of two
+    assert ("[PASS] unitarity_ratio_N2: value 1.600e+01 vs expected 1.600e+01 within "
+            "relative 2.500e-01\n") in capsys.readouterr().err
 
 
 def test_converge_makes_one_exact_evolution_per_coupling(monkeypatch, tmp_path):
