@@ -23,7 +23,7 @@ times them is the secular t * e^{-iEt} contribution.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,139 +98,141 @@ def load_lattice(text: str) -> LatticeSpec:
         raise ModelParseError(f"lattice file missing key {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticeSystem:
-    """Lattice spec plus its compiled spectral model and position basis.
-
-    ``basis[n, g]`` is the wavefunction of eigenstate g at grid point n,
-    normalized under the lattice inner product sum_n h * psi* phi.
+    """Lattice spec, its compiled spectral model and two eigenbases psi[n, g]
+    (eigenstate g at grid point n, normalized under the lattice inner product
+    sum_n h * psi* phi): ``basis`` of H0, whose energies are ``model.energies``,
+    and ``full_basis`` of H = H0 + diag(v1), whose energies are ``full_energies``.
     """
 
     spec: LatticeSpec
     model: SpectralModel
     basis: np.ndarray
-    _full_cache: dict = field(default_factory=dict, repr=False)
+    full_energies: np.ndarray
+    full_basis: np.ndarray
 
 
 def base_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     """-(1/2m) second difference with Dirichlet walls, plus diag(v0)."""
     k = 1.0 / (2.0 * spec.mass * spec.h**2)
-    h0 = np.diag(2.0 * k + spec.v0) + np.diag(np.full(spec.M - 1, -k), 1) + np.diag(
-        np.full(spec.M - 1, -k), -1
-    )
-    return h0
+    off = np.full(spec.M - 1, -k)
+    return np.diag(2.0 * k + spec.v0) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def build_lattice(spec: LatticeSpec) -> LatticeSystem:
-    """Diagonalize the base lattice Hamiltonian and rotate the perturbing
-    potential into its eigenbasis."""
-    dec = hermitian_eigendecomposition(base_hamiltonian(spec))
+    """Diagonalize the base and the full lattice Hamiltonian and rotate the
+    perturbing potential into the base eigenbasis."""
+    h0 = base_hamiltonian(spec)
+    dec = hermitian_eigendecomposition(h0)
     basis = np.real_if_close(dec.vectors, tol=1e6) / np.sqrt(spec.h)
     gram = spec.h * basis.conj().T @ basis
     if float(np.max(np.abs(gram - np.eye(spec.M)))) > _ORTHO_TOL:
         raise AmplitudeError("eigenbasis failed the lattice orthonormality check")
     h1 = basis.conj().T @ (spec.v1[:, np.newaxis] * basis) * spec.h
     model = SpectralModel(dec.values, h1, label="lattice")
-    return LatticeSystem(spec=spec, model=model, basis=np.asarray(basis))
+    full = hermitian_eigendecomposition(h0 + np.diag(spec.v1))
+    return LatticeSystem(spec, model, np.asarray(basis), full.values,
+                         full.vectors / np.sqrt(spec.h))
 
 
-def _full_decomposition(sys: LatticeSystem):
-    key = "full"
-    if key not in sys._full_cache:
-        h = base_hamiltonian(sys.spec) + np.diag(sys.spec.v1)
-        sys._full_cache[key] = hermitian_eigendecomposition(h)
-    return sys._full_cache[key]
+def _at(amplitudes: np.ndarray, xb, xa):
+    """Entry (xb, xa) of an M x M amplitude matrix: one Python complex for
+    grid indices, the matrix itself for slice(None) on both."""
+    out = amplitudes[xb, xa]
+    return complex(out) if np.ndim(out) == 0 else out
 
 
-def _eigen_amplitude(psi, energies, xb: int, tb: float, xa: int, ta: float) -> complex:
-    """<x_b| e^{-iH(tb-ta)} |x_a> from eigenvalues and lattice-normalized
-    eigenfunctions psi[n, g] of H."""
-    if tb < ta:
+def _evolve(psi: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
+    """<x_b| e^{-iHt} |x_a> over every (x_b, x_a), t >= 0, from the
+    energies of H and its lattice-normalized eigenfunctions psi[n, g]."""
+    if t < 0:
         raise AmplitudeError("tb must be >= ta")
-    phases = np.exp(-1j * energies * (tb - ta))
-    return complex(np.sum(psi[xb, :] * phases * np.conj(psi[xa, :])))
+    return (psi * np.exp(-1j * energies * t)) @ psi.conj().T
 
 
-def k0_amplitude(sys: LatticeSystem, xb: int, tb: float, xa: int, ta: float) -> complex:
+def k0_amplitude(sys: LatticeSystem, xb, tb: float, xa, ta: float):
     """Unperturbed amplitude <x_b| e^{-i H0 (tb-ta)} |x_a> on the lattice."""
-    return _eigen_amplitude(sys.basis, sys.model.energies, xb, tb, xa, ta)
+    return _at(_evolve(sys.basis, sys.model.energies, tb - ta), xb, xa)
 
 
-def k_exact(sys: LatticeSystem, xb: int, tb: float, xa: int, ta: float) -> complex:
+def k_exact(sys: LatticeSystem, xb, tb: float, xa, ta: float):
     """Exact amplitude of the full lattice Hamiltonian (oracle eigensolve)."""
-    dec = _full_decomposition(sys)
-    return _eigen_amplitude(dec.vectors / np.sqrt(sys.spec.h), dec.values, xb, tb, xa, ta)
+    return _at(_evolve(sys.full_basis, sys.full_energies, tb - ta), xb, xa)
 
 
-def k_truncated_direct(
-    sys: LatticeSystem, spec: TruncationSpec, xb: int, tb: float, xa: int, ta: float
-) -> complex:
-    """Position sandwich of the divided-difference truncated evolution; the
-    numerically stable reference for the kernel relation."""
+def k_truncated_direct(sys: LatticeSystem, spec: TruncationSpec, xb, tb: float, xa, ta: float):
+    """Position sandwich psi U_N psi^dagger of the divided-difference
+    truncated evolution; the numerically stable reference for the kernel
+    relation."""
     if tb <= ta:
         raise AmplitudeError("tb must be > ta")
     u = truncated_evolution(sys.model, spec, tb - ta).entries
-    psi = sys.basis
-    return complex(psi[xb, :] @ u @ np.conj(psi[xa, :]))
+    return _at(sys.basis @ u @ sys.basis.conj().T, xb, xa)
 
 
-def c_kernel_matrix(
-    sys: LatticeSystem,
-    spec: TruncationSpec,
-    eps: float,
-    xb: int,
-    xa: int,
-) -> np.ndarray:
-    """Kernels C_m(x_b, y_b; x_a, y_a) for fixed endpoints, as an
-    (N+1) x M x M array over (m, y_b, y_a).
-
-    Node m of each index tuple is shifted to E - i*m*eps, the retarded
-    graded shifts of ``propagator._graded_chains``; the partial fraction of
-    node m goes into C_m, and ``k_via_relation`` supplies its factor
-    e^{-m*eps*t}.  The |Phi_g><Phi_g| weight at position m is
-    (left[m] @ psi[x_b])[g] * (right[N-m] @ psi*[x_a])[g].
-    """
+def _endpoint_weights(sys: LatticeSystem, spec: TruncationSpec, eps: float):
+    """Weights of the insertion |Phi_g><Phi_g| at tuple position m for every
+    endpoint: left[m] = L_m psi^T over (g, x_b) and right[m] = S_{N-m} psi^dagger
+    over (g, x_a), with the retarded chains L, S of ``propagator._graded_chains``."""
     if isinstance(spec, int):
         spec = TruncationSpec(spec)
     if not eps > 0:
         raise AmplitudeError(f"eps must be positive, got {eps}")
     _, left, right = _graded_chains(sys.model, spec.N, eps, 1)
     psi = sys.basis
-    weight = (left @ psi[xb, :]) * (right[::-1] @ np.conj(psi[xa, :]))
-    return (np.conj(psi) * weight[:, np.newaxis, :]) @ psi.T
+    return left @ psi.T, right[::-1] @ psi.conj().T
 
 
-def k_via_relation(
-    sys: LatticeSystem,
-    spec: TruncationSpec,
-    eps: float,
-    xb: int,
-    tb: float,
-    xa: int,
-    ta: float,
-) -> complex:
+def c_kernel_matrix(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb: int,
+                    xa: int) -> np.ndarray:
+    """Kernels C_m(x_b, y_b; x_a, y_a) for fixed endpoints, as an
+    (N+1) x M x M array over (m, y_b, y_a).
+
+    Node m of each index tuple is shifted to E - i*m*eps, the retarded
+    graded shifts of ``propagator._graded_chains``; the partial fraction of
+    node m goes into C_m, and ``k_via_relation`` supplies its factor
+    e^{-m*eps*t}.  C_m = sum_g psi*(y_b, g) w[m, g] psi(y_a, g), with the
+    weight w[m, g] = left[m, g, x_b] * right[m, g, x_a] of ``_endpoint_weights``.
+    """
+    left, right = _endpoint_weights(sys, spec, eps)
+    weight = left[:, :, xb] * right[:, :, xa]
+    return (np.conj(sys.basis) * weight[:, np.newaxis, :]) @ sys.basis.T
+
+
+def _level_sums(sys: LatticeSystem, t: float) -> np.ndarray:
+    """G[g] = sum_{y_b, y_a} psi*(y_b, g) K0(y_b, t; y_a, 0) psi(y_a, g), t > 0."""
+    if not t > 0:
+        raise AmplitudeError("tb must be > ta")
+    psi = sys.basis
+    return np.sum(np.conj(psi) * (_evolve(psi, sys.model.energies, t) @ psi), axis=0)
+
+
+def _relation(sys: LatticeSystem, spec: TruncationSpec, eps: float, t: float, level):
+    """h^2 sum_m e^{-m*eps*t} sum_g left[m, g, x_b] G[g] right[m, g, x_a] over
+    every (x_b, x_a), as one product over the (m, g) axis."""
+    left, right = _endpoint_weights(sys, spec, eps)
+    damped = np.outer(np.exp(-eps * t * np.arange(len(left))), level).reshape(-1, 1)
+    n = sys.spec.M
+    return sys.spec.h**2 * (left.reshape(-1, n).T @ (damped * right.reshape(-1, n)))
+
+
+def k_via_relation(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb, tb: float, xa,
+                   ta: float):
     """Amplitude assembled from the kernels: sum over positions m of
     e^{-m*eps*(t_b - t_a)} times the h^2-weighted double grid sum of
-    C_m(x_b, y_b; x_a, y_a) * K0(y_b, t_b; y_a, t_a)."""
-    if tb <= ta:
-        raise AmplitudeError("tb must be > ta")
-    c = c_kernel_matrix(sys, spec, eps, xb, xa)
-    psi = sys.basis
-    phases = np.exp(-1j * sys.model.energies * (tb - ta))
-    k0 = (psi * phases[np.newaxis, :]) @ psi.conj().T  # K0[yb, ya]
-    damping = np.exp(-eps * (tb - ta) * np.arange(c.shape[0]))
-    return complex(sys.spec.h**2 * np.sum(damping * np.sum(c * k0, axis=(1, 2))))
+    C_m(x_b, y_b; x_a, y_a) * K0(y_b, t_b; y_a, t_a).
+
+    C_m is a sum over levels g, so the grid sum is taken level by level
+    (``_level_sums``, ``_relation``): no (N+1) M^4 kernel array is formed.
+    """
+    return _at(_relation(sys, spec, eps, tb - ta, _level_sums(sys, tb - ta)), xb, xa)
 
 
-def k_via_relation_extrapolated(
-    sys: LatticeSystem,
-    spec: TruncationSpec,
-    eps_values,
-    xb: int,
-    tb: float,
-    xa: int,
-    ta: float,
-) -> complex:
-    """Richardson (Neville) extrapolation of ``k_via_relation`` to eps = 0."""
-    samples = [k_via_relation(sys, spec, eps, xb, tb, xa, ta) for eps in eps_values]
-    return complex(richardson_limit(eps_values, samples))
+def k_via_relation_extrapolated(sys: LatticeSystem, spec: TruncationSpec, eps_values, xb,
+                                tb: float, xa, ta: float):
+    """Richardson (Neville) extrapolation of ``k_via_relation`` to eps = 0;
+    the samples share one K0 and its level sums G."""
+    level = _level_sums(sys, tb - ta)
+    samples = [_relation(sys, spec, eps, tb - ta, level) for eps in eps_values]
+    return _at(richardson_limit(eps_values, samples), xb, xa)

@@ -20,6 +20,7 @@ polynomials and evaluate exactly over integer or rational nodes.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -165,27 +166,23 @@ def identity_suite(pool, max_nodes: int = 6):
     distinct-node subsets of ``pool`` with n <= max_nodes.
 
     Yields per-subset records: (nodes, exact_ok, float_deviation), where
-    exact_ok requires dd_monomial == 0 for all K < n-1 and == 1 for K = n-1
-    in exact arithmetic, and float_deviation is the worst floating-point
-    discrepancy over the same K range.
+    exact_ok requires the sum to be 0 for all K < n-1 and 1 for K = n-1,
+    evaluated exactly on the pool's own ints or Fractions (cross-multiplied
+    by the product of the d_i), and float_deviation is the worst
+    discrepancy of the same sums in floating point.
     """
     pool = tuple(pool)
     if len(set(pool)) != len(pool):
         raise ValueError("node pool must have distinct entries")
     for n in range(1, max_nodes + 1):
         for combo in itertools.combinations(pool, n):
-            exact_ok = True
-            dev = 0.0
+            dens = [denominator_d(combo, i + 1) for i in range(n)]
+            # (-1)^{i-1} / d_i times the product of all d_j
+            cofactors = [(-1) ** i * math.prod(dens[:i] + dens[i + 1:]) for i in range(n)]
+            exact_ok = all(sum(c * e**k for c, e in zip(cofactors, combo))
+                           == (math.prod(dens) if k == n - 1 else 0) for k in range(n))
             floats = [float(x) for x in combo]
-            weights = [
-                (-1.0) ** i / complex(denominator_d(floats, i + 1)) for i in range(n)
-            ]
-            for k in range(n):
-                want = 1 if k == n - 1 else 0
-                got = dd_monomial(combo, k, exact=True)
-                if got != want:
-                    exact_ok = False
-                fl = dd_monomial(floats, k, exact=False)
-                bracket = sum(w * e**k for w, e in zip(weights, floats))
-                dev = max(dev, abs(fl - want), abs(bracket - want))
+            weights = [(-1.0) ** i / complex(denominator_d(floats, i + 1)) for i in range(n)]
+            dev = max(abs(sum(w * e**k for w, e in zip(weights, floats)) - (1 if k == n - 1 else 0))
+                      for k in range(n))
             yield combo, exact_ok, dev

@@ -81,14 +81,18 @@ def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMa
 
 def complete_resolvent_direct(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:
     """Resolvent of the full Hamiltonian by a dense direct solve."""
-    eye = np.eye(model.dim, dtype=complex)
-    a = q.z * eye - hamiltonian(model)
+    return _resolvent_solve(q.z, hamiltonian(model), np.eye(model.dim, dtype=complex))
+
+
+def _resolvent_solve(z: complex, h: np.ndarray, eye: np.ndarray) -> OperatorMatrix:
+    """(z - h)^{-1} by the oracle solve against ``eye``, the identity of h's
+    size; raises LinAlgError when the residual exceeds _RESIDUAL_TOL."""
+    a = z * eye - h
     x = linear_solve(a, eye)
     residual = float(np.abs(a @ x - eye).max())
     if residual > _RESIDUAL_TOL:
         raise np.linalg.LinAlgError(
-            f"resolvent solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
-        )
+            f"resolvent solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
     return OperatorMatrix(x, {"residual": residual})
 
 
@@ -176,7 +180,8 @@ def forward_fourier(
     a single reference pole at the mean unperturbed energy is subtracted
     from the integrand and its exact transform added back, leaving an
     O(1/E^2) remainder that a finite window integrates accurately.
-    Stationary resolvents come from the direct dense solve.
+    Stationary resolvents come from the direct dense solve of
+    ``complete_resolvent_direct``, with H built once per call.
 
     ``t`` is one time or a sequence of times.  Each node's resolvent is
     computed once and shared by every time, so a sequence costs one solve
@@ -197,11 +202,12 @@ def forward_fourier(
         )
     d = model.dim
     e0 = float(np.mean(model.energies))
+    h = hamiltonian(model)
     eye = np.eye(d, dtype=complex)
     totals = [np.zeros((d, d), dtype=complex) for _ in taus]
     for x, w in zip(quad.nodes, quad.weights):
         q = ResolventQuery(float(x), sgn, eps)
-        g = complete_resolvent_direct(model, q).entries
+        g = _resolvent_solve(q.z, h, eye).entries
         r = w * (g - eye / (q.z - e0))
         for total, tau in zip(totals, taus):
             total += r * np.exp(-1j * x * tau)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,3 +250,61 @@ def test_time_ordering_guards():
         k0_amplitude(sys_, 0, 0.0, 1, 1.0)
     with pytest.raises(AmplitudeError):
         k_truncated_direct(sys_, TruncationSpec(1), 0, 1.0, 1, 1.0)
+
+
+EVERY = slice(None)
+
+#: each lattice route as a function of (system, x_b, x_a), t_b = 1, t_a = 0
+ROUTES = {
+    "k0_amplitude": lambda s, b, a: k0_amplitude(s, b, 1.0, a, 0.0),
+    "k_exact": lambda s, b, a: k_exact(s, b, 1.0, a, 0.0),
+    "k_truncated_direct": lambda s, b, a: k_truncated_direct(s, TruncationSpec(2), b, 1.0, a, 0.0),
+    "k_via_relation": lambda s, b, a: k_via_relation(s, TruncationSpec(2), 1e-2, b, 1.0, a, 0.0),
+    "k_via_relation_extrapolated": lambda s, b, a: k_via_relation_extrapolated(
+        s, TruncationSpec(2), [1e-2, 5e-3, 2.5e-3], b, 1.0, a, 0.0),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_all_pairs_matrix_equals_per_pair_calls(route):
+    sys_ = build_lattice(well_spec(0.2))
+    call = ROUTES[route]
+    matrix = call(sys_, EVERY, EVERY)
+    assert matrix.shape == (6, 6)
+    for b in range(6):
+        for a in range(6):
+            got = call(sys_, b, a)
+            assert type(got) is complex  # JSON-ready, not a numpy scalar
+            assert got == matrix[b, a]
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_relation_equals_kernel_grid_sum(N):
+    # the level-by-level sum against h^2 sum_{y_b, y_a} C_m K0 over c_kernel_matrix
+    sys_ = build_lattice(well_spec(0.3))
+    eps, m = 1e-2, sys_.spec.M
+    k0 = k0_amplitude(sys_, EVERY, 1.0, EVERY, 0.0)
+    damping = np.exp(-eps * 1.0 * np.arange(N + 1))
+    want = np.array([[sys_.spec.h**2 * np.sum(
+        damping * np.sum(c_kernel_matrix(sys_, N, eps, b, a) * k0, axis=(1, 2)))
+        for a in range(m)] for b in range(m)])
+    got = k_via_relation(sys_, N, eps, EVERY, 1.0, EVERY, 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_relation_for_all_pairs_forms_no_kernel_array():
+    # at M = 48 the (N+1) M^4 kernels of every pair would take 255 MB
+    sys_ = build_lattice(well_spec(0.1, m=48, h=0.25))
+    tracemalloc.start()
+    try:
+        k_via_relation(sys_, TruncationSpec(2), 1e-2, EVERY, 1.0, EVERY, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
+
+
+def test_lattice_system_is_frozen():
+    sys_ = build_lattice(well_spec(0.2))
+    with pytest.raises(AttributeError):
+        sys_.full_energies = sys_.model.energies

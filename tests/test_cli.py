@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dysonprop
+from dysonprop import amplitude as amp
 from dysonprop import divdiff, green, oracle
 from dysonprop.cli import (
     _DISPATCH,
@@ -27,6 +28,7 @@ from dysonprop.cli import (
 )
 from dysonprop.model import emit_model, random_model, two_level_model
 from dysonprop.oracle import dyson_term_quadrature, exact_evolution, linear_solve
+from dysonprop.propagator import truncated_evolution
 
 
 def small_report():
@@ -503,3 +505,41 @@ def test_amplitude_relation_resolves_small_coupling(tmp_path):
     ratio = json.loads(out.read_text())["summary"][0]
     assert ratio["name"] == "relation_error_ratio"
     assert abs(ratio["value"] / 8.0 - 1.0) <= 0.05
+
+
+def test_amplitude_makes_one_truncated_evolution_per_coupling(monkeypatch, tmp_path):
+    # every endpoint pair of a coupling shares one U_N: 2 calls, not 2 x 36
+    calls = []
+
+    def counting(model, spec, t):
+        calls.append(t)
+        return truncated_evolution(model, spec, t)
+
+    monkeypatch.setattr(amp, "truncated_evolution", counting)
+    assert main(["amplitude", "--out", str(tmp_path / "a.json")]) == 0
+    assert calls == [1.0, 1.0]
+
+
+def test_amplitude_free_reduction_runs_on_the_lattice_file(monkeypatch, tmp_path):
+    # the free system is the file's lattice with v1 = 0, not the built-in well
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps({"M": 4, "h": 0.5, "mass": 1.0, "v0": [0.3, -0.1, 0.2, 0.0],
+                                "v1": [0.01, 0.02, 0.02, 0.01]}))
+    build_lattice = amp.build_lattice
+    built = []
+
+    def recording(spec):
+        built.append(spec)
+        return build_lattice(spec)
+
+    monkeypatch.setattr(amp, "build_lattice", recording)
+    out = tmp_path / "a.json"
+    assert main(["amplitude", "--lattice", str(path), "--out", str(out)]) == 0
+    free = built[-1]
+    assert (free.M, free.h, free.mass) == (4, 0.5, 1.0)
+    assert free.v0.tolist() == [0.3, -0.1, 0.2, 0.0]
+    assert free.v1.tolist() == [0.0] * 4
+    report = json.loads(out.read_text())
+    assert report["params"]["lattice"] == str(path)
+    assert [s["name"] for s in report["summary"]] == ["relation_error", "direct_error",
+                                                      "free_reduction"]

@@ -177,6 +177,24 @@ def test_identity_suite_counts_and_exactness():
     assert max(dev for _, _, dev in records) <= 1e-12
 
 
+def test_identity_suite_exact_check_reads_the_denominators(monkeypatch):
+    # a wrong d_1 breaks every identity, so the exact check must see it
+    real = divdiff.denominator_d
+
+    def doubled_first(nodes, i):
+        return 2 * real(nodes, i) if i == 1 else real(nodes, i)
+
+    monkeypatch.setattr(divdiff, "denominator_d", doubled_first)
+    records = list(identity_suite((-3, -1, 2, 5), 3))
+    assert len(records) == 4 + 6 + 4
+    assert not any(ok for _, ok, _ in records)
+
+
+def test_identity_suite_exact_on_fraction_pool():
+    records = list(identity_suite((Fraction(-1, 3), Fraction(1, 2), 2, Fraction(7, 5)), 4))
+    assert all(ok for _, ok, _ in records)
+
+
 def test_identity_suite_rejects_duplicate_pool():
     with pytest.raises(ValueError):
         list(identity_suite((1, 1, 2), 3))
