@@ -131,7 +131,7 @@ def build_lattice(spec: LatticeSpec) -> LatticeSystem:
         raise AmplitudeError("eigenbasis failed the lattice orthonormality check")
     h1 = basis.conj().T @ (spec.v1[:, np.newaxis] * basis) * spec.h
     model = SpectralModel(dec.values, h1, label="lattice")
-    full = hermitian_eigendecomposition(h0 + np.diag(spec.v1))
+    full = hermitian_eigendecomposition(h0 + np.diag(spec.v1)) if spec.v1.any() else dec
     return LatticeSystem(spec, model, np.asarray(basis), full.values,
                          full.vectors / np.sqrt(spec.h))
 

@@ -1,7 +1,7 @@
 """Independent ground-truth computations.
 
 Nothing here touches the divided-difference machinery: eigensolves use a
-hand-rolled cyclic Jacobi iteration, linear systems a partial-pivoted
+hand-rolled round-robin Jacobi iteration, linear systems a partial-pivoted
 Gauss-Jordan elimination, and series terms of every order a recursive
 Legendre spectral integration of the time-ordered integrals, on the
 Gauss-Legendre rule of ``gauss_legendre``.  These are the oracles every
@@ -45,41 +45,25 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero the (p, q) entry of Hermitian ``a`` with a unitary plane rotation,
-    accumulating the rotation into ``v`` (columns)."""
-    apq = a[p, q]
-    mag = abs(apq)
-    if mag == 0.0:
-        return
-    phase = apq / mag
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    # smaller-magnitude root of t^2 - 2*tau*t - 1 = 0, cancellation-free
-    sg = np.sign(tau) if tau != 0 else 1.0
-    t = -sg / (abs(tau) + np.hypot(1.0, tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    # unitary J with J[p,p]=c, J[p,q]=-s, J[q,p]=s*conj(phase), J[q,q]=c*conj(phase)
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + s * np.conj(phase) * col_q
-    a[:, q] = -s * col_p + c * np.conj(phase) * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + s * phase * row_q
-    a[q, :] = -s * row_p + c * phase * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp + s * np.conj(phase) * vq
-    v[:, q] = -s * vp + c * np.conj(phase) * vq
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The rounds of one Jacobi sweep as index arrays (p, q), p < q, in the
+    round-robin ordering of Brent & Luk (SIAM J. Sci. Stat. Comput. 6 (1985)
+    69).  With m the even number of n and n + 1, index 0 keeps its seat, the
+    others move one seat a round and seat k meets seat m - 1 - k, so a round's
+    pairs are disjoint.  For an odd n, seat index n is a dummy that never
+    rotates."""
+    m = n + n % 2
+    seats = np.zeros((m - 1, m), dtype=int)
+    seats[:, 1:] = (np.arange(m - 1) + np.arange(m - 1)[:, np.newaxis]) % (m - 1) + 1
+    a, b = seats[:, : m // 2], seats[:, ::-1][:, : m // 2]
+    p, q = np.minimum(a, b), np.maximum(a, b)
+    return [(pr[qr < n], qr[qr < n]) for pr, qr in zip(p, q)]
 
 
 def hermitian_eigendecomposition(a) -> EigenDecomposition:
-    """Cyclic Jacobi eigendecomposition of a dense Hermitian matrix."""
+    """Jacobi eigendecomposition of a dense Hermitian matrix: each round of
+    ``_round_robin`` rotates its pairs with |a_pq| > thresh / n to a_pq = 0 all
+    at once, as one unitary J (a <- J^H a J, v <- v J)."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -88,34 +72,49 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
     if float(np.max(np.abs(a - a.conj().T))) > 1e-10 * scale:
         raise NotHermitianError("input is not Hermitian to 1e-10")
     work = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
+    v = eye = np.eye(n, dtype=complex)
     norm = float(np.linalg.norm(work))
     thresh = _JACOBI_OFF_TOL * max(norm, 1e-300)
-    for _ in range(JACOBI_SWEEP_BUDGET):
+    rounds = _round_robin(n)
+    for sweep in range(JACOBI_SWEEP_BUDGET + 1):
         off = float(np.sqrt(np.sum(np.abs(work - np.diag(np.diag(work))) ** 2)))
         if off <= thresh:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(work[p, q]) > thresh / max(n, 1):
-                    _jacobi_rotate(work, v, p, q)
-    else:
-        off = float(np.sqrt(np.sum(np.abs(work - np.diag(np.diag(work))) ** 2)))
-        if off > thresh:
+        if sweep == JACOBI_SWEEP_BUDGET:
             raise ConvergenceError(
                 f"Jacobi sweeps exhausted (off-diagonal {off:.3e} > {thresh:.3e})"
             )
+        for p, q in rounds:
+            apq = work[p, q]
+            mag = np.abs(apq)
+            big = mag > thresh / n
+            if not big.all():
+                if not big.any():
+                    continue
+                p, q, apq, mag = p[big], q[big], apq[big], mag[big]
+            phase = apq / mag
+            tau = (work[q, q].real - work[p, p].real) / (2.0 * mag)
+            # smaller-magnitude root of t^2 - 2*tau*t - 1 = 0, cancellation-free:
+            # t = -sgn(tau) / (|tau| + sqrt(1 + tau^2)), with sgn(0) = 1
+            t = np.where(tau < 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            j = eye.copy()
+            j[p, p] = c
+            j[p, q] = -s
+            j[q, p] = s * np.conj(phase)
+            j[q, q] = c * np.conj(phase)
+            work = j.conj().T @ (work @ j)
+            v = v @ j
+            work[p, q] = work[q, p] = 0.0
+            np.fill_diagonal(work.imag, 0.0)
     values = np.real(np.diag(work))
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = v[:, order]
     # deterministic phase: largest-magnitude component real and positive
-    for k in range(n):
-        col = vectors[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        ref = col[idx]
-        if ref != 0:
-            vectors[:, k] = col * (np.conj(ref) / abs(ref))
+    ref = vectors[np.abs(vectors).argmax(axis=0), np.arange(n)]
+    vectors = vectors * (np.conj(ref) / np.abs(ref))
     return EigenDecomposition(values=values, vectors=vectors)
 
 

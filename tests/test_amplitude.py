@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dysonprop import amplitude
 from dysonprop.amplitude import (
     AmplitudeError,
     LatticeSpec,
@@ -308,3 +309,23 @@ def test_lattice_system_is_frozen():
     sys_ = build_lattice(well_spec(0.2))
     with pytest.raises(AttributeError):
         sys_.full_energies = sys_.model.energies
+
+
+@pytest.mark.parametrize("lam,solves", [(0.0, 1), (0.2, 2)])
+def test_build_lattice_solves_the_full_hamiltonian_only_when_v1_is_nonzero(
+        monkeypatch, lam, solves):
+    calls = []
+    real = amplitude.hermitian_eigendecomposition
+    monkeypatch.setattr(amplitude, "hermitian_eigendecomposition",
+                        lambda a: calls.append(a) or real(a))
+    build_lattice(well_spec(lam))
+    assert len(calls) == solves
+
+
+def test_free_lattice_full_basis_equals_a_second_solve():
+    spec = well_spec(0.0)
+    sys_ = build_lattice(spec)
+    full = amplitude.hermitian_eigendecomposition(
+        amplitude.base_hamiltonian(spec) + np.diag(spec.v1))
+    assert np.array_equal(sys_.full_energies, full.values)
+    assert np.array_equal(sys_.full_basis, full.vectors / np.sqrt(spec.h))
