@@ -11,7 +11,7 @@ from .amplitude import (
     k_via_relation,
     load_lattice,
 )
-from .divdiff import dd_monomial, dd_phase, denominator_d, identity_suite
+from .divdiff import dd_phase, denominator_d, identity_suite
 from .green import (
     QuadratureSpec,
     ResolventQuery,

@@ -290,12 +290,11 @@ def cmd_dyson_check(opts) -> Report:
     """Partial Dyson sum of the resolvent vs the dense direct solve."""
     model = _load_or_random_model(opts)
     E = float(np.min(model.energies)) - 2.0
-    q0 = green.ResolventQuery(E, opts.sign, opts.eps)
+    q = green.ResolventQuery(E, opts.sign, opts.eps)
     # rescale the coupling so the fixed-point iteration contracts
-    rho0 = green.dyson_partial(model, q0, 0).params["rho"]
+    rho0 = green.dyson_partial(model, q, 0).params["rho"]
     if rho0 > 0.5:
         model = scale_coupling(model, 0.5 / rho0)
-    q = green.ResolventQuery(E, opts.sign, opts.eps)
     partial = green.dyson_partial(model, q, opts.order)
     direct = green.complete_resolvent_direct(model, q)
     rows = _entry_rows(({}, partial.entries, direct.entries))

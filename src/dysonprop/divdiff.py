@@ -1,4 +1,4 @@
-"""Divided differences of the phase function e^{-iEt} and of monomials E^K.
+"""Divided differences of e^{-iEt}, and the monomial identity of their denominators.
 
 The divided difference over nodes E_1..E_n is the symmetric functional
 
@@ -12,16 +12,12 @@ above it (Opitz 1964; McCurdy, Ng & Parlett, Math. Comp. 43 (1984) 501).
 it is stable for clustered or repeated nodes, where the partial-fraction
 sum cancels catastrophically, and it is the same routine the series terms
 of ``propagator.a_matrix`` use for their block-bidiagonal matrix.
-
-Monomial divided differences reduce to complete homogeneous symmetric
-polynomials and evaluate exactly over integer or rational nodes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -106,31 +102,6 @@ def dd_phase(nodes, t) -> complex:
     j = np.diag(nodes)
     j.flat[1 :: n + 1] = 1.0
     return complex(_phase_exp(j, t)[0, -1])
-
-
-def dd_monomial(nodes, K: int, exact: bool):
-    """Divided difference of E^K over the nodes.
-
-    Equals the complete homogeneous symmetric polynomial of degree
-    K - (n - 1) in the nodes, hence exactly 0 for K < n-1 and exactly 1
-    for K = n-1.  With ``exact`` the nodes are taken as Fractions and the
-    result is exact over integer or rational nodes; without it the sum runs
-    in complex floating point.  Repeated nodes need no special casing.
-    """
-    if K < 0 or int(K) != K:
-        raise ValueError(f"monomial degree must be a nonnegative integer, got {K}")
-    raw = tuple(nodes)
-    if len(raw) < 1:
-        raise ValueError("a node list needs at least one node")
-    vals = [Fraction(x) if exact else complex(x) for x in raw]
-    m = int(K) - (len(vals) - 1)
-    if m < 0:
-        return Fraction(0) if exact else 0j
-    h = [Fraction(1) if exact else 1.0 + 0j] + [Fraction(0) if exact else 0j] * m
-    for x in vals:
-        for d in range(1, m + 1):
-            h[d] += x * h[d - 1]
-    return h[m]
 
 
 def denominator_d(nodes, i: int):

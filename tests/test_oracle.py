@@ -187,6 +187,15 @@ def test_quadrature_refuses_unresolvable_time():
         dyson_term_quadrature(m, 1, 2000.0)
 
 
+@pytest.mark.parametrize("t", [1.7e308, 1e300])
+def test_quadrature_refuses_overflowing_time(t):
+    # the node count is compared as a float before any int conversion, and
+    # printed in exponent form (or as inf), not as a 300-digit integer
+    with pytest.raises(ConvergenceError,
+                       match=r"cannot be resolved: it needs (inf|\d\.\d{3}e\+\d+) nodes"):
+        dyson_term_quadrature(random_model(4, 7, 0.2), 1, t)
+
+
 def test_linear_solve_identity_and_diagonal():
     b = np.arange(6.0).reshape(3, 2) + 1j
     assert np.array_equal(linear_solve(np.eye(3), b), b)
