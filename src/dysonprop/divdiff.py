@@ -50,10 +50,11 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     series ends at the same term as a test of every term would, or later
     when that term comes before the bound's k (nearly nilpotent shifted
     matrices such as the bidiagonal J of few nodes), and those extra terms
-    lie below the last bit of the sum.  Raises TaylorConvergenceError when
-    _TAYLOR_MAX_TERMS terms do not meet the test.
+    lie below the last bit of the sum.  Raises TaylorConvergenceError after
+    _TAYLOR_MAX_TERMS + max(0, n - 48) terms; an n-node J's corner starts at k = n - 1.
     """
     n = m.shape[0]
+    max_terms = _TAYLOR_MAX_TERMS + max(0, n - 48)
     mu = m.trace() / n
     a = m.astype(complex)
     a.flat[:: n + 1] -= mu
@@ -67,7 +68,7 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     f = np.eye(n, dtype=complex) + b
     term, bound, k = b, theta, 1
     while not (bound < _TAYLOR_RTOL and (abs(term) <= _TAYLOR_RTOL * abs(f)).all()):
-        if k == _TAYLOR_MAX_TERMS:
+        if k == max_terms:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(term == 0, 0.0, abs(term) / abs(f))
             raise TaylorConvergenceError(
@@ -99,7 +100,17 @@ def dd_phase(nodes, t) -> complex:
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     n = nodes.size
-    j = np.diag(nodes)
+    # Leja order (Reichel, BIT 30 (1990) 332): next the fewest equal nodes so far,
+    # then the largest product of distances.  Sorted, a run of close nodes gives
+    # entries far above the corner, and the squarings' error is relative to them.
+    order, equal, logdist = [int(np.argmax(np.abs(nodes)))], np.zeros(n), np.zeros(n)
+    for _ in range(n - 1):
+        dist = np.abs(nodes - nodes[order[-1]])
+        equal += dist == 0
+        logdist += np.log(np.where(dist == 0, 1.0, dist))
+        equal[order[-1]] = np.inf
+        order.append(int(np.lexsort((-logdist, equal))[0]))
+    j = np.diag(nodes[order])
     j.flat[1 :: n + 1] = 1.0
     return complex(_phase_exp(j, t)[0, -1])
 

@@ -10,6 +10,7 @@ other module is checked against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,19 +46,23 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The rounds of one Jacobi sweep as index arrays (p, q), p < q, in the
-    round-robin ordering of Brent & Luk (SIAM J. Sci. Stat. Comput. 6 (1985)
-    69).  With m the even number of n and n + 1, index 0 keeps its seat, the
-    others move one seat a round and seat k meets seat m - 1 - k, so a round's
-    pairs are disjoint.  For an odd n, seat index n is a dummy that never
-    rotates."""
+@functools.lru_cache(maxsize=64)
+def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rounds of one Jacobi sweep in the round-robin ordering of Brent & Luk
+    (SIAM J. Sci. Stat. Comput. 6 (1985) 69), built once per n: row r of p < q
+    holds the disjoint pairs of round r, and row r of pos their flat positions
+    (p, p), (p, q), (q, p) and (q, q); all read-only.  With m the even number of
+    n and n + 1, index 0 keeps its seat, the others move one seat a round and
+    seat k meets seat m - 1 - k; for an odd n, seat n is a dummy never rotated."""
     m = n + n % 2
     seats = np.zeros((m - 1, m), dtype=int)
     seats[:, 1:] = (np.arange(m - 1) + np.arange(m - 1)[:, np.newaxis]) % (m - 1) + 1
     a, b = seats[:, : m // 2], seats[:, ::-1][:, : m // 2]
     p, q = np.minimum(a, b), np.maximum(a, b)
-    return [(pr[qr < n], qr[qr < n]) for pr, qr in zip(p, q)]
+    p, q = p[q < n].reshape(m - 1, -1), q[q < n].reshape(m - 1, -1)
+    pos = np.stack((p * (n + 1), p * n + q, q * n + p, q * (n + 1)), axis=1)
+    p.flags.writeable = q.flags.writeable = pos.flags.writeable = False
+    return p, q, pos
 
 
 def hermitian_eigendecomposition(a) -> EigenDecomposition:
@@ -73,9 +78,7 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
         raise NotHermitianError("input is not Hermitian to 1e-10")
     work = (a + a.conj().T) / 2.0
     v = eye = np.eye(n, dtype=complex)
-    norm = float(np.linalg.norm(work))
-    thresh = _JACOBI_OFF_TOL * max(norm, 1e-300)
-    rounds = _round_robin(n)
+    thresh = _JACOBI_OFF_TOL * max(float(np.linalg.norm(work)), 1e-300)
     for sweep in range(JACOBI_SWEEP_BUDGET + 1):
         off = float(np.sqrt(np.sum(np.abs(work - np.diag(np.diag(work))) ** 2)))
         if off <= thresh:
@@ -84,34 +87,32 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
             raise ConvergenceError(
                 f"Jacobi sweeps exhausted (off-diagonal {off:.3e} > {thresh:.3e})"
             )
-        for p, q in rounds:
-            apq = work[p, q]
+        for p, q, pos in zip(*_round_robin(n)):
+            apq = work.reshape(-1)[pos[1]]
             mag = np.abs(apq)
             big = mag > thresh / n
-            if not big.all():
-                if not big.any():
+            k = np.count_nonzero(big)
+            if k < big.size:
+                if not k:
                     continue
-                p, q, apq, mag = p[big], q[big], apq[big], mag[big]
-            phase = apq / mag
-            tau = (work[q, q].real - work[p, p].real) / (2.0 * mag)
+                p, q, pos, apq, mag = p[big], q[big], pos[:, big], apq[big], mag[big]
+            cph = np.conj(apq) / mag  # the conjugate phase of a_pq
+            diag = work.real.diagonal()
+            tau = (diag[q] - diag[p]) / (2.0 * mag) + 0.0  # -0.0 -> 0.0
             # smaller-magnitude root of t^2 - 2*tau*t - 1 = 0, cancellation-free:
             # t = -sgn(tau) / (|tau| + sqrt(1 + tau^2)), with sgn(0) = 1
-            t = np.where(tau < 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            t = -1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             j = eye.copy()
-            j[p, p] = c
-            j[p, q] = -s
-            j[q, p] = s * np.conj(phase)
-            j[q, q] = c * np.conj(phase)
+            j.reshape(-1)[pos] = (c, -s, s * cph, c * cph)
             work = j.conj().T @ (work @ j)
             v = v @ j
-            work[p, q] = work[q, p] = 0.0
-            np.fill_diagonal(work.imag, 0.0)
+            work.reshape(-1)[pos[1:3]] = 0.0
+            work.reshape(-1).imag[:: n + 1] = 0.0
     values = np.real(np.diag(work))
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
+    values, vectors = values[order], v[:, order]
     # deterministic phase: largest-magnitude component real and positive
     ref = vectors[np.abs(vectors).argmax(axis=0), np.arange(n)]
     vectors = vectors * (np.conj(ref) / np.abs(ref))
@@ -166,6 +167,17 @@ def gauss_legendre(n: int):
     return np.concatenate((-x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
 
 
+@functools.lru_cache(maxsize=8)
+def _spectral_tables(n: int):
+    """Nodes and spectral integration matrix of the n-point rule; read-only, once per n."""
+    x, w = gauss_legendre(n)
+    # values at the nodes -> Legendre coefficients, by the Gauss rule itself
+    to_coef = (np.arange(n) + 0.5)[:, np.newaxis] * legvander(x, n - 1).T * w
+    table = legvander(np.append(x, 1.0), n) @ legint(np.eye(n), lbnd=-1) @ to_coef
+    x.flags.writeable = table.flags.writeable = False
+    return x, table
+
+
 def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
     """Yield the series terms of orders 0..l from one spectral-integration
     pass; see ``dyson_term_quadrature``."""
@@ -183,13 +195,10 @@ def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
             f"series term cannot be resolved: it needs {need:.3e} nodes (|t|*dE = "
             f"{2.0 * half_phase:.3e}, npoints {npoints}), above the maximum {_MAX_NODES}")
     n = int(need)
-    x, w = gauss_legendre(n)
+    x, table = _spectral_tables(n)
     s = t * (x + 1.0) / 2.0
-    # values at the nodes -> Legendre coefficients, by the Gauss rule itself
-    to_coef = (np.arange(n) + 0.5)[:, np.newaxis] * legvander(x, n - 1).T * w
     # -i times the integral from 0 of the interpolant, at every node and at s = t
-    integ = (-0.5j * t) * (
-        legvander(np.append(x, 1.0), n) @ legint(np.eye(n), lbnd=-1) @ to_coef)
+    integ = (-0.5j * t) * table
     v = np.exp(1j * s[:, np.newaxis, np.newaxis] * (e[:, np.newaxis] - e)) * model.h1
     u0 = np.exp(-1j * e * t)[:, np.newaxis]  # e^{-iH0 t} as a column
     # rows 0..n-1 hold b at the nodes, row n at s = t

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -19,23 +20,24 @@ from dysonprop.model import random_model
 
 
 def mp_dd_phase(nodes, t, prec=60):
-    """High-precision oracle: recursive divided differences of e^{-iEt},
-    with confluent steps replaced by derivative limits."""
-    with mpmath.workdps(prec):
-        xs = [mpmath.mpf(repr(float(x))) for x in nodes]
+    """High-precision oracle: the Newton divided-difference tableau of e^{-iEt}
+    over the sorted nodes, a run of equal nodes taking the derivative limit,
+    with prec digits beyond those the tableau cancels: the differences of
+    close nodes, and a result near |t|^(n-1) / (n-1)! from values near 1."""
+    xs = sorted(mpmath.mpf(repr(float(x))) for x in nodes)
+    gaps = [float(b - a) for a, b in zip(xs, xs[1:]) if b != a]
+    lost = len(xs) * max(0, math.ceil(-math.log10(min(gaps)))) if gaps else 0
+    if t:
+        lost += math.ceil((len(xs) - 1) * max(0.0, -math.log10(abs(t)))
+                          + math.lgamma(len(xs)) / math.log(10))
+    with mpmath.workdps(prec + lost):
         tt = mpmath.mpf(repr(float(t)))
-
-        def f(order, a, b):
-            # dd over a contiguous node range, fully recursive
-            if a == b:
-                return mpmath.exp(-1j * xs[a] * tt)
-            if xs[a] == xs[b] and all(xs[k] == xs[a] for k in range(a, b + 1)):
-                n = b - a
-                return (-1j * tt) ** n * mpmath.exp(-1j * xs[a] * tt) / mpmath.factorial(n)
-            return (f(order, a + 1, b) - f(order, a, b - 1)) / (xs[b] - xs[a])
-
-        val = f(0, 0, len(xs) - 1)
-        return complex(val)
+        col = [mpmath.exp(-1j * x * tt) for x in xs]
+        for k in range(1, len(xs)):
+            col = [(-1j * tt) ** k * mpmath.exp(-1j * xs[i] * tt) / mpmath.factorial(k)
+                   if xs[i + k] == xs[i] else (col[i + 1] - col[i]) / (xs[i + k] - xs[i])
+                   for i in range(len(xs) - k)]
+        return complex(col[0])
 
 
 def dd_monomial(nodes, K):
@@ -276,3 +278,36 @@ def test_phase_exp_raises_at_the_term_cap(monkeypatch):
     monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
     with pytest.raises(TaylorConvergenceError, match=r"in 3 terms: worst entry ratio .* > 1e-18"):
         dd_phase([0.0, 0.11, 0.22], 1.0)
+
+
+def _spread_nodes(kind, n, seed):
+    """n sorted nodes spread over exactly [-3, 3]: uniform random, repeated
+    pairs or repeated triples."""
+    rng = np.random.default_rng(seed)
+    reps = {"random": 1, "pairs": 2, "triples": 3}[kind]
+    x = np.sort(np.repeat(rng.uniform(-3.0, 3.0, -(-n // reps)), reps)[:n])
+    return (x - x[0]) / (x[-1] - x[0]) * 6.0 - 3.0
+
+
+@pytest.mark.parametrize("n", [10, 20, 30, 40])
+def test_sorted_and_confluent_nodes_against_mpmath(n):
+    # sorted input puts the divided difference over a run of close nodes, many
+    # orders above the corner, into the squarings; Leja order keeps it at
+    # roundoff.  |t| * spread reaches 300 here: past that the error grows with
+    # the number of squarings (README, "How the series terms are computed")
+    for kind in ("random", "pairs", "triples"):
+        for seed in range(3):
+            nodes = _spread_nodes(kind, n, seed)
+            for t in (10.0, -25.0, 50.0):
+                want = mp_dd_phase(nodes, t)
+                assert abs(dd_phase(nodes, t) - want) <= 1e-12 * abs(want), (kind, seed, t)
+
+
+@pytest.mark.parametrize("n", [57, 60, 80, 100])
+def test_term_cap_grows_with_the_node_count(n):
+    # the corner of the n-node J first gets a Taylor term at k = n - 1: with a
+    # flat cap of 64 terms dd_phase raised from about 56 nodes on
+    for kind, t in (("random", 0.1), ("pairs", 1.0), ("random", 10.0), ("pairs", 50.0)):
+        nodes = _spread_nodes(kind, n, n)
+        want = mp_dd_phase(nodes, t)
+        assert abs(dd_phase(nodes, t) - want) <= 1e-12 * abs(want), (kind, t)

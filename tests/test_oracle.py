@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legvander
 
 from dysonprop import oracle
 from dysonprop.green import QuadratureSpec
@@ -69,8 +69,9 @@ def test_deterministic():
 @pytest.mark.parametrize("n", range(1, 50))
 def test_round_robin_sweep_visits_every_pair_once_in_disjoint_rounds(n):
     seen = []
-    for p, q in oracle._round_robin(n):
+    for p, q, pos in zip(*oracle._round_robin(n)):
         assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)
+        assert np.array_equal(pos, np.ravel_multi_index(([p, p, q, q], [p, q, p, q]), (n, n)))
         seen += zip(p.tolist(), q.tolist())
     assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
@@ -283,7 +284,8 @@ def reference_linear_solve(a, b):
 
 
 def _same_bits(x, y):
-    return x.shape == y.shape and np.array_equal(x.view(float), y.view(float))
+    return x.shape == y.shape and np.array_equal(np.ascontiguousarray(x).view(float),
+                                                 np.ascontiguousarray(y).view(float))
 
 
 def test_linear_solve_matches_reference_bitwise():
@@ -386,7 +388,7 @@ def test_quadrature_memory_stays_one_axis_per_block():
     assert peak < 2_000_000
 
 
-def _test_matrix(kind, d, seed):
+def _test_matrix(kind, d, seed, lam=0.2):
     if kind == "random":
         return random_hermitian(d, seed)
     rng = np.random.default_rng(seed)
@@ -408,7 +410,7 @@ def _test_matrix(kind, d, seed):
         a = (q * lam) @ q.conj().T
         return (a + a.conj().T) / 2
     # the series benchmark's confluent shape: levels 0 and 1 coincide
-    m = random_model(d, seed, lam=0.2)
+    m = random_model(d, seed, lam=lam)
     e = m.energies.copy()
     e[1] = e[0]
     return hamiltonian(SpectralModel(e, m.h1))
@@ -449,3 +451,93 @@ def test_eigendecomposition_against_mpmath(d, seed, kind):
 @pytest.mark.parametrize("d,kind", [(6, "confluent"), (24, "degenerate"), (32, "cluster")])
 def test_eigendecomposition_against_mpmath_fixed(d, kind):
     _check_against_mpmath(_test_matrix(kind, d, 3))
+
+
+def reference_hermitian_eigendecomposition(a):
+    """The Jacobi eigensolve with each round written out plainly: J entry by
+    entry, tau from the entries (q, q) and (p, p), t from np.where and the
+    diagonal made real by np.fill_diagonal."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    work = (a + a.conj().T) / 2.0
+    v = eye = np.eye(n, dtype=complex)
+    thresh = oracle._JACOBI_OFF_TOL * max(float(np.linalg.norm(work)), 1e-300)
+    while float(np.sqrt(np.sum(np.abs(work - np.diag(np.diag(work))) ** 2))) > thresh:
+        for p, q in zip(*oracle._round_robin(n)[:2]):
+            apq = work[p, q]
+            mag = np.abs(apq)
+            big = mag > thresh / n
+            if not big.any():
+                continue
+            p, q, apq, mag = p[big], q[big], apq[big], mag[big]
+            phase = apq / mag
+            tau = (work[q, q].real - work[p, p].real) / (2.0 * mag)
+            t = np.where(tau < 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            j = eye.copy()
+            j[p, p] = c
+            j[p, q] = -s
+            j[q, p] = s * np.conj(phase)
+            j[q, q] = c * np.conj(phase)
+            work = j.conj().T @ (work @ j)
+            v = v @ j
+            work[p, q] = work[q, p] = 0.0
+            np.fill_diagonal(work.imag, 0.0)
+    values = np.real(np.diag(work))
+    order = np.argsort(values, kind="stable")
+    vectors = v[:, order]
+    ref = vectors[np.abs(vectors).argmax(axis=0), np.arange(n)]
+    return values[order], vectors * (np.conj(ref) / np.abs(ref))
+
+
+@pytest.mark.parametrize("d", range(1, 34))
+def test_eigendecomposition_matches_reference_bitwise(d):
+    # every kind, the confluent models at couplings 0.05 to 3 over the sizes,
+    # plus a diagonal difference that underflows, so tau = -0.0 must rotate as
+    # tau = 0 does
+    lams = (0.05, 0.3, 1.0, 3.0)
+    cases = [_test_matrix(kind, d, d, lams[(d + i) % 4])
+             for i, kind in enumerate(KINDS if d > 1 else ("random",))]
+    signed = np.ones((d, d), dtype=complex)
+    np.fill_diagonal(signed, np.where(np.arange(d) % 2, -5e-324, 0.0))
+    for a in cases + [signed]:
+        dec = hermitian_eigendecomposition(a)
+        values, vectors = reference_hermitian_eigendecomposition(a)
+        assert _same_bits(dec.values, values) and _same_bits(dec.vectors, vectors), d
+
+
+def _uncached_dyson_terms(model, l, t, npoints):
+    # _dyson_terms with its spectral tables built inline on every call
+    n = int(max(npoints, np.ceil(abs(t) * float(np.ptp(model.energies)) / 2.0) + 24))
+    x, w = gauss_legendre(n)
+    to_coef = (np.arange(n) + 0.5)[:, np.newaxis] * legvander(x, n - 1).T * w
+    integ = (-0.5j * t) * (
+        legvander(np.append(x, 1.0), n) @ legint(np.eye(n), lbnd=-1) @ to_coef)
+    e, d = model.energies, model.dim
+    s = t * (x + 1.0) / 2.0
+    v = np.exp(1j * s[:, np.newaxis, np.newaxis] * (e[:, np.newaxis] - e)) * model.h1
+    u0 = np.exp(-1j * e * t)[:, np.newaxis]
+    b = np.broadcast_to(np.eye(d, dtype=complex), (n + 1, d, d))
+    for k in range(l + 1):
+        if k:
+            b = (integ @ (v @ b[:n]).reshape(n, d * d)).reshape(n + 1, d, d)
+        yield u0 * b[n]
+
+
+@pytest.mark.parametrize("d,t,npoints", [(2, 1.0, 16), (3, -1.5, 64), (6, 1.0, 64),
+                                         (4, 60.0, 16), (5, 2.5, 40)])
+def test_dyson_terms_match_an_uncached_table_build_bitwise(d, t, npoints):
+    m = random_model(d, d, lam=0.5)
+    for _ in range(2):  # the second pass reads the cached tables
+        got = [term.entries for term in oracle._dyson_terms(m, 3, t, npoints)]
+        assert all(_same_bits(g, w) for g, w in zip(got, _uncached_dyson_terms(m, 3, t, npoints)))
+
+
+def test_per_size_tables_are_read_only_and_bounded():
+    x, table = oracle._spectral_tables(16)
+    for arr in (x, table, *oracle._round_robin(5)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    for cached in (oracle._spectral_tables, oracle._round_robin):
+        assert isinstance(cached.cache_info().maxsize, int)
