@@ -23,7 +23,9 @@ from .green import (
     unperturbed_resolvent,
 )
 from .model import (
+    OperatorMatrix,
     SpectralModel,
+    Unresolved,
     emit_model,
     load_model,
     random_model,
@@ -38,7 +40,6 @@ from .oracle import (
     linear_solve,
 )
 from .propagator import (
-    OperatorMatrix,
     TruncationSpec,
     a_coefficient,
     a_matrix,

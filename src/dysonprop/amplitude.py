@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParseError, ModelValidationError, SpectralModel, _real, _reals
+from .model import ModelParseError, ModelValidationError, SpectralModel, Unresolved, _real, _reals
 from .oracle import hermitian_eigendecomposition
 from .propagator import (
     TruncationSpec,
@@ -37,10 +37,6 @@ from .propagator import (
 )
 
 _ORTHO_TOL = 1e-10
-
-
-class AmplitudeError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -55,17 +51,17 @@ class LatticeSpec:
 
     def __post_init__(self):
         if self.M < 2:
-            raise AmplitudeError("need at least 2 grid points")
+            raise ModelValidationError("need at least 2 grid points")
         if not self.h > 0:
-            raise AmplitudeError("grid spacing must be positive")
+            raise ModelValidationError("grid spacing must be positive")
         if not self.mass > 0:
-            raise AmplitudeError("mass must be positive")
+            raise ModelValidationError("mass must be positive")
         v0 = np.asarray(self.v0, dtype=float)
         v1 = np.asarray(self.v1, dtype=float)
         if v0.shape != (self.M,) or v1.shape != (self.M,):
-            raise AmplitudeError("potentials must have one value per grid point")
+            raise ModelValidationError("potentials must have one value per grid point")
         if not (np.all(np.isfinite(v0)) and np.all(np.isfinite(v1))):
-            raise AmplitudeError("potentials must be finite")
+            raise ModelValidationError("potentials must be finite")
         v0.flags.writeable = False
         v1.flags.writeable = False
         object.__setattr__(self, "v0", v0)
@@ -86,7 +82,7 @@ def load_lattice(text: str) -> LatticeSpec:
         if not isinstance(M, int) or isinstance(M, bool):
             raise ModelValidationError(f"lattice M must be an integer, got {M!r}")
         if obj.get("bc", "dirichlet") != "dirichlet":
-            raise AmplitudeError(f"unsupported boundary condition {obj['bc']!r}")
+            raise ModelValidationError(f"unsupported boundary condition {obj['bc']!r}")
         return LatticeSpec(
             M=M,
             h=_real("h", obj["h"]),
@@ -128,7 +124,7 @@ def build_lattice(spec: LatticeSpec) -> LatticeSystem:
     basis = np.real_if_close(dec.vectors, tol=1e6) / np.sqrt(spec.h)
     gram = spec.h * basis.conj().T @ basis
     if float(np.max(np.abs(gram - np.eye(spec.M)))) > _ORTHO_TOL:
-        raise AmplitudeError("eigenbasis failed the lattice orthonormality check")
+        raise Unresolved("lattice eigenbasis", "it failed the lattice orthonormality check")
     h1 = basis.conj().T @ (spec.v1[:, np.newaxis] * basis) * spec.h
     model = SpectralModel(dec.values, h1, label="lattice")
     full = hermitian_eigendecomposition(h0 + np.diag(spec.v1)) if spec.v1.any() else dec
@@ -147,7 +143,7 @@ def _evolve(psi: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
     """<x_b| e^{-iHt} |x_a> over every (x_b, x_a), t >= 0, from the
     energies of H and its lattice-normalized eigenfunctions psi[n, g]."""
     if t < 0:
-        raise AmplitudeError("tb must be >= ta")
+        raise ValueError("tb must be >= ta")
     return (psi * np.exp(-1j * energies * t)) @ psi.conj().T
 
 
@@ -166,7 +162,7 @@ def k_truncated_direct(sys: LatticeSystem, spec: TruncationSpec, xb, tb: float, 
     truncated evolution; the numerically stable reference for the kernel
     relation."""
     if tb <= ta:
-        raise AmplitudeError("tb must be > ta")
+        raise ValueError("tb must be > ta")
     u = truncated_evolution(sys.model, spec, tb - ta).entries
     return _at(sys.basis @ u @ sys.basis.conj().T, xb, xa)
 
@@ -178,7 +174,7 @@ def _endpoint_weights(sys: LatticeSystem, spec: TruncationSpec, eps: float):
     if isinstance(spec, int):
         spec = TruncationSpec(spec)
     if not eps > 0:
-        raise AmplitudeError(f"eps must be positive, got {eps}")
+        raise ValueError(f"eps must be positive, got {eps}")
     _, left, right = _graded_chains(sys.model, spec.N, eps, 1)
     psi = sys.basis
     return left @ psi.T, right[::-1] @ psi.conj().T
@@ -203,7 +199,7 @@ def c_kernel_matrix(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb: in
 def _level_sums(sys: LatticeSystem, t: float) -> np.ndarray:
     """G[g] = sum_{y_b, y_a} psi*(y_b, g) K0(y_b, t; y_a, 0) psi(y_a, g), t > 0."""
     if not t > 0:
-        raise AmplitudeError("tb must be > ta")
+        raise ValueError("tb must be > ta")
     psi = sys.basis
     return np.sum(np.conj(psi) * (_evolve(psi, sys.model.energies, t) @ psi), axis=0)
 

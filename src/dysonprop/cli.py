@@ -19,7 +19,7 @@ import numpy as np
 
 from . import amplitude as amp
 from . import divdiff, green, oracle
-from .model import load_model, random_model, scale_coupling, two_level_model
+from .model import Unresolved, load_model, random_model, scale_coupling, two_level_model
 from .propagator import (
     TruncationSpec,
     a_matrix,
@@ -38,10 +38,6 @@ _ROUNDOFF_ULPS = 100
 #: eps ladder of the extrapolated resolvent form and kernel relation; four
 #: points keep the Richardson remainder below the truncation errors compared
 _EPS_LADDER = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
-
-
-class UnresolvedRatioError(ValueError):
-    """A coupling-halving ratio of two errors at the roundoff floor."""
 
 
 @dataclass
@@ -84,10 +80,9 @@ def _halving_item(name: str, errs, expected: float, tol: float,
     """
     floor = _ROUNDOFF_ULPS * np.finfo(float).eps * scale
     if min(errs) <= floor:
-        raise UnresolvedRatioError(
-            f"{name} cannot be resolved: the errors {errs[0]:.3e} (lambda) and "
-            f"{errs[1]:.3e} (lambda/2) are not both above the roundoff floor "
-            f"{floor:.1e}; use a larger --lambda")
+        raise Unresolved(name, f"the errors {errs[0]:.3e} (lambda) and {errs[1]:.3e} "
+                         f"(lambda/2) are not both above the roundoff floor {floor:.1e}; "
+                         "use a larger --lambda")
     ratio = errs[0] / errs[1]
     return SummaryItem(name, ratio, tol, abs(ratio / expected - 1.0) <= tol, expected)
 
@@ -220,18 +215,20 @@ def cmd_propagate(opts) -> Report:
     model = _load_or_random_model(opts)
     rows = []
     worst_term = 0.0
+    # the partial sum of the terms, added in truncated_evolution's order
+    direct = np.zeros((model.dim, model.dim), dtype=complex)
     terms = oracle._dyson_terms(model, opts.order, opts.t, opts.quad_points)
     for l, term in enumerate(terms):
         computed = a_matrix(model, l, opts.t).entries
         ref = term.entries
         rows += _entry_rows(({"l": l}, computed, ref))
         worst_term = max(worst_term, float(np.max(np.abs(computed - ref))))
+        direct += computed
 
     spec = TruncationSpec(opts.order)
     samples = [epsilon_form_evolution(model, spec, opts.t, e, opts.sign).entries
                for e in _EPS_LADDER]
     extrapolated = richardson_limit(_EPS_LADDER, samples)
-    direct = truncated_evolution(model, spec, opts.t).entries
     eps_dev = float(np.max(np.abs(extrapolated - direct)))
     summary = [
         _at_most("series_term_vs_quadrature", worst_term, opts.tol),

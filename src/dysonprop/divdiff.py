@@ -21,17 +21,14 @@ import math
 
 import numpy as np
 
+from .model import Unresolved
+
 _TAYLOR_RTOL = 1e-18
 _TAYLOR_MAX_TERMS = 64
 
 
 class SingularNodesError(ValueError):
     """Raised by the raw denominator form when nodes coincide."""
-
-
-class TaylorConvergenceError(RuntimeError):
-    """The Taylor sum of ``_phase_exp`` missed its entrywise stop test
-    within ``_TAYLOR_MAX_TERMS`` terms."""
 
 
 def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
@@ -50,20 +47,26 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     series ends at the same term as a test of every term would, or later
     when that term comes before the bound's k (nearly nilpotent shifted
     matrices such as the bidiagonal J of few nodes), and those extra terms
-    lie below the last bit of the sum.  Raises TaylorConvergenceError after
-    _TAYLOR_MAX_TERMS + max(0, n - 48) terms; an n-node J's corner starts at k = n - 1.
+    lie below the last bit of the sum.  Raises Unresolved after
+    _TAYLOR_MAX_TERMS + max(0, n - 48) terms (an n-node J's corner starts at
+    k = n - 1), and when theta is not finite or needs a scale 2^s, s >= 1024.
     """
     n = m.shape[0]
     max_terms = _TAYLOR_MAX_TERMS + max(0, n - 48)
     mu = m.trace() / n
     a = m.astype(complex)
     a.flat[:: n + 1] -= mu
-    a *= -1j * t
-    theta = float(np.abs(a).sum(axis=0).max())
-    s = 0
-    while theta > 0.5:
-        theta /= 2.0
-        s += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        a *= -1j * t
+        theta = float(np.abs(a).sum(axis=0).max())
+    # the least s >= 0 with theta / 2^s <= 0.5
+    mant, e = math.frexp(theta)
+    s = 0 if theta <= 0.5 else e if mant == 0.5 else e + 1
+    if not math.isfinite(theta) or s >= 1024:
+        norm = float(np.abs(m - mu * np.eye(n)).sum(axis=0).max())
+        raise Unresolved("exp(-i t m)", f"|t| = {abs(t):.3e} times ||m - mu||_1 = {norm:.3e} "
+                         "needs a scale 2^s with s >= 1024, past the float range")
+    theta = math.ldexp(theta, -s)
     b = a / (2.0**s)
     f = np.eye(n, dtype=complex) + b
     term, bound, k = b, theta, 1
@@ -71,8 +74,8 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
         if k == max_terms:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(term == 0, 0.0, abs(term) / abs(f))
-            raise TaylorConvergenceError(
-                f"Taylor series of exp(-i t m) did not converge in {k} terms: "
+            raise Unresolved(
+                "exp(-i t m)", f"its Taylor series did not converge in {k} terms: "
                 f"worst entry ratio |term| / |sum| = {ratio.max():.3e} > {_TAYLOR_RTOL:.0e}"
             )
         k += 1
@@ -104,12 +107,13 @@ def dd_phase(nodes, t) -> complex:
     # then the largest product of distances.  Sorted, a run of close nodes gives
     # entries far above the corner, and the squarings' error is relative to them.
     order, equal, logdist = [int(np.argmax(np.abs(nodes)))], np.zeros(n), np.zeros(n)
-    for _ in range(n - 1):
-        dist = np.abs(nodes - nodes[order[-1]])
-        equal += dist == 0
-        logdist += np.log(np.where(dist == 0, 1.0, dist))
-        equal[order[-1]] = np.inf
-        order.append(int(np.lexsort((-logdist, equal))[0]))
+    with np.errstate(over="ignore"):  # a spread past the float range fails in _phase_exp
+        for _ in range(n - 1):
+            dist = np.abs(nodes - nodes[order[-1]])
+            equal += dist == 0
+            logdist += np.log(np.where(dist == 0, 1.0, dist))
+            equal[order[-1]] = np.inf
+            order.append(int(np.lexsort((-logdist, equal))[0]))
     j = np.diag(nodes[order])
     j.flat[1 :: n + 1] = 1.0
     return complex(_phase_exp(j, t)[0, -1])

@@ -15,21 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SpectralModel, hamiltonian
+from .model import OperatorMatrix, SpectralModel, Unresolved, hamiltonian
 from .oracle import gauss_legendre, linear_solve
-from .propagator import (
-    OperatorMatrix,
-    TruncationSpec,
-    normalize_sign,
-    truncated_evolution,
-)
+from .propagator import TruncationSpec, normalize_sign, truncated_evolution
 
 _RESIDUAL_TOL = 1e-10
 _DAMPING_TOL = 1e-8
-
-
-class QuadratureDomainError(ValueError):
-    """Quadrature domain too short or too coarse for the requested check."""
 
 
 @dataclass(frozen=True)
@@ -153,13 +144,11 @@ def inverse_fourier_check(
     sgn = normalize_sign(sign)
     a, b = quad.domain
     if a != 0 or b <= 0:
-        raise QuadratureDomainError("quadrature domain must be (0, T)")
+        raise ValueError("quadrature domain must be (0, T)")
     # in the exponent, so no eps overflows exp and a NaN fails the test too
     if not eps * b >= -np.log(_DAMPING_TOL):
-        raise QuadratureDomainError(
-            f"the damping exp(-eps*T) does not fall to {_DAMPING_TOL}: "
-            f"eps*T = {eps * b:.3g} at eps = {eps}, T = {b}"
-        )
+        raise Unresolved("inverse Fourier check", f"the damping exp(-eps*T) does not fall to "
+                         f"{_DAMPING_TOL}: eps*T = {eps * b:.3g} at eps = {eps}, T = {b}")
     d = model.dim
     total = np.zeros((d, d), dtype=complex)
     for tau, w in zip(quad.nodes, quad.weights):
@@ -201,9 +190,8 @@ def forward_fourier(
     e_min, e_max = float(np.min(model.energies)), float(np.max(model.energies))
     w_width = min(e_min - lo, hi - e_max)
     if w_width < 50 * eps:
-        raise QuadratureDomainError(
-            f"energy window extends only {w_width:.3g} beyond the spectrum; need >= {50 * eps:.3g}"
-        )
+        raise Unresolved("forward Fourier transform", f"energy window extends only "
+                         f"{w_width:.3g} beyond the spectrum; need >= {50 * eps:.3g}")
     d = model.dim
     e0 = float(np.mean(model.energies))
     h = hamiltonian(model)

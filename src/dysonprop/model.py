@@ -3,13 +3,15 @@
 A model carries the eigenvalues of the solvable part of the Hamiltonian
 (the working basis is its eigenbasis, i.e. the standard basis) together
 with the matrix elements of the perturbation in that basis.  Every other
-module consumes these two ingredients and nothing else.
+module consumes these two ingredients and nothing else.  The operator
+matrix every route returns and the errors every route raises live here too,
+so the oracles import nothing from the code they check.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +28,30 @@ class ModelParseError(ModelError):
 
 class ModelValidationError(ModelError):
     """Structurally valid file describing an invalid model."""
+
+
+class Unresolved(ValueError):
+    """Valid inputs that put a route outside what it can compute: a
+    divergent iteration, an unrepresentable scale, a resolution limit."""
+
+    def __init__(self, what: str, reason: str):
+        super().__init__(f"{what} cannot be resolved: {reason}")
+
+
+@dataclass
+class OperatorMatrix:
+    """Dense complex matrix, plus what its routine measured on the way
+    (``rho`` of ``dyson_partial``, ``residual`` of the direct solve)."""
+
+    entries: np.ndarray
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.entries = np.asarray(self.entries, dtype=complex)
+        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
+            raise ValueError("operator matrices must be square")
+        if not np.isfinite(self.entries).all():
+            raise ValueError("operator entries must be finite")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
-from .model import SpectralModel, hamiltonian
-from .propagator import OperatorMatrix
+from .model import OperatorMatrix, SpectralModel, Unresolved, hamiltonian
 
 JACOBI_SWEEP_BUDGET = 30
 _JACOBI_OFF_TOL = 1e-14
@@ -27,10 +26,6 @@ _NEWTON_BUDGET = 10
 
 
 class NotHermitianError(ValueError):
-    pass
-
-
-class ConvergenceError(RuntimeError):
     pass
 
 
@@ -84,9 +79,8 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
         if off <= thresh:
             break
         if sweep == JACOBI_SWEEP_BUDGET:
-            raise ConvergenceError(
-                f"Jacobi sweeps exhausted (off-diagonal {off:.3e} > {thresh:.3e})"
-            )
+            raise Unresolved("Jacobi eigendecomposition",
+                             f"sweeps exhausted (off-diagonal {off:.3e} > {thresh:.3e})")
         for p, q, pos in zip(*_round_robin(n)):
             apq = work.reshape(-1)[pos[1]]
             mag = np.abs(apq)
@@ -159,8 +153,8 @@ def gauss_legendre(n: int):
         if np.max(np.abs(step)) <= tol:
             break
     else:
-        raise ConvergenceError(
-            f"Gauss-Legendre Newton iteration did not converge for n = {n} "
+        raise Unresolved(
+            "Gauss-Legendre rule", f"Newton iteration did not converge for n = {n} "
             f"(last step {np.max(np.abs(step)):.3e} > {tol:.3e})")
     _, dp = _legendre(n, x)
     w = 2 / ((1 - x * x) * dp * dp)
@@ -191,8 +185,8 @@ def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
     # compared as a float, so a huge |t| is refused before any int conversion
     need = np.maximum(npoints, np.ceil(half_phase) + 24)
     if need > _MAX_NODES:
-        raise ConvergenceError(
-            f"series term cannot be resolved: it needs {need:.3e} nodes (|t|*dE = "
+        raise Unresolved(
+            "series term", f"it needs {need:.3e} nodes (|t|*dE = "
             f"{2.0 * half_phase:.3e}, npoints {npoints}), above the maximum {_MAX_NODES}")
     n = int(need)
     x, table = _spectral_tables(n)
@@ -220,7 +214,7 @@ def dyson_term_quadrature(
     Legendre spectral integration matrix (Greengard, SIAM J. Numer. Anal. 28
     (1991) 1071): O(l (n^2 d^2 + n d^3)) for any order l >= 0.  The integrands
     oscillate up to the level spread dE, so n = max(npoints, ceil(|t| dE / 2) +
-    24); n above _MAX_NODES raises ConvergenceError, not unresolved terms.
+    24); n above _MAX_NODES raises Unresolved, not inaccurate terms.
     """
     *_, term = _dyson_terms(model, l, t, npoints)
     return term

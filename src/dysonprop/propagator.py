@@ -23,28 +23,12 @@ divided-difference route as epsilon -> 0 and is meant to be extrapolated
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .divdiff import _phase_exp, dd_phase
-from .model import SpectralModel
-
-
-@dataclass
-class OperatorMatrix:
-    """Dense complex matrix, plus what its routine measured on the way
-    (``rho`` of ``dyson_partial``, ``residual`` of the direct solve)."""
-
-    entries: np.ndarray
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError("operator matrices must be square")
-        if not np.isfinite(self.entries).all():
-            raise ValueError("operator entries must be finite")
+from .model import OperatorMatrix, SpectralModel
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ import pytest
 
 from dysonprop import amplitude
 from dysonprop.amplitude import (
-    AmplitudeError,
     LatticeSpec,
     build_lattice,
     c_kernel_matrix,
@@ -28,11 +27,11 @@ def well_spec(lam, m=6, h=0.5):
 
 
 def test_spec_validation():
-    with pytest.raises(AmplitudeError):
+    with pytest.raises(ModelValidationError):
         LatticeSpec(M=1, h=0.5, mass=1.0, v0=np.zeros(1), v1=np.zeros(1))
-    with pytest.raises(AmplitudeError):
+    with pytest.raises(ModelValidationError):
         LatticeSpec(M=4, h=-0.5, mass=1.0, v0=np.zeros(4), v1=np.zeros(4))
-    with pytest.raises(AmplitudeError):
+    with pytest.raises(ModelValidationError):
         LatticeSpec(M=4, h=0.5, mass=1.0, v0=np.zeros(3), v1=np.zeros(4))
 
 
@@ -75,7 +74,7 @@ def test_load_lattice_ignores_origin_and_keeps_dirichlet_walls():
     want = fields(json.dumps(plain))
     assert fields(_lattice_text(x0=-1.0)) == want
     assert fields(_lattice_text(bc="dirichlet")) == want
-    with pytest.raises(AmplitudeError, match="unsupported boundary condition 'periodic'"):
+    with pytest.raises(ModelValidationError, match="unsupported boundary condition 'periodic'"):
         load_lattice(_lattice_text(bc="periodic"))
 
 
@@ -241,15 +240,15 @@ def test_c_kernel_matches_tuple_sum():
 
 def test_c_kernel_rejects_bad_eps():
     sys_ = build_lattice(well_spec(0.2))
-    with pytest.raises(AmplitudeError):
+    with pytest.raises(ValueError):
         c_kernel_matrix(sys_, TruncationSpec(1), 0.0, 0, 0)
 
 
 def test_time_ordering_guards():
     sys_ = build_lattice(well_spec(0.2))
-    with pytest.raises(AmplitudeError):
+    with pytest.raises(ValueError):
         k0_amplitude(sys_, 0, 0.0, 1, 1.0)
-    with pytest.raises(AmplitudeError):
+    with pytest.raises(ValueError):
         k_truncated_direct(sys_, TruncationSpec(1), 0, 1.0, 1, 1.0)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import dysonprop
 from dysonprop import amplitude as amp
-from dysonprop import divdiff, green, oracle
+from dysonprop import cli, divdiff, green, oracle
 from dysonprop.cli import (
     _DISPATCH,
     Report,
@@ -324,6 +324,29 @@ def test_taylor_term_cap_exits_2(monkeypatch, capsys):
     assert "did not converge in 3 terms: worst entry ratio" in capsys.readouterr().err
 
 
+#: inputs that put a route outside what it can compute, one per refusal path
+_REFUSALS = {
+    "halving-ratio-at-roundoff": ["converge", "--lambda", "1e-300"],
+    "relation-ratio-at-roundoff": ["amplitude", "--lambda", "1e-4"],
+    "series-oracle-node-cap": ["propagate", "--t", "1e5"],
+    "inverse-damping": ["green-ft", "--quad-domain", "10"],
+    "forward-window": ["green-ft", "--window", "1"],
+    "phase-scale-overflow": ["converge", "--t", "1e308"],
+    "taylor-term-cap": ["selftest"],
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_every_refusal_path_gives_one_verdict(case, monkeypatch, capsys, tmp_path):
+    if case == "taylor-term-cap":
+        monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
+    out = tmp_path / "r.json"
+    assert main([*_REFUSALS[case], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot be resolved: " in err
+    assert "[PASS]" not in err and "[FAIL]" not in err and not out.exists()
+
+
 def test_package_runs_as_module(tmp_path):
     # python -m dysonprop from a source checkout, without installing
     out = tmp_path / "m.json"
@@ -378,6 +401,16 @@ def test_propagate_checks_every_order_it_reports(tmp_path):
                        if item["name"] == "resolvent_form_extrapolated"][0]
                for order, rep in reports.items()}
     assert eps_dev[4] != eps_dev[2]
+
+
+def test_propagate_sums_the_terms_it_already_computed(monkeypatch, tmp_path):
+    # the resolvent form is compared with the sum of the rows' a_matrix terms;
+    # truncated_evolution would compute every one of them again
+    def unreachable(*args, **kwargs):
+        raise AssertionError("propagate called truncated_evolution")
+
+    monkeypatch.setattr(cli, "truncated_evolution", unreachable)
+    assert main(["propagate", "--order", "4", "--out", str(tmp_path / "p.json")]) == 0
 
 
 def test_propagate_oracle_rows_match_per_order_calls():

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from dysonprop import divdiff
 from dysonprop.divdiff import (
     SingularNodesError,
-    TaylorConvergenceError,
     _phase_exp,
     dd_phase,
     denominator_d,
     identity_suite,
 )
-from dysonprop.model import random_model
+from dysonprop.model import Unresolved, random_model
 
 
 def mp_dd_phase(nodes, t, prec=60):
@@ -260,6 +259,8 @@ _STOP_RULE_MATRICES = {
     # bound's k (paired nodes) to 10 terms after it (spaced nodes)
     **{f"spaced-n{n}": _node_bidiagonal([0.11 * k for k in range(n)]) for n in range(2, 13)},
     **{f"paired-n{n}": _node_bidiagonal([0.11 * (k // 2) for k in range(n)]) for n in range(2, 13)},
+    # ||m - mu||_1 = 1: at t = 0.5, 1 and 2 theta sits on the boundary of a scale 2^s
+    "unit-norm": np.array([[0.3125, 0.6875], [0.6875, -0.3125]]),
 }
 _STOP_RULE_TIMES = [s * t for t in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0)
                     for s in (1, -1)]
@@ -276,8 +277,18 @@ def test_phase_exp_bitwise_equals_every_term_stop_test(name):
 
 def test_phase_exp_raises_at_the_term_cap(monkeypatch):
     monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
-    with pytest.raises(TaylorConvergenceError, match=r"in 3 terms: worst entry ratio .* > 1e-18"):
+    with pytest.raises(Unresolved, match=r"in 3 terms: worst entry ratio .* > 1e-18"):
         dd_phase([0.0, 0.11, 0.22], 1.0)
+
+
+@pytest.mark.parametrize("nodes, t", [([1e300, -1e300], 1e300), ([1.0, 2.0], 1e308),
+                                      ([1e308, -1e308], 1.0)])
+def test_phase_exp_refuses_an_unrepresentable_scale(nodes, t):
+    # theta = |t| * ||J - mu||_1 is infinite, or finite but past 2^1023 so that
+    # the scale 2^s overflows: a halving loop never ended on the first
+    with pytest.raises(Unresolved, match=r"^exp\(-i t m\) cannot be resolved: \|t\| = \S+ "
+                                         r"times \|\|m - mu\|\|_1 = \S+ needs a scale 2\^s"):
+        dd_phase(nodes, t)
 
 
 def _spread_nodes(kind, n, seed):

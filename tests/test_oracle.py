@@ -1,5 +1,7 @@
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,9 +12,8 @@ from numpy.polynomial.legendre import leggauss, legint, legvander
 
 from dysonprop import oracle
 from dysonprop.green import QuadratureSpec
-from dysonprop.model import SpectralModel, hamiltonian, random_model, two_level_model
+from dysonprop.model import SpectralModel, Unresolved, hamiltonian, random_model, two_level_model
 from dysonprop.oracle import (
-    ConvergenceError,
     NotHermitianError,
     SingularMatrixError,
     dyson_term_quadrature,
@@ -76,10 +77,23 @@ def test_round_robin_sweep_visits_every_pair_once_in_disjoint_rounds(n):
     assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
 
+def test_oracle_imports_nothing_it_checks():
+    # the oracles stay independent: of the package, oracle.py reads only the model
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert relative == {"model"}
+    assert not {name for name in absolute if name.split(".")[0] == "dysonprop"}
+
+
 def test_sweep_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(oracle, "JACOBI_SWEEP_BUDGET", 1)
-    with pytest.raises(ConvergenceError,
-                       match=r"^Jacobi sweeps exhausted \(off-diagonal \S+ > \S+\)$"):
+    with pytest.raises(Unresolved, match=r"^Jacobi eigendecomposition cannot be resolved: "
+                                         r"sweeps exhausted \(off-diagonal \S+ > \S+\)$"):
         hermitian_eigendecomposition(random_hermitian(10, 4))
 
 
@@ -184,7 +198,7 @@ def test_quadrature_matches_series_terms(d, seed, l, half_phase, sign):
 def test_quadrature_refuses_unresolvable_time():
     # |t| * dE / 2 = 1000 would need more than the largest node count
     m = two_level_model(1.0, 0.3)
-    with pytest.raises(ConvergenceError, match=r"\|t\|\*dE"):
+    with pytest.raises(Unresolved, match=r"\|t\|\*dE"):
         dyson_term_quadrature(m, 1, 2000.0)
 
 
@@ -192,7 +206,7 @@ def test_quadrature_refuses_unresolvable_time():
 def test_quadrature_refuses_overflowing_time(t):
     # the node count is compared as a float before any int conversion, and
     # printed in exponent form (or as inf), not as a 300-digit integer
-    with pytest.raises(ConvergenceError,
+    with pytest.raises(Unresolved,
                        match=r"cannot be resolved: it needs (inf|\d\.\d{3}e\+\d+) nodes"):
         dyson_term_quadrature(random_model(4, 7, 0.2), 1, t)
 
@@ -351,7 +365,7 @@ def test_gauss_legendre_rejects_empty_rule():
 def test_gauss_legendre_newton_cap(monkeypatch):
     # one step from Tricomi's guesses leaves n = 64 short of convergence
     monkeypatch.setattr(oracle, "_NEWTON_BUDGET", 1)
-    with pytest.raises(ConvergenceError, match="did not converge for n = 64"):
+    with pytest.raises(Unresolved, match="did not converge for n = 64"):
         gauss_legendre(64)
 
 
