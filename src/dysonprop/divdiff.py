@@ -31,6 +31,7 @@ class SingularNodesError(ValueError):
     """Raised by the raw denominator form when nodes coincide."""
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t m) for a square matrix m.
 
@@ -49,16 +50,16 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     matrices such as the bidiagonal J of few nodes), and those extra terms
     lie below the last bit of the sum.  Raises Unresolved after
     _TAYLOR_MAX_TERMS + max(0, n - 48) terms (an n-node J's corner starts at
-    k = n - 1), and when theta is not finite or needs a scale 2^s, s >= 1024.
+    k = n - 1), when theta is not finite or needs a scale 2^s, s >= 1024, and
+    when the squarings overflow, which one finiteness test sees silently.
     """
     n = m.shape[0]
     max_terms = _TAYLOR_MAX_TERMS + max(0, n - 48)
     mu = m.trace() / n
     a = m.astype(complex)
     a.flat[:: n + 1] -= mu
-    with np.errstate(over="ignore", invalid="ignore"):
-        a *= -1j * t
-        theta = float(np.abs(a).sum(axis=0).max())
+    a *= -1j * t
+    theta = float(np.abs(a).sum(axis=0).max())
     # the least s >= 0 with theta / 2^s <= 0.5
     mant, e = math.frexp(theta)
     s = 0 if theta <= 0.5 else e if mant == 0.5 else e + 1
@@ -85,6 +86,8 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
         bound *= theta / k
     for _ in range(s):
         f = f.dot(f)
+    if not np.isfinite(f).all():
+        raise Unresolved("exp(-i t m)", f"|t| = {abs(t):.3e} squares past the float range")
     f *= np.exp(-1j * mu * t)
     return f
 

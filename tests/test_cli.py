@@ -91,7 +91,7 @@ PARSED_DEFAULTS = {
                     "format": "json", "out": None},
     "green-ft": {"command": "green-ft", "model": None, "E": 0.37, "t": 1.5, "order": 2,
                  "eps": 0.1, "quad_points": 2000, "quad_domain": 200.0, "window": 40.0,
-                 "fwd_points": 2000, "tol": 1e-05, "causal_tol": 0.001,
+                 "fwd_points": 2000, "tol": 1e-05, "causal_tol": 1e-08,
                  "format": "json", "out": None},
     "amplitude": {"command": "amplitude", "lattice": None, "t": 1.0, "order": 2,
                   "lam": 0.1, "ratio_tol": 0.3, "tol": 0.001, "free_tol": 1e-12,
@@ -331,6 +331,7 @@ _REFUSALS = {
     "series-oracle-node-cap": ["propagate", "--t", "1e5"],
     "inverse-damping": ["green-ft", "--quad-domain", "10"],
     "forward-window": ["green-ft", "--window", "1"],
+    "phase-squarings-overflow": ["green-ft", "--quad-domain", "1e300"],
     "phase-scale-overflow": ["converge", "--t", "1e308"],
     "taylor-term-cap": ["selftest"],
 }
@@ -505,6 +506,44 @@ def test_green_ft_refuses_zero_time(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert "--t 0 cannot be checked" in err and "jump of the step function" in err
         assert "[FAIL]" not in err and "[PASS]" not in err
+
+
+def test_green_ft_checks_the_causal_transform_itself(monkeypatch, tmp_path, capsys):
+    # forward weights off by 1e-6 leave the acausal side near 0, so only the
+    # causal_transform item, held to --causal-tol, can catch them.  The same
+    # weights integrate the subtracted terms, so the fault scales the
+    # remainder's integral only: at t = 10 that is most of the value.
+    rule = green._panel_rule
+
+    def scaled(*args):
+        x, w = rule(*args)
+        return x, w * (1 + 1e-6)
+
+    monkeypatch.setattr(green, "_panel_rule", scaled)
+    out = tmp_path / "g.json"
+    assert main([*GOLDEN_REPORTS["green-ft_fourier.json"], "--t", "10", "--out", str(out)]) == 1
+    verdicts = {s["name"]: s["passed"] for s in json.loads(out.read_text())["summary"]}
+    assert verdicts == {"inverse_transform": True, "causal_transform": False, "causality": True}
+    assert "[FAIL] causal_transform" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["30", "60"])
+def test_green_ft_resolves_long_times(t, tmp_path):
+    # the single-pole rule on one 2000-point Gauss interval failed here
+    # (1.9e-3 at t = 30, 3.9e-2 at t = 60)
+    out = tmp_path / "g.json"
+    assert main(["green-ft", "--t", t, "--out", str(out)]) == 0
+    summary = {s["name"]: s["value"] for s in json.loads(out.read_text())["summary"]}
+    assert summary["causal_transform"] <= 1e-10 and summary["causality"] <= 1e-10
+
+
+def test_green_ft_unrepresentable_domain_warns_nothing(tmp_path):
+    src = Path(dysonprop.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "dysonprop", "green-ft", "--quad-domain", "1e300"],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "cannot be resolved" in done.stderr and "RuntimeWarning" not in done.stderr
 
 
 def test_green_ft_shares_each_forward_solve_across_both_times(monkeypatch, tmp_path):

@@ -291,6 +291,15 @@ def test_phase_exp_refuses_an_unrepresentable_scale(nodes, t):
         dd_phase(nodes, t)
 
 
+def test_phase_exp_refuses_squarings_past_the_float_range():
+    # the scale 2^s is representable, but the corner (-it)^2 / 2 of a triple
+    # confluent node is 5e599: overflowing squarings end in Unresolved, and
+    # (RuntimeWarnings being errors here) without a warning
+    with pytest.raises(Unresolved, match=r"^exp\(-i t m\) cannot be resolved: \|t\| = 1\.000e\+300 "
+                                         r"squares past the float range"):
+        dd_phase([0.0, 0.0, 0.0], 1e300)
+
+
 def _spread_nodes(kind, n, seed):
     """n sorted nodes spread over exactly [-3, 3]: uniform random, repeated
     pairs or repeated triples."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dysonprop import green
+from dysonprop import green, oracle
 from dysonprop.green import (
     QuadratureSpec,
     ResolventQuery,
@@ -12,7 +12,14 @@ from dysonprop.green import (
     timedep_green,
     unperturbed_resolvent,
 )
-from dysonprop.model import Unresolved, hamiltonian, random_model, scale_coupling, two_level_model
+from dysonprop.model import (
+    SpectralModel,
+    Unresolved,
+    hamiltonian,
+    random_model,
+    scale_coupling,
+    two_level_model,
+)
 from dysonprop.oracle import exact_evolution, gauss_legendre, linear_solve
 from dysonprop.propagator import OperatorMatrix, TruncationSpec, truncated_evolution
 
@@ -131,16 +138,87 @@ def test_forward_fourier_causality():
     m = two_level_model(1.0, 0.3)
     quad = QuadratureSpec((-40.0, 41.0), 2000)
     acausal = forward_fourier(m, quad, -1.5, 0.0, "+", 0.1)
-    assert np.max(np.abs(acausal.entries)) <= 1e-3
+    assert np.max(np.abs(acausal.entries)) <= 1e-10
 
 
 def test_forward_fourier_reproduces_damped_evolution():
     m = two_level_model(1.0, 0.3)
     quad = QuadratureSpec((-40.0, 41.0), 2000)
-    tau = 1.5
-    g = forward_fourier(m, quad, tau, 0.0, "+", 0.1)
-    want = -1j * exact_evolution(m, tau).entries * np.exp(-0.1 * tau)
-    assert np.max(np.abs(g.entries - want)) <= 1e-3
+    for tau, g in zip((1.5, 10.0), forward_fourier(m, quad, (1.5, 10.0), 0.0, "+", 0.1)):
+        want = -1j * exact_evolution(m, tau).entries * np.exp(-0.1 * tau)
+        assert np.max(np.abs(g.entries - want)) <= 1e-10, tau
+
+
+def _compressed_model(d, seed):
+    """random_model(d, seed, 0.3) with its levels halved, as the benchmark's
+    ``resolvent`` workload halves them."""
+    m = random_model(d, seed, 0.3)
+    return SpectralModel(m.energies * 0.5, m.h1)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("npoints, eps", [(800, 0.3), (2000, 0.1)])
+@pytest.mark.parametrize("d", [2, 6, 24])
+def test_forward_fourier_to_1e_10(d, npoints, eps, sign):
+    # d = 24 at t = 6 is where one pole with coarse outer panels stalled near 1e-8
+    m = _compressed_model(d, 40 + d)
+    quad = QuadratureSpec((m.energies.min() - 40.0, m.energies.max() + 40.0), npoints)
+    sgn = 1 if sign == "+" else -1
+    times = (-6.0, -1.5, 1.5, 6.0)
+    for t, g in zip(times, forward_fourier(m, quad, times, 0.0, sign, eps)):
+        want = (-1j * sgn * exact_evolution(m, t).entries * np.exp(-eps * abs(t))
+                if sgn * t > 0 else np.zeros((d, d)))
+        assert np.max(np.abs(g.entries - want)) <= 1e-10, (t, sign)
+
+
+@pytest.mark.parametrize("n", [2, 30, 70, 800, 2000])
+def test_forward_rule_has_npoints_nodes_inside_the_domain(n, monkeypatch):
+    rules, rule = [], green._panel_rule
+
+    def recording(*args):
+        rules.append(rule(*args))
+        return rules[-1]
+
+    monkeypatch.setattr(green, "_panel_rule", recording)
+    forward_fourier(two_level_model(1.0, 0.3), QuadratureSpec((-40.0, 41.0), n), 1.5, 0.0,
+                    "+", 0.1)
+    # a spectrum bound wider than the domain is clipped to it
+    rules.append(rule((-1.0, 2.0), n, -5.0, 0.5, 0.01))
+    for (x, w), (lo, hi) in zip(rules, [(-40.0, 41.0), (-1.0, 2.0)]):
+        assert len(x) == len(w) == n
+        assert np.all(np.diff(x) > 0) and lo < x[0] and x[-1] < hi
+        assert np.all(w > 0)
+        assert abs(w.sum() - (hi - lo)) <= 1e-13 * (hi - lo)
+
+
+def test_forward_rule_panels_are_eps_wide_over_the_spectrum_bound():
+    # CLI defaults: bound [-0.3, 1.3], eps 0.1, window (-40, 41).  The 125
+    # panels split as 16 eps-units inside to 2 ln(1 + 39.7 / 0.1) = 12 outside:
+    # 71 panels of 0.023 on the bound
+    x, _ = green._panel_rule((-40.0, 41.0), 2000, -0.3, 1.3, 0.1)
+    inside = x[(x > -0.3) & (x < 1.3)]
+    assert len(inside) >= 70 * 16
+    assert np.diff(inside).max() < 0.1 / 10
+
+
+def test_forward_fourier_never_reads_the_spec_rule_or_an_eigensolver(monkeypatch):
+    sizes = []
+
+    def counting(n):
+        sizes.append(n)
+        return gauss_legendre(n)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("forward_fourier reached an eigensolver")
+
+    monkeypatch.setattr(green, "gauss_legendre", counting)
+    monkeypatch.setattr(oracle, "hermitian_eigendecomposition", unreachable)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, unreachable)
+    quad = QuadratureSpec((-40.0, 41.0), 2000)
+    forward_fourier(random_model(4, 2, 0.2), quad, (-1.5, 1.5), 0.0, "+", 0.1)
+    assert sizes and max(sizes) <= 17  # panel tables only, not the 2000-point rule
+    assert "_rule" not in vars(quad)
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -192,8 +270,10 @@ def test_quadrature_spec_computes_its_rule_once(monkeypatch):
 
     monkeypatch.setattr(green, "gauss_legendre", counting)
     spec = QuadratureSpec((-1.0, 3.0), 40)
+    assert calls == []  # computed when first read
     x, w = spec.nodes, spec.weights
     assert calls == [40]
+    assert np.array_equal(x, 1.0 + 2.0 * gauss_legendre(40)[0])
     assert not x.flags.writeable and not w.flags.writeable
     # the rule follows from the fields: it is not part of eq, hash or repr
     assert spec == QuadratureSpec((-1.0, 3.0), 40)
