@@ -404,7 +404,7 @@ def cmd_selftest(opts) -> Report:
     for identical seeds."""
     rows, checks = [], []
 
-    # divided differences: clustered nodes vs the partial-fraction limit
+    # divided differences: a repeated node vs the confluent closed form
     nodes = np.array([1.0, 1.0, 2.0])
     val = divdiff.dd_phase(nodes, 1.0)
     # confluent closed form: f[a,a,b] = (f(b) - f(a) - (b-a) f'(a)) / (b-a)^2

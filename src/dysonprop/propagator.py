@@ -5,12 +5,12 @@ The order-l term of the interaction series of e^{-iHt}, H = H0 + H1, is
     a_l(g, g') = sum over g_1 = g, g_2, ..., g_{l+1} = g' of
                  f[E_{g_1}, ..., E_{g_{l+1}}] * H1[g_1, g_2] * ... * H1[g_l, g_{l+1}]
 
-with f[...] the divided difference of f(E) = e^{-iEt}.  ``a_matrix`` sums
-all of these index tuples at once: for the (l+1)d x (l+1)d block upper
-bidiagonal matrix M with H0 on its diagonal blocks and H1 on the blocks
-above them, a_l is block (0, l) of e^{-iMt} (Van Loan, IEEE TAC 23 (1978)
-395; the matrix form of the corner-entry theorem behind
-``divdiff.dd_phase``).  ``a_coefficient`` keeps the tuple sum itself as
+with f[...] the divided difference of f(E) = e^{-iEt}.  For l >= 2
+``a_matrix`` sums all of these tuples at once: for the (l+1)d x (l+1)d block
+upper bidiagonal matrix M with H0 on its diagonal blocks and H1 above them,
+a_l is block (0, l) of e^{-iMt} (Van Loan, IEEE TAC 23 (1978) 395; the matrix
+form of the corner-entry theorem behind ``divdiff.dd_phase``); a_1 takes the
+two-node f[...] in closed form.  ``a_coefficient`` keeps the tuple sum as
 the reference for that route.  The l-truncated partial sum approximates
 e^{-iHt} with error O(lambda^{N+1}) in the coupling.
 
@@ -84,7 +84,11 @@ def a_coefficient(model: SpectralModel, l: int, g: int, gp: int, t: float) -> co
 def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     """Order-l series term as a matrix in the unperturbed eigenbasis.
 
-    Block (0, l) of e^{-iMt} for the (l+1)d x (l+1)d block matrix
+    a_0 = diag(e^{-iEt}).  a_1 = H1 * F entrywise, F[a, b] = f[E_a, E_b] =
+    -it e^{-i(E_a+E_b)t/2} sin(delta)/delta with delta = (E_a - E_b)t/2: the
+    2 x 2 case of the exponential below in closed form, with no difference of
+    phases to cancel where levels coincide.  For l >= 2, block (0, l) of
+    e^{-iMt} for the (l+1)d x (l+1)d block matrix
 
         M = | H0  H1          |
             |     H0  ...     |
@@ -102,6 +106,10 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     e = model.energies
     if l == 0:
         return OperatorMatrix(np.diag(np.exp(-1j * e * t)))
+    if l == 1:
+        half = 0.5 * t
+        phase = -1j * t * np.exp(-1j * half * (e[:, None] + e))
+        return OperatorMatrix(model.h1 * phase * np.sinc(half / np.pi * (e[:, None] - e)))
     n = (l + 1) * d
     m = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(m, e)  # repeats e down all l + 1 blocks

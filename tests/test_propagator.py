@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dysonprop import propagator
 from dysonprop.cli import _EPS_LADDER
+from dysonprop.divdiff import _phase_exp
 from dysonprop.model import SpectralModel, random_model, scale_coupling, two_level_model
 from dysonprop.oracle import dyson_term_quadrature, exact_evolution
 from dysonprop.propagator import (
@@ -122,12 +124,27 @@ def mp_a_matrix(model, l, t):
 A_MATRIX_C = 32
 
 
+def _block_matrix(m, l):
+    # the (l+1)d block upper bidiagonal matrix of a_matrix, and its 1-norm
+    d = m.dim
+    block = np.zeros(((l + 1) * d,) * 2, dtype=complex)
+    np.fill_diagonal(block, m.energies)
+    for k in range(l):
+        block[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = m.h1
+    return block, float(np.abs(block).sum(axis=0).max())
+
+
 @given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=10**6),
        st.integers(min_value=0, max_value=4), st.floats(min_value=0.01, max_value=488.0),
        st.sampled_from([1.0, -1.0]), st.floats(min_value=0.01, max_value=1.0),
        st.sampled_from(["random", "confluent"]))
 # the series oracle's cap: |t| dE = 976 is its 512-node limit
 @example(4, 3, 4, 488.0, -1.0, 1.0, "confluent")
+# close levels that make |t| large, t = 626 and t = 1590 exactly: l = 1 is off
+# by 4.0e-14 and 7.1e-14 there, the rounding of the phases, which the
+# quadrature oracle shows as well
+@example(2, 31, 1, 35.77413131323159, 1.0, 0.5, "random")
+@example(2, 25, 1, 39.985664562900524, 1.0, 0.5, "random")
 @settings(max_examples=40, deadline=None)
 def test_a_matrix_against_mpmath(d, seed, l, half_phase, sign, lam, kind):
     # half_phase is |t| dE / 2, dE the level spread; a confluent model has
@@ -139,14 +156,42 @@ def test_a_matrix_against_mpmath(d, seed, l, half_phase, sign, lam, kind):
         e[1] = e[0]
         m = SpectralModel(e, m.h1)
     t = sign * 2.0 * half_phase / float(np.ptp(m.energies))
-    block = np.zeros(((l + 1) * d,) * 2, dtype=complex)
-    np.fill_diagonal(block, m.energies)
-    for k in range(l):
-        block[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = m.h1
-    norm = float(np.abs(block).sum(axis=0).max())
+    _, norm = _block_matrix(m, l)
     want = mp_a_matrix(m, l, t)
     err = np.max(np.abs(a_matrix(m, l, t).entries - want)) / np.max(np.abs(want))
     assert err <= A_MATRIX_C * max(1.0, abs(t) * norm) * np.finfo(float).eps / 2
+
+
+def _no_exponential(*args):
+    raise AssertionError("a_matrix at l = 1 takes no block exponential")
+
+
+@pytest.mark.parametrize("levels", ["degenerate", "split", "random"])
+@pytest.mark.parametrize("phase", [1.3, 100.0, 976.0])
+def test_first_order_term_in_closed_form(levels, phase, monkeypatch):
+    # a_1 = H1 * f[E_a, E_b] against block (0, 1) of the 2d x 2d exponential
+    # it replaced, for levels in coincident pairs, pairs split by 1e-12 and
+    # random levels, at |t| dE up to 976; the diagonal always has coincident
+    # levels, and a 0/0 there would raise (RuntimeWarning is an error here)
+    m = random_model(4, 40, lam=0.5)
+    e = m.energies.copy()
+    if levels != "random":
+        e[1], e[3] = e[0], e[2]
+        if levels == "split":
+            e[1] += 1e-12
+            e[3] -= 1e-12
+    m = SpectralModel(e, m.h1)
+    block, norm = _block_matrix(m, 1)
+    t = phase / float(np.ptp(e))
+    monkeypatch.setattr(propagator, "_phase_exp", _no_exponential)
+    for tt in (t, -t):
+        got = a_matrix(m, 1, tt).entries
+        want = _phase_exp(block, tt)[:4, 4:]
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= A_MATRIX_C * max(1.0, abs(tt) * norm) * np.finfo(float).eps / 2
+    # time reversal holds bit for bit, and the term vanishes at t = 0
+    assert np.array_equal(a_matrix(m, 1, -t).entries, a_matrix(m, 1, t).entries.conj().T)
+    assert not a_matrix(m, 1, 0.0).entries.any()
 
 
 def _compressed_model(dim, seed, lam):
