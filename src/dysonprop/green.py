@@ -78,19 +78,21 @@ def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMa
 
 def complete_resolvent_direct(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:
     """Resolvent of the full Hamiltonian by a dense direct solve."""
-    return _resolvent_solve(q.z, hamiltonian(model), np.eye(model.dim, dtype=complex))
+    x, residual = _resolvent_solve(q.z, hamiltonian(model), np.eye(model.dim, dtype=complex))
+    return OperatorMatrix(x, {"residual": residual})
 
 
-def _resolvent_solve(z: complex, h: np.ndarray, eye: np.ndarray) -> OperatorMatrix:
-    """(z - h)^{-1} by the oracle solve against ``eye``, the identity of h's
-    size; raises LinAlgError when the residual exceeds _RESIDUAL_TOL."""
+def _resolvent_solve(z: complex, h: np.ndarray, eye: np.ndarray):
+    """(z - h)^{-1} as a bare array, by the oracle solve against ``eye``, the
+    identity of h's size, and its residual; raises LinAlgError when the
+    residual exceeds _RESIDUAL_TOL or is NaN."""
     a = z * eye - h
     x = linear_solve(a, eye)
     residual = float(np.abs(a @ x - eye).max())
-    if residual > _RESIDUAL_TOL:
+    if not residual <= _RESIDUAL_TOL:
         raise np.linalg.LinAlgError(
             f"resolvent solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
-    return OperatorMatrix(x, {"residual": residual})
+    return x, residual
 
 
 def dyson_partial(model: SpectralModel, q: ResolventQuery, N: int) -> OperatorMatrix:
@@ -238,13 +240,15 @@ def forward_fourier(
     z = x + 1j * sgn * eps
     phased = w * np.exp(-1j * np.outer(taus, x))
     coef = (1 / (z - c))[:, None] ** np.arange(1, K + 1)
-    totals = np.array([-np.tensordot(p @ coef, powers, 1) for p in phased])
+    # einsum without optimize calls no BLAS: its sums run in one fixed order,
+    # whatever the thread count, and the node axis is contracted first
+    totals = -np.einsum("tk,kij->tij", np.einsum("tn,nk->tk", phased, coef), powers)
     for j, zj in enumerate(z):
-        totals += phased[:, j, None, None] * _resolvent_solve(zj, h, eye).entries
+        totals += phased[:, j, None, None] * _resolvent_solve(zj, h, eye)[0]
     totals /= 2 * np.pi
     for tau, total in zip(taus, totals):
         if _gated_on(tau, sgn):  # the products underflow to 0 before a power overflows
             a = np.cumprod(np.r_[np.exp(-(rho / 2 + eps) * abs(tau)), -1j * tau / np.arange(1, K)])
-            total += -1j * sgn * np.exp(-1j * e0 * tau) * np.tensordot(a, powers, 1)
+            total += -1j * sgn * np.exp(-1j * e0 * tau) * np.einsum("k,kij->ij", a, powers)
     results = [OperatorMatrix(total) for total in totals]
     return results[0] if single else results

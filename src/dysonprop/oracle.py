@@ -227,17 +227,16 @@ def linear_solve(a, b) -> np.ndarray:
     the largest |entry| of column k among the rows not yet used as pivots,
     scales that row and clears column k from every other row with one rank-1
     update.  The rows of X are then the right-hand blocks in pivot order.
+    B is n x k; a 1-D B is refused, so its axes have one meaning.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("A must be square")
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, np.newaxis]
-    if b.shape[0] != n:
-        raise ValueError("B is not conformable with A")
+    if b.ndim != 2 or b.shape[0] != n:
+        raise ValueError(f"B must be an n x k array conformable with A (n = {n}), "
+                         f"got shape {b.shape}")
     peak = max(float(np.abs(a).max()), 1e-300)
     aug = np.concatenate((a, b), axis=1)
     free = np.ones(n)  # 1.0 for rows not yet used as pivots
@@ -256,5 +255,4 @@ def linear_solve(a, b) -> np.ndarray:
         row = aug[p] / aug[p, k]
         aug -= aug[:, k, np.newaxis] * row
         aug[p] = row
-    x = aug[order, n:]
-    return x[:, 0] if squeeze else x
+    return aug[order, n:]

@@ -23,12 +23,13 @@ divided-difference route as epsilon -> 0 and is meant to be extrapolated
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divdiff import _phase_exp, dd_phase
-from .model import OperatorMatrix, SpectralModel
+from .model import OperatorMatrix, SpectralModel, Unresolved
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,18 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     Every path from block 0 to block l through M crosses the H1 blocks of
     one index tuple and picks up the divided difference of its energies, so
     one scaling-and-squaring exponential replaces the d^(l+1) tuples of the
-    sum, at O(((l+1)d)^3) cost per Taylor term or squaring.
+    sum, at O(((l+1)d)^3) cost per Taylor term or squaring.  Phases past the
+    float range raise Unresolved, for l <= 1 as in ``_phase_exp`` for l >= 2.
     """
     if l < 0:
         raise ValueError("order must be >= 0")
     d = model.dim
     e = model.energies
+    if l < 2:  # in Python floats an overflowing product is inf, with no warning
+        t_abs, e_max = abs(float(t)), max(map(abs, e.tolist()))
+        if not math.isfinite(t_abs * e_max):
+            raise Unresolved("exp(-i t E)", f"|t| = {t_abs:.3e} times max|E| = {e_max:.3e} "
+                             "is past the float range")
     if l == 0:
         return OperatorMatrix(np.diag(np.exp(-1j * e * t)))
     if l == 1:

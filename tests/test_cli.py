@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -16,7 +17,6 @@ from dysonprop import cli, divdiff, green, oracle
 from dysonprop.cli import (
     _DISPATCH,
     Report,
-    ReportConsistencyError,
     ReportRow,
     SummaryItem,
     _load_or_random_model,
@@ -234,10 +234,14 @@ def test_csv_empty_rows_header_only():
 
 
 def test_emission_consistency_guard():
+    # a row is frozen once its errors are computed, so no tampering reaches
+    # the emitted report
     rep = small_report()
-    rep.rows[0].abs_error = 999.0  # tampered
-    with pytest.raises(ReportConsistencyError):
-        render_json(rep)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.rows[0].abs_error = 999.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.rows[0].computed = 0j
+    assert json.loads(render_json(rep))["rows"][0]["abs_error"] == 0.5
 
 
 def test_selftest_deterministic(tmp_path):
@@ -275,6 +279,22 @@ def test_report_matches_golden_output(golden, tmp_path):
     out = tmp_path / golden
     assert main([*GOLDEN_REPORTS[golden], "--out", str(out)]) == 0
     assert out.read_bytes() == (Path(__file__).resolve().parent / "data" / golden).read_bytes()
+
+
+def test_green_ft_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # one BLAS thread is how the benchmark workers run; a sum whose rounding
+    # follows the thread count would write other bytes under one of the two
+    src = Path(dysonprop.__file__).resolve().parent.parent
+    golden = (Path(__file__).resolve().parent / "data" / "green-ft_fourier.json").read_bytes()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}.json"
+        done = subprocess.run([sys.executable, "-m", "dysonprop",
+                               *GOLDEN_REPORTS["green-ft_fourier.json"], "--out", str(out)],
+                              env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert out.read_bytes() == golden, threads
 
 
 def _params(argv, path):

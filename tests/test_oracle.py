@@ -260,11 +260,14 @@ def test_linear_solve_zero_leading_entry():
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
-def test_linear_solve_one_dimensional_rhs():
+def test_linear_solve_refuses_one_dimensional_rhs():
+    # B is n x k: a single right-hand side is an (n, 1) column
     a = np.array([[0.0, 1.0], [2.0, 1.0]])
-    got = linear_solve(a, np.array([3.0, 5.0]))
-    assert got.shape == (2,)
-    assert np.allclose(got, [1.0, 3.0], atol=1e-15)
+    with pytest.raises(ValueError, match=r"n x k .* got shape \(2,\)"):
+        linear_solve(a, np.array([3.0, 5.0]))
+    got = linear_solve(a, np.array([[3.0], [5.0]]))
+    assert got.shape == (2, 1)
+    assert np.allclose(got, [[1.0], [3.0]], atol=1e-15)
 
 
 def test_linear_solve_rejects_bad_shapes():
@@ -280,9 +283,6 @@ def reference_linear_solve(a, b):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     n = a.shape[0]
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, np.newaxis]
     aug = np.concatenate((a, b), axis=1)
     free = np.ones(n)
     order = []
@@ -293,8 +293,7 @@ def reference_linear_solve(a, b):
         row = aug[p] / aug[p, k]
         aug -= aug[:, k, np.newaxis] * row
         aug[p] = row
-    x = aug[order, n:]
-    return x[:, 0] if squeeze else x
+    return aug[order, n:]
 
 
 def _same_bits(x, y):
@@ -309,14 +308,14 @@ def test_linear_solve_matches_reference_bitwise():
         z = rng.uniform(-2.0, 2.0) + 1j * rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.5)
         a = z * np.eye(d) - hamiltonian(m)
         for b in (np.eye(d, dtype=complex),
-                  rng.standard_normal(d) + 1j * rng.standard_normal(d),
+                  rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1)),
                   rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))):
             assert _same_bits(linear_solve(a, b), reference_linear_solve(a, b)), d
     for cond in (1e2, 1e6, 1e10):
         for seed in range(3):
             a, _, b = _planted_system(24, cond, seed)
             assert _same_bits(linear_solve(a, b), reference_linear_solve(a, b)), (cond, seed)
-            assert _same_bits(linear_solve(a, b[:, 0]), reference_linear_solve(a, b[:, 0]))
+            assert _same_bits(linear_solve(a, b[:, :1]), reference_linear_solve(a, b[:, :1]))
 
 
 def _mp_gauss_legendre(n, x0):

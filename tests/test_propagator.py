@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from dysonprop import propagator
 from dysonprop.cli import _EPS_LADDER
 from dysonprop.divdiff import _phase_exp
-from dysonprop.model import SpectralModel, random_model, scale_coupling, two_level_model
+from dysonprop.model import (
+    SpectralModel,
+    Unresolved,
+    random_model,
+    scale_coupling,
+    two_level_model,
+)
 from dysonprop.oracle import dyson_term_quadrature, exact_evolution
 from dysonprop.propagator import (
     TruncationSpec,
@@ -192,6 +198,16 @@ def test_first_order_term_in_closed_form(levels, phase, monkeypatch):
     # time reversal holds bit for bit, and the term vanishes at t = 0
     assert np.array_equal(a_matrix(m, 1, -t).entries, a_matrix(m, 1, t).entries.conj().T)
     assert not a_matrix(m, 1, 0.0).entries.any()
+
+
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_closed_form_orders_refuse_phases_past_the_float_range(l, t):
+    # |t| * max|E| = 3e308 overflows; RuntimeWarning is an error here, so the
+    # refusal must come before any overflowing numpy product
+    m = SpectralModel([2.0, 3.0], [[0, 0.1], [0.1, 0]])
+    with pytest.raises(Unresolved, match=r"\|t\| = 1\.000e\+308 times max\|E\| = 3\.000e\+00"):
+        a_matrix(m, l, t)
 
 
 def _compressed_model(dim, seed, lam):
