@@ -4,16 +4,16 @@ operator, together with numerical Fourier checks relating the two.
 The time-dependent complete Green operator is the step-function-gated
 evolution operator; its Fourier transform at a damped energy E +- i*eps
 reproduces the Dyson expansion of the stationary resolvent.  Both
-directions of that transform are implemented as quadratures so the
-relationship can be verified at matched finite eps; the forward one
-subtracts K terms of the resolvent's expansion and transforms them exactly.
+directions of that transform are implemented as quadratures on the same
+composite Gauss-Legendre panels, so the relationship can be verified at
+matched finite eps; the forward one subtracts K terms of the resolvent's
+expansion and transforms them exactly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +46,8 @@ class ResolventQuery:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre rule of ``npoints`` nodes mapped onto ``domain``,
-    computed when first read and kept as read-only arrays."""
+    """A quadrature's finite ``domain`` and node count ``npoints``.  Both
+    Fourier routes lay their nodes on it with ``_panel_rule``."""
 
     domain: tuple
     npoints: int
@@ -58,17 +58,6 @@ class QuadratureSpec:
             raise ValueError(f"domain must be a finite interval, got {self.domain}")
         if self.npoints < 2:
             raise ValueError("need at least 2 quadrature points")
-
-    @cached_property
-    def _rule(self):
-        a, b = self.domain
-        x, w = gauss_legendre(self.npoints)
-        nodes, weights = (a + b) / 2 + (b - a) / 2 * x, (b - a) / 2 * w
-        nodes.flags.writeable = weights.flags.writeable = False
-        return nodes, weights
-
-    nodes = property(lambda self: self._rule[0])
-    weights = property(lambda self: self._rule[1])
 
 
 def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:
@@ -148,6 +137,8 @@ def inverse_fourier_check(
     of the time-dependent Green operator evaluated at E +- i*eps, and must
     reproduce ``dyson_partial`` at the matched query up to quadrature error.
     An eps that is not positive leaves no damping and fails the domain check.
+    The nodes are ``_panel_rule``'s with the whole domain (0, T) as its
+    bound: ``quad.npoints`` nodes on equal panels, one ``timedep_green`` each.
     """
     sgn = normalize_sign(sign)
     a, b = quad.domain
@@ -159,7 +150,7 @@ def inverse_fourier_check(
                          f"{_DAMPING_TOL}: eps*T = {eps * b:.3g} at eps = {eps}, T = {b}")
     d = model.dim
     total = np.zeros((d, d), dtype=complex)
-    for tau, w in zip(quad.nodes, quad.weights):
+    for tau, w in zip(*_panel_rule(quad.domain, quad.npoints, a, b, eps)):
         # sign '-' integrates over tau < 0; mirror the node onto (0, T)
         g = timedep_green(model, spec, sgn * tau, 0.0, sgn).entries
         total += w * np.exp((1j * sgn * E - eps) * tau) * g
@@ -167,9 +158,11 @@ def inverse_fourier_check(
 
 
 def _panel_rule(domain, n: int, s_lo: float, s_hi: float, eps: float):
-    """n nodes and weights on P = max(1, n // 16) Gauss-Legendre panels, equal
-    steps of integral dx / (eps + dist(x, [s_lo, s_hi])): eps wide on that
-    interval, geometric outside; the first n % P panels take a node more."""
+    """n ascending nodes and weights on P = max(1, n // 16) Gauss-Legendre
+    panels, equal steps of integral dx / (eps + dist(x, [s_lo, s_hi])): eps
+    wide on that interval, geometric outside, and all of one width when the
+    interval is the whole domain.  The first n % P panels take a node more,
+    so no panel has more than 32 nodes."""
     lo, hi = domain
     s_lo, s_hi = max(lo, s_lo), min(hi, s_hi)
     inner = (s_hi - s_lo) / eps

@@ -99,18 +99,18 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     Every path from block 0 to block l through M crosses the H1 blocks of
     one index tuple and picks up the divided difference of its energies, so
     one scaling-and-squaring exponential replaces the d^(l+1) tuples of the
-    sum, at O(((l+1)d)^3) cost per Taylor term or squaring.  Phases past the
-    float range raise Unresolved, for l <= 1 as in ``_phase_exp`` for l >= 2.
+    sum, at O(((l+1)d)^3) cost per Taylor term or squaring.  At every order,
+    |t| max|E| >= 1/eps_mach (eps_mach = 2^-52) raises Unresolved: the phases
+    e^{-iEt} then keep no correct bit, and past the float range none.
     """
     if l < 0:
         raise ValueError("order must be >= 0")
-    d = model.dim
-    e = model.energies
-    if l < 2:  # in Python floats an overflowing product is inf, with no warning
-        t_abs, e_max = abs(float(t)), max(map(abs, e.tolist()))
-        if not math.isfinite(t_abs * e_max):
-            raise Unresolved("exp(-i t E)", f"|t| = {t_abs:.3e} times max|E| = {e_max:.3e} "
-                             "is past the float range")
+    d, e = model.dim, model.energies
+    # in Python floats: an overflowing product is inf with no warning, and NaN fails
+    t_abs, e_max = abs(float(t)), max(map(abs, e.tolist()))
+    if not t_abs * e_max * math.ulp(1.0) < 1:
+        raise Unresolved("exp(-i t E)", f"|t| = {t_abs:.3e} times max|E| = {e_max:.3e} is "
+                         f"not below 1/eps_mach = {1 / math.ulp(1.0):.3e}: no phase keeps a bit")
     if l == 0:
         return OperatorMatrix(np.diag(np.exp(-1j * e * t)))
     if l == 1:

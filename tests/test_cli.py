@@ -351,8 +351,9 @@ _REFUSALS = {
     "series-oracle-node-cap": ["propagate", "--t", "1e5"],
     "inverse-damping": ["green-ft", "--quad-domain", "10"],
     "forward-window": ["green-ft", "--window", "1"],
-    "phase-squarings-overflow": ["green-ft", "--quad-domain", "1e300"],
-    "phase-scale-overflow": ["converge", "--t", "1e308"],
+    "inverse-phases-at-1e17": ["green-ft", "--quad-domain", "1e17"],
+    "inverse-phases-at-1e300": ["green-ft", "--quad-domain", "1e300"],
+    "series-phases-at-1e308": ["converge", "--t", "1e308"],
     "taylor-term-cap": ["selftest"],
 }
 
@@ -532,18 +533,28 @@ def test_green_ft_checks_the_causal_transform_itself(monkeypatch, tmp_path, caps
     # forward weights off by 1e-6 leave the acausal side near 0, so only the
     # causal_transform item, held to --causal-tol, can catch them.  The same
     # weights integrate the subtracted terms, so the fault scales the
-    # remainder's integral only: at t = 10 that is most of the value.
-    rule = green._panel_rule
+    # remainder's integral only: at t = 10 that is most of the value.  The
+    # inverse check's panels are left as they are.
+    forward, rule = green.forward_fourier, green._panel_rule
 
     def scaled(*args):
         x, w = rule(*args)
         return x, w * (1 + 1e-6)
 
-    monkeypatch.setattr(green, "_panel_rule", scaled)
+    def faulted(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(green, "_panel_rule", scaled)
+            return forward(*args)
+
+    monkeypatch.setattr(green, "forward_fourier", faulted)
     out = tmp_path / "g.json"
     assert main([*GOLDEN_REPORTS["green-ft_fourier.json"], "--t", "10", "--out", str(out)]) == 1
-    verdicts = {s["name"]: s["passed"] for s in json.loads(out.read_text())["summary"]}
+    summary = {s["name"]: s for s in json.loads(out.read_text())["summary"]}
+    verdicts = {name: s["passed"] for name, s in summary.items()}
     assert verdicts == {"inverse_transform": True, "causal_transform": False, "causality": True}
+    golden = json.loads((Path(__file__).resolve().parent / "data" / "green-ft_fourier.json")
+                        .read_text())["summary"][0]
+    assert summary["inverse_transform"]["value"] == golden["value"]
     assert "[FAIL] causal_transform" in capsys.readouterr().err
 
 

@@ -111,14 +111,51 @@ def test_timedep_green_step_is_one_at_zero(sign):
     assert np.array_equal(timedep_green(m, spec, off, 1.0, sign).entries, np.zeros((3, 3)))
 
 
+def _single_rule_inverse(m, spec, E, sign, eps, T, n):
+    """The inverse check's integral on one n-node Gauss-Legendre rule mapped
+    onto (0, T): a reference for its composite panels."""
+    x, w = gauss_legendre(n)
+    total = np.zeros((m.dim, m.dim), dtype=complex)
+    for tau, wj in zip(T / 2 * (1 + x), T / 2 * w):
+        g = timedep_green(m, spec, sign * tau, 0.0, sign).entries
+        total += wj * np.exp((1j * sign * E - eps) * tau) * g
+    return total
+
+
 def test_inverse_fourier_matches_dyson_partial():
-    m = two_level_model(1.0, 0.3)
     spec = TruncationSpec(2)
-    quad = QuadratureSpec((0.0, 200.0), 2000)
-    for sign in (+1, -1):
-        lhs = inverse_fourier_check(m, spec, 0.37, sign, 0.1, quad)
-        rhs = dyson_partial(m, ResolventQuery(0.37, sign, 0.1), 2)
-        assert np.max(np.abs(lhs.entries - rhs.entries)) <= 1e-5
+    for model, T, npoints, eps in [
+        (two_level_model(1.0, 0.3), 80.0, 250, 0.3),  # the golden flags
+        (two_level_model(1.0, 0.3), 200.0, 2000, 0.1),  # the CLI defaults
+        (random_model(6, 5, 0.3), 200.0, 2000, 0.1),
+    ]:
+        quad = QuadratureSpec((0.0, T), npoints)
+        for sign in (+1, -1):
+            lhs = inverse_fourier_check(model, spec, 0.37, sign, eps, quad).entries
+            rhs = dyson_partial(model, ResolventQuery(0.37, sign, eps), 2).entries
+            assert np.max(np.abs(lhs - rhs)) <= 1e-5
+            # the panels change the sum's rounding, not the integral it resolves
+            ref = _single_rule_inverse(model, spec, 0.37, sign, eps, T, npoints)
+            assert np.max(np.abs(lhs - ref)) <= 1e-12, (model.dim, T, sign)
+
+
+def test_inverse_rule_has_npoints_nodes_on_tables_of_at_most_32(monkeypatch):
+    sizes = []
+
+    def counting(n):
+        sizes.append(n)
+        return gauss_legendre(n)
+
+    monkeypatch.setattr(green, "gauss_legendre", counting)
+    for T in (1.0, 200.0):
+        for n in [*range(2, 301), 2000]:
+            # the inverse check's rule: the whole domain (0, T) as the bound
+            x, w = green._panel_rule((0.0, T), n, 0.0, T, 0.1)
+            assert len(x) == len(w) == n
+            assert np.all(np.diff(x) > 0) and 0 < x[0] and x[-1] < T
+            assert np.all(w > 0)
+            assert abs(w.sum() - T) <= 1e-13 * T
+    assert max(sizes) == 32
 
 
 def test_inverse_fourier_domain_guards():
@@ -218,7 +255,6 @@ def test_forward_fourier_never_reads_the_spec_rule_or_an_eigensolver(monkeypatch
     quad = QuadratureSpec((-40.0, 41.0), 2000)
     forward_fourier(random_model(4, 2, 0.2), quad, (-1.5, 1.5), 0.0, "+", 0.1)
     assert sizes and max(sizes) <= 17  # panel tables only, not the 2000-point rule
-    assert "_rule" not in vars(quad)
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -271,28 +307,13 @@ def test_forward_fourier_window_guard():
         forward_fourier(m, QuadratureSpec((-1.0, 2.0), 100), 1.0, 0.0, "+", 0.1)
 
 
-def test_quadrature_spec_computes_its_rule_once(monkeypatch):
-    calls = []
+def test_quadrature_spec_computes_nothing(monkeypatch):
+    def unreachable(n):
+        raise AssertionError("a QuadratureSpec built a rule")
 
-    def counting(n):
-        calls.append(n)
-        return gauss_legendre(n)
-
-    monkeypatch.setattr(green, "gauss_legendre", counting)
+    monkeypatch.setattr(green, "gauss_legendre", unreachable)
     spec = QuadratureSpec((-1.0, 3.0), 40)
-    assert calls == []  # computed when first read
-    x, w = spec.nodes, spec.weights
-    assert calls == [40]
-    assert np.array_equal(x, 1.0 + 2.0 * gauss_legendre(40)[0])
-    assert not x.flags.writeable and not w.flags.writeable
-    # the rule follows from the fields: it is not part of eq, hash or repr
+    # a validated record: eq, hash and repr follow from its two fields
     assert spec == QuadratureSpec((-1.0, 3.0), 40)
     assert hash(spec) == hash(QuadratureSpec((-1.0, 3.0), 40))
     assert repr(spec) == "QuadratureSpec(domain=(-1.0, 3.0), npoints=40)"
-
-
-def test_quadrature_spec_rules():
-    spec = QuadratureSpec((0.0, 1.0), 50)
-    x, w = spec.nodes, spec.weights
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all((x > 0) & (x < 1))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss, legint, legvander
 
 from dysonprop import oracle
-from dysonprop.green import QuadratureSpec
 from dysonprop.model import SpectralModel, Unresolved, hamiltonian, random_model, two_level_model
 from dysonprop.oracle import (
     NotHermitianError,
@@ -372,7 +371,7 @@ def test_gauss_legendre_memory_is_linear():
     # numpy's companion matrix alone would take 2000^2 * 8 bytes = 32 MB
     tracemalloc.start()
     try:
-        QuadratureSpec((0.0, 1.0), 2000)
+        gauss_legendre(2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

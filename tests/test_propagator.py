@@ -210,6 +210,20 @@ def test_closed_form_orders_refuse_phases_past_the_float_range(l, t):
         a_matrix(m, l, t)
 
 
+@pytest.mark.parametrize("l", [0, 1, 2])
+@pytest.mark.parametrize("t", [1e16, -1e16, 1e300, -1e300])
+def test_every_order_refuses_phases_that_keep_no_bit(l, t):
+    # |t| * max|E| = 3e16 is past 1/eps_mach = 4.5e15: e^{-iEt} keeps no
+    # correct bit, where l <= 1 returned meaningless phases and l = 2 entries
+    # of 1e13 at 1e16 and exact zeros at 1e300
+    m = SpectralModel([2.0, 3.0], [[0, 0.1], [0.1, 0]])
+    with pytest.raises(Unresolved, match=r"times max\|E\| = 3\.000e\+00 is not below "
+                                         r"1/eps_mach = 4\.504e\+15: no phase keeps a bit"):
+        a_matrix(m, l, t)
+    # a tenth of the bound still resolves at every order
+    assert np.isfinite(a_matrix(m, l, 0.1 / np.finfo(float).eps / 3.0).entries).all()
+
+
 def _compressed_model(dim, seed, lam):
     # random levels rescaled into [-1, 1], so a 32-point rule resolves the
     # phases of the quadrature oracle over t = 1
