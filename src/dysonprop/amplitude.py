@@ -32,6 +32,7 @@ from .oracle import hermitian_eigendecomposition
 from .propagator import (
     TruncationSpec,
     _graded_chains,
+    _graded_sum,
     richardson_limit,
     truncated_evolution,
 )
@@ -167,19 +168,6 @@ def k_truncated_direct(sys: LatticeSystem, spec: TruncationSpec, xb, tb: float, 
     return _at(sys.basis @ u @ sys.basis.conj().T, xb, xa)
 
 
-def _endpoint_weights(sys: LatticeSystem, spec: TruncationSpec, eps: float):
-    """Weights of the insertion |Phi_g><Phi_g| at tuple position m for every
-    endpoint: left[m] = L_m psi^T over (g, x_b) and right[m] = S_{N-m} psi^dagger
-    over (g, x_a), with the retarded chains L, S of ``propagator._graded_chains``."""
-    if isinstance(spec, int):
-        spec = TruncationSpec(spec)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    _, left, right = _graded_chains(sys.model, spec.N, eps, 1)
-    psi = sys.basis
-    return left @ psi.T, right[::-1] @ psi.conj().T
-
-
 def c_kernel_matrix(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb: int,
                     xa: int) -> np.ndarray:
     """Kernels C_m(x_b, y_b; x_a, y_a) for fixed endpoints, as an
@@ -188,12 +176,13 @@ def c_kernel_matrix(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb: in
     Node m of each index tuple is shifted to E - i*m*eps, the retarded
     graded shifts of ``propagator._graded_chains``; the partial fraction of
     node m goes into C_m, and ``k_via_relation`` supplies its factor
-    e^{-m*eps*t}.  C_m = sum_g psi*(y_b, g) w[m, g] psi(y_a, g), with the
-    weight w[m, g] = left[m, g, x_b] * right[m, g, x_a] of ``_endpoint_weights``.
+    e^{-m*eps*t}.  C_m = sum_g psi*(y_b, g) w[m, g] psi(y_a, g), weighted by
+    the chains: w[m, g] = (left[m, g] . psi[x_b]) * (right[m, g] . psi*[x_a]).
     """
-    left, right = _endpoint_weights(sys, spec, eps)
-    weight = left[:, :, xb] * right[:, :, xa]
-    return (np.conj(sys.basis) * weight[:, np.newaxis, :]) @ sys.basis.T
+    _, left, right = _graded_chains(sys.model, spec, eps, 1)
+    psi = sys.basis
+    weight = (left @ psi[xb]) * (right @ np.conj(psi[xa]))
+    return (np.conj(psi) * weight[:, np.newaxis, :]) @ psi.T
 
 
 def _level_sums(sys: LatticeSystem, t: float) -> np.ndarray:
@@ -205,12 +194,11 @@ def _level_sums(sys: LatticeSystem, t: float) -> np.ndarray:
 
 
 def _relation(sys: LatticeSystem, spec: TruncationSpec, eps: float, t: float, level):
-    """h^2 sum_m e^{-m*eps*t} sum_g left[m, g, x_b] G[g] right[m, g, x_a] over
-    every (x_b, x_a), as one product over the (m, g) axis."""
-    left, right = _endpoint_weights(sys, spec, eps)
-    damped = np.outer(np.exp(-eps * t * np.arange(len(left))), level).reshape(-1, 1)
-    n = sys.spec.M
-    return sys.spec.h**2 * (left.reshape(-1, n).T @ (damped * right.reshape(-1, n)))
+    """h^2 psi X psi^dagger over every (x_b, x_a), X the graded sum of the
+    retarded chains weighted by e^{-m*eps*t} G[g] at position m and level g."""
+    _, left, right = _graded_chains(sys.model, spec, eps, 1)
+    damped = np.outer(np.exp(-eps * t * np.arange(len(left))), level)
+    return sys.spec.h**2 * (sys.basis @ _graded_sum(left, damped, right) @ sys.basis.conj().T)
 
 
 def k_via_relation(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb, tb: float, xa,

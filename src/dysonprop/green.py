@@ -12,6 +12,7 @@ expansion and transforms them exactly.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -162,15 +163,24 @@ def _panel_rule(domain, n: int, s_lo: float, s_hi: float, eps: float):
     panels, equal steps of integral dx / (eps + dist(x, [s_lo, s_hi])): eps
     wide on that interval, geometric outside, and all of one width when the
     interval is the whole domain.  The first n % P panels take a node more,
-    so no panel has more than 32 nodes."""
-    lo, hi = domain
+    so no panel has more than 32 nodes.  Cuts or panel ends past the float
+    range raise Unresolved, before any product overflows."""
+    lo, hi, s_lo, s_hi, eps = map(float, (*domain, s_lo, s_hi, eps))
     s_lo, s_hi = max(lo, s_lo), min(hi, s_hi)
-    inner = (s_hi - s_lo) / eps
-    u = np.linspace(-np.log1p((s_lo - lo) / eps), inner + np.log1p((hi - s_hi) / eps),
-                    max(1, n // 16) + 1)
-    cuts = s_lo + eps * (np.clip(u, 0, inner) - np.expm1(np.maximum(-u, 0))
-                         + np.expm1(np.maximum(u - inner, 0)))
-    cuts[0], cuts[-1] = lo, hi
+    p, inner = max(1, n // 16), (s_hi - s_lo) / eps
+    start, stop = -float(np.log1p((s_lo - lo) / eps)), inner + float(np.log1p((hi - s_hi) / eps))
+    # Python floats overflow to inf with no warning: linspace's last step, the
+    # extents past [s_lo, s_hi] that bound every inner cut, then the panel ends
+    cuts = []
+    if all(map(math.isfinite, (p * ((stop - start) / p), (hi - s_lo) / eps, (s_hi - lo) / eps))):
+        u = np.linspace(start, stop, p + 1)[1:-1]
+        cuts = [lo, *(s_lo + eps * (np.clip(u, 0, inner) - np.expm1(np.maximum(-u, 0))
+                                    + np.expm1(np.maximum(u - inner, 0)))).tolist(), hi]
+    if not (cuts and all(math.isfinite(a + b) and math.isfinite(b - a)
+                         for a, b in zip(cuts, cuts[1:]))):
+        raise Unresolved("quadrature panels", f"domain ({lo:.4g}, {hi:.4g}) at eps = {eps:.4g} "
+                         "puts a panel end or width past the float range")
+    cuts = np.array(cuts)
     m, extra = divmod(n, len(cuts) - 1)
     nodes, weights = [], []
     for k, ends in ((m + 1, cuts[:extra + 1]), (m, cuts[extra:])):

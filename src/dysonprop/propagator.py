@@ -135,20 +135,24 @@ def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float) ->
     return OperatorMatrix(total)
 
 
-def _graded_chains(model: SpectralModel, N: int, eps: float, sgn: int):
-    """Partial fractions of the graded-shift sum, split at one tuple position.
+def _graded_chains(model: SpectralModel, spec: TruncationSpec, eps: float, sgn: int):
+    """Partial fractions of the graded-shift sum through order ``spec.N`` (an
+    int or a TruncationSpec), split at one tuple position; eps must be > 0.
 
     Node j of a tuple g_0, ..., g_l is z_j = E_{g_j} - i*sgn*j*eps.  With
     g_m = g fixed, 1/(z_m - z_j) depends only on g, g_j and m - j, so the
     tuple sum splits into a chain left of position m and one right of it.
     Returns ``nodes[m, g]`` = z_m for g_m = g, ``left`` and ``right`` with
 
-        left[m, g, a] * right[N - m, g, b]
+        left[m, g, a] * right[m, g, b]
             = sum over tuples a = g_0, ..., g_l = b with l >= m and g_m = g of
               H1[g_0, g_1] ... H1[g_{l-1}, g_l] / prod_{j != m} (z_m - z_j);
 
-    ``right[n]`` sums the right chains of length 0..n.  Cost O(N d^3).
+    ``right[m]`` sums the right chains of length 0..N-m.  Cost O(N d^3).
     """
+    N = TruncationSpec(spec).N if isinstance(spec, int) else spec.N
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     e = model.energies
     nodes = e - 1j * sgn * eps * np.arange(N + 1)[:, np.newaxis]
     left = np.empty((N + 1, model.dim, model.dim), dtype=complex)
@@ -159,7 +163,13 @@ def _graded_chains(model: SpectralModel, N: int, eps: float, sgn: int):
         # z_m - z_{m+k} = E_{g_m} - nodes[k, g_{m+k}]
         left[k] = (left[k - 1] @ model.h1.T) / (nodes[k][:, np.newaxis] - e)
         chain[k] = (chain[k - 1] @ model.h1) / (e[:, np.newaxis] - nodes[k])
-    return nodes, left, np.cumsum(chain, axis=0)
+    return nodes, left, np.cumsum(chain, axis=0)[::-1]
+
+
+def _graded_sum(left: np.ndarray, weight: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Sum over m, g of left[m, g, :]^T weight[m, g] right[m, g, :], one product."""
+    return (left.reshape(-1, left.shape[-1]).T
+            @ (weight.reshape(-1, 1) * right.reshape(-1, right.shape[-1])))
 
 
 def epsilon_form_evolution(
@@ -171,22 +181,13 @@ def epsilon_form_evolution(
     E_m -> E_m -+ i*m*eps (position m, sign '+' selects the retarded
     prescription), which renders all partial fractions finite.  With the
     chains of ``_graded_chains``, U_eps[a, b] is the sum over m and g of
-    left[m, g, a] e^{-i z_m(g) t} right[N-m, g, b].  Individual terms grow
+    left[m, g, a] e^{-i z_m(g) t} right[m, g, b].  Individual terms grow
     like 1/eps near coincident energies while the assembled matrix converges
     to ``truncated_evolution`` as eps -> 0; callers are expected to
     extrapolate over a ladder of eps values.
     """
-    if isinstance(spec, int):
-        spec = TruncationSpec(spec)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    sgn = normalize_sign(sign)
-    nodes, left, right = _graded_chains(model, spec.N, eps, sgn)
-    out = sum(
-        left[m].T @ (np.exp(-1j * nodes[m] * t)[:, np.newaxis] * right[spec.N - m])
-        for m in range(spec.N + 1)
-    )
-    return OperatorMatrix(out)
+    nodes, left, right = _graded_chains(model, spec, eps, normalize_sign(sign))
+    return OperatorMatrix(_graded_sum(left, np.exp(-1j * nodes * t), right))
 
 
 def richardson_limit(eps_values, samples):

@@ -17,7 +17,7 @@ from dysonprop.amplitude import (
     load_lattice,
 )
 from dysonprop.model import ModelParseError, ModelValidationError
-from dysonprop.propagator import TruncationSpec, _graded_chains
+from dysonprop.propagator import TruncationSpec, _graded_chains, epsilon_form_evolution
 from test_propagator import _graded_tuple_sum
 
 
@@ -220,7 +220,7 @@ def test_c_kernel_scalar_consistent_with_matrix():
     _, left, right = _graded_chains(sys_.model, spec.N, 1e-2, 1)
     psi = sys_.basis
     for m in range(spec.N + 1):
-        want = sum((left[m, g] @ psi[1]) * (right[spec.N - m, g] @ np.conj(psi[2]))
+        want = sum((left[m, g] @ psi[1]) * (right[m, g] @ np.conj(psi[2]))
                    * np.conj(psi[3, g]) * psi[4, g] for g in range(sys_.spec.M))
         assert mat[m, 3, 4] == pytest.approx(want, abs=1e-13)
 
@@ -290,6 +290,24 @@ def test_relation_equals_kernel_grid_sum(N):
         for a in range(m)] for b in range(m)])
     got = k_via_relation(sys_, N, eps, EVERY, 1.0, EVERY, 0.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("m", [6, 12, 48])
+def test_relation_is_the_retarded_epsilon_form(lam, m):
+    # h^2 G[g] = e^{-i E_g t}, so the damped kernel relation is the retarded
+    # eps-form sandwiched in the lattice basis: psi U_eps psi^dagger
+    sys_ = build_lattice(well_spec(lam, m=m))
+    psi = sys_.basis
+    for N in range(4):
+        for eps in (1e-2, 1.25e-3):
+            _, left, right = _graded_chains(sys_.model, N, eps, 1)
+            term = np.max(np.abs(left), axis=2) * np.max(np.abs(right), axis=2)
+            for t in (0.5, 1.0, 3.0):
+                u = epsilon_form_evolution(sys_.model, N, t, eps, "+").entries
+                got = k_via_relation(sys_, N, eps, EVERY, t, EVERY, 0.0)
+                err = np.max(np.abs(got - psi @ u @ psi.conj().T))
+                assert err <= 1e-13 * np.max(term) / sys_.spec.h
 
 
 def test_relation_for_all_pairs_forms_no_kernel_array():

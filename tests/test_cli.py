@@ -354,6 +354,7 @@ _REFUSALS = {
     "inverse-phases-at-1e17": ["green-ft", "--quad-domain", "1e17"],
     "inverse-phases-at-1e300": ["green-ft", "--quad-domain", "1e300"],
     "series-phases-at-1e308": ["converge", "--t", "1e308"],
+    "panels-past-the-float-range": ["green-ft", "--window", "1e308"],
     "taylor-term-cap": ["selftest"],
 }
 
@@ -571,10 +572,14 @@ def test_green_ft_resolves_long_times(t, tmp_path):
 def test_green_ft_unrepresentable_domain_warns_nothing(tmp_path):
     src = Path(dysonprop.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "dysonprop", "green-ft", "--quad-domain", "1e300"],
-                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 2
-    assert "cannot be resolved" in done.stderr and "RuntimeWarning" not in done.stderr
+    # phases with no correct bit, then panels past the float range: at --eps 10
+    # only the last inverse panel's end sum overflows
+    for flags in (["--quad-domain", "1e300"], ["--window", "1e308"],
+                  ["--quad-domain", "1.7e308"], ["--quad-domain", "1.7e308", "--eps", "10"]):
+        done = subprocess.run([sys.executable, "-m", "dysonprop", "green-ft", *flags], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, flags
+        assert "cannot be resolved" in done.stderr and "RuntimeWarning" not in done.stderr
 
 
 def test_green_ft_shares_each_forward_solve_across_both_times(monkeypatch, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,28 @@ def test_forward_rule_panels_are_eps_wide_over_the_spectrum_bound():
     inside = x[(x > -0.3) & (x < 1.3)]
     assert len(inside) >= 70 * 16
     assert np.diff(inside).max() < 0.1 / 10
+
+
+@pytest.mark.parametrize("domain,bound,eps", [
+    ((-1e308, 1e308), (-0.3, 1.3), 0.1),   # green-ft --window 1e308: ends over eps
+    ((0.0, 1.7e308), (0.0, 1.7e308), 0.1),  # --quad-domain 1.7e308: width over eps
+    ((0.0, 1.7e308), (0.0, 1.7e308), 10.0),  # and --eps 10: the last panel's end sum
+    ((-1.7976931348623157e308, 0.0), (-1.7976931348623157e308, 0.0), 1.0),  # linspace's step
+])
+def test_panel_rule_refuses_cuts_past_the_float_range(domain, bound, eps):
+    # RuntimeWarnings are errors under pytest, so a refusal after an overflow fails
+    named = re.escape(f"domain ({domain[0]:.4g}, {domain[1]:.4g}) at eps = {eps:.4g}")
+    with pytest.raises(Unresolved, match=named):
+        green._panel_rule(domain, 2000, *bound, eps)
+
+
+@pytest.mark.parametrize("n", [32, 2000])
+def test_panel_rule_keeps_geometric_panels_near_the_float_range(n):
+    # green-ft --window 1e308 --eps 10: past one panel (n >= 32), the geometric
+    # panels keep every end sum and width a float
+    x, w = green._panel_rule((-1e308, 1e308), n, -0.3, 1.3, 10.0)
+    assert len(x) == n and np.all(np.diff(x) > 0) and np.all(w > 0)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
 
 
 def test_forward_fourier_never_reads_the_spec_rule_or_an_eigensolver(monkeypatch):

@@ -328,7 +328,7 @@ def _graded_tuple_sum(m, N, eps, sgn):
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_graded_chains_match_tuple_sum(degenerate):
-    # left[m, g, a] * right[N-m, g, b] and the eps-form against the partial
+    # left[m, g, a] * right[m, g, b] and the eps-form against the partial
     # fractions summed tuple by tuple, every entry
     for dim in (2, 3, 4):
         m = _degenerate_model(dim) if degenerate else random_model(dim, 10 + dim, lam=0.5)
@@ -336,7 +336,7 @@ def test_graded_chains_match_tuple_sum(degenerate):
             for sgn in (1, -1):
                 for eps in (1e-2, 2.5e-3):
                     nodes, left, right = _graded_chains(m, N, eps, sgn)
-                    got = left[:, :, :, np.newaxis] * right[::-1, :, np.newaxis, :]
+                    got = left[:, :, :, np.newaxis] * right[:, :, np.newaxis, :]
                     want = _graded_tuple_sum(m, N, eps, sgn)
                     scale = np.max(np.abs(want))
                     assert np.max(np.abs(got - want)) <= 1e-13 * scale
