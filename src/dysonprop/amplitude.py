@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParseError, ModelValidationError, SpectralModel, Unresolved, _real, _reals
+from .model import ModelError, SpectralModel, Unresolved, _real, _reals
 from .oracle import hermitian_eigendecomposition
 from .propagator import (
     TruncationSpec,
@@ -52,17 +52,17 @@ class LatticeSpec:
 
     def __post_init__(self):
         if self.M < 2:
-            raise ModelValidationError("need at least 2 grid points")
+            raise ModelError("need at least 2 grid points")
         if not self.h > 0:
-            raise ModelValidationError("grid spacing must be positive")
+            raise ModelError("grid spacing must be positive")
         if not self.mass > 0:
-            raise ModelValidationError("mass must be positive")
+            raise ModelError("mass must be positive")
         v0 = np.asarray(self.v0, dtype=float)
         v1 = np.asarray(self.v1, dtype=float)
         if v0.shape != (self.M,) or v1.shape != (self.M,):
-            raise ModelValidationError("potentials must have one value per grid point")
+            raise ModelError("potentials must have one value per grid point")
         if not (np.all(np.isfinite(v0)) and np.all(np.isfinite(v1))):
-            raise ModelValidationError("potentials must be finite")
+            raise ModelError("potentials must be finite")
         v0.flags.writeable = False
         v1.flags.writeable = False
         object.__setattr__(self, "v0", v0)
@@ -75,15 +75,15 @@ def load_lattice(text: str) -> LatticeSpec:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ModelParseError(f"invalid lattice file: {exc}") from exc
+        raise ModelError(f"invalid lattice file: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ModelParseError("lattice file must contain a top-level object")
+        raise ModelError("lattice file must contain a top-level object")
     try:
         M = obj["M"]
         if not isinstance(M, int) or isinstance(M, bool):
-            raise ModelValidationError(f"lattice M must be an integer, got {M!r}")
+            raise ModelError(f"lattice M must be an integer, got {M!r}")
         if obj.get("bc", "dirichlet") != "dirichlet":
-            raise ModelValidationError(f"unsupported boundary condition {obj['bc']!r}")
+            raise ModelError(f"unsupported boundary condition {obj['bc']!r}")
         return LatticeSpec(
             M=M,
             h=_real("h", obj["h"]),
@@ -92,7 +92,7 @@ def load_lattice(text: str) -> LatticeSpec:
             v1=_reals("v1", obj["v1"]),
         )
     except KeyError as exc:
-        raise ModelParseError(f"lattice file missing key {exc}") from exc
+        raise ModelError(f"lattice file missing key {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,9 @@ def _at(amplitudes: np.ndarray, xb, xa):
 
 def _evolve(psi: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
     """<x_b| e^{-iHt} |x_a> over every (x_b, x_a), t >= 0, from the
-    energies of H and its lattice-normalized eigenfunctions psi[n, g]."""
-    if t < 0:
+    energies of H and its lattice-normalized eigenfunctions psi[n, g]; a NaN
+    t is refused too."""
+    if not t >= 0:
         raise ValueError("tb must be >= ta")
     return (psi * np.exp(-1j * energies * t)) @ psi.conj().T
 
@@ -162,7 +163,7 @@ def k_truncated_direct(sys: LatticeSystem, spec: TruncationSpec, xb, tb: float, 
     """Position sandwich psi U_N psi^dagger of the divided-difference
     truncated evolution; the numerically stable reference for the kernel
     relation."""
-    if tb <= ta:
+    if not tb > ta:
         raise ValueError("tb must be > ta")
     u = truncated_evolution(sys.model, spec, tb - ta).entries
     return _at(sys.basis @ u @ sys.basis.conj().T, xb, xa)

@@ -182,7 +182,7 @@ def cmd_identity_check(opts) -> Report:
                 {"nodes": " ".join(str(x) for x in combo)},
                 complex(float_dev), complex(0.0)))
     summary = [
-        SummaryItem("exact_identities", float(n_exact_fail), 0.5, n_exact_fail == 0),
+        _at_most("exact_identities", n_exact_fail, 0.5),
         _at_most("float_dev_min_gap_1", float_dev_gap1, opts.tol),
         SummaryItem("case_count", float(count), 500.0, count >= 500),
     ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import OperatorMatrix, SpectralModel, Unresolved, hamiltonian
 from .oracle import gauss_legendre, linear_solve
-from .propagator import TruncationSpec, normalize_sign, truncated_evolution
+from .propagator import TruncationSpec, _order, normalize_sign, truncated_evolution
 
 _RESIDUAL_TOL = 1e-10
 _DAMPING_TOL = 1e-8
@@ -74,26 +74,26 @@ def complete_resolvent_direct(model: SpectralModel, q: ResolventQuery) -> Operat
 
 def _resolvent_solve(z: complex, h: np.ndarray, eye: np.ndarray):
     """(z - h)^{-1} as a bare array, by the oracle solve against ``eye``, the
-    identity of h's size, and its residual; raises LinAlgError when the
-    residual exceeds _RESIDUAL_TOL or is NaN."""
+    identity of h's size, and its residual.  Raises Unresolved when the
+    residual exceeds _RESIDUAL_TOL or is NaN, as ``linear_solve`` does on a
+    singular z - h."""
     a = z * eye - h
     x = linear_solve(a, eye)
     residual = float(np.abs(a @ x - eye).max())
     if not residual <= _RESIDUAL_TOL:
-        raise np.linalg.LinAlgError(
-            f"resolvent solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
+        raise Unresolved("resolvent solve", f"residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
     return x, residual
 
 
-def dyson_partial(model: SpectralModel, q: ResolventQuery, N: int) -> OperatorMatrix:
-    """N-term Dyson partial sum G0 * sum_{l<=N} (H1 G0)^l.
+def dyson_partial(model: SpectralModel, q: ResolventQuery, N) -> OperatorMatrix:
+    """N-term Dyson partial sum G0 * sum_{l<=N} (H1 G0)^l; N is an int or a
+    TruncationSpec.
 
     Divergence is not an error: the measured contraction factor
     rho = ||H1 G0||_2 is recorded as ``params["rho"]`` so callers can
     apply the geometric tail bound themselves.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    N = _order(N)
     g0 = unperturbed_resolvent(model, q).entries
     step = model.h1 @ g0
     rho = float(np.linalg.norm(step, 2))
@@ -143,7 +143,7 @@ def inverse_fourier_check(
     """
     sgn = normalize_sign(sign)
     a, b = quad.domain
-    if a != 0 or b <= 0:
+    if a != 0:
         raise ValueError("quadrature domain must be (0, T)")
     # in the exponent, so no eps overflows exp and a NaN fails the test too
     if not eps * b >= -np.log(_DAMPING_TOL):

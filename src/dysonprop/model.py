@@ -19,15 +19,7 @@ _HERMITICITY_RTOL = 1e-12
 
 
 class ModelError(ValueError):
-    """Base class for model construction failures."""
-
-
-class ModelParseError(ModelError):
-    """Malformed model file."""
-
-
-class ModelValidationError(ModelError):
-    """Structurally valid file describing an invalid model."""
+    """A malformed or invalid model file, model or lattice."""
 
 
 class Unresolved(ValueError):
@@ -70,23 +62,19 @@ class SpectralModel:
     def __post_init__(self):
         energies = np.asarray(self.energies, dtype=float)
         if energies.ndim != 1 or energies.size < 1:
-            raise ModelValidationError("energies must be a non-empty 1-d real array")
+            raise ModelError("energies must be a non-empty 1-d real array")
         if not np.all(np.isfinite(energies)):
-            raise ModelValidationError("energies must be finite")
+            raise ModelError("energies must be finite")
         d = energies.size
         h1 = np.asarray(self.h1, dtype=complex)
         if h1.shape != (d, d):
-            raise ModelValidationError(
-                f"h1 shape {h1.shape} does not match dimension {d}"
-            )
+            raise ModelError(f"h1 shape {h1.shape} does not match dimension {d}")
         if not np.all(np.isfinite(h1)):
-            raise ModelValidationError("h1 entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(h1))) if h1.size else 1.0)
-        residual = float(np.max(np.abs(h1 - h1.conj().T))) if h1.size else 0.0
+            raise ModelError("h1 entries must be finite")
+        scale = max(1.0, float(np.max(np.abs(h1))))
+        residual = float(np.max(np.abs(h1 - h1.conj().T)))
         if residual > _HERMITICITY_RTOL * scale:
-            raise ModelValidationError(
-                f"h1 is not Hermitian (residual {residual:.3e}, scale {scale:.3e})"
-            )
+            raise ModelError(f"h1 is not Hermitian (residual {residual:.3e}, scale {scale:.3e})")
         h1 = (h1 + h1.conj().T) / 2  # exact Hermiticity from here on
         energies.flags.writeable = False
         h1.flags.writeable = False
@@ -110,16 +98,16 @@ def _is_real(x) -> bool:
 def _real(key: str, value) -> float:
     """A JSON number of a model or lattice file, as a float."""
     if not _is_real(value):
-        raise ModelValidationError(f"{key} must be a number, got {value!r}")
+        raise ModelError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
 def _reals(key: str, value) -> np.ndarray:
     """A JSON list of numbers of a model or lattice file, as a float array."""
     if not isinstance(value, list):
-        raise ModelValidationError(f"{key} must be a list, got {value!r}")
+        raise ModelError(f"{key} must be a list, got {value!r}")
     if not all(_is_real(x) for x in value):
-        raise ModelValidationError(f"{key} entries must be numbers, got {value!r}")
+        raise ModelError(f"{key} entries must be numbers, got {value!r}")
     return np.array(value, dtype=float)
 
 
@@ -128,33 +116,31 @@ def load_model(text: str) -> SpectralModel:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ModelParseError(f"invalid model file: {exc}") from exc
+        raise ModelError(f"invalid model file: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ModelParseError("model file must contain a top-level object")
+        raise ModelError("model file must contain a top-level object")
     try:
         dim = obj["dim"]
         energies = obj["energies"]
         h1_pairs = obj["h1"]
     except KeyError as exc:
-        raise ModelParseError(f"model file missing key {exc}") from exc
+        raise ModelError(f"model file missing key {exc}") from exc
     label = obj.get("label", "")
     if not isinstance(label, str):
-        raise ModelValidationError(f"label must be a string, got {label!r}")
+        raise ModelError(f"label must be a string, got {label!r}")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ModelValidationError(f"dim must be a positive integer, got {dim!r}")
+        raise ModelError(f"dim must be a positive integer, got {dim!r}")
     energies = _reals("energies", energies)
     if len(energies) != dim:
-        raise ModelValidationError(
-            f"energies has length {len(energies)}, expected {dim}"
-        )
+        raise ModelError(f"energies has length {len(energies)}, expected {dim}")
     if (not isinstance(h1_pairs, list) or len(h1_pairs) != dim
             or any(not isinstance(row, list) or len(row) != dim for row in h1_pairs)):
-        raise ModelValidationError("h1 must be a dim x dim array")
+        raise ModelError("h1 must be a dim x dim array")
     try:
         # unpacking refuses entries of any length but 2
         h1 = np.array([[complex(re, im) for re, im in row] for row in h1_pairs], dtype=complex)
     except (TypeError, ValueError) as exc:
-        raise ModelParseError("h1 entries must be [re, im] pairs") from exc
+        raise ModelError("h1 entries must be [re, im] pairs") from exc
     return SpectralModel(energies, h1, label=label)
 
 
@@ -176,7 +162,7 @@ def random_model(dim: int, seed: int, lam: float = 1.0) -> SpectralModel:
     """Deterministic random model: sorted energies with gaps >= 0.05 and a
     random Hermitian perturbation with entry magnitudes <= ``lam``."""
     if dim < 1:
-        raise ModelValidationError(f"dim must be >= 1, got {dim}")
+        raise ModelError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     start = rng.uniform(-1.0, 1.0)
     gaps = 0.05 + rng.uniform(0.0, 0.95, size=dim - 1)
@@ -194,7 +180,7 @@ def scale_coupling(model: SpectralModel, lam: float) -> SpectralModel:
     """Copy of ``model`` with the perturbation multiplied by ``lam`` >= 0."""
     lam = float(lam)
     if not lam >= 0:
-        raise ModelValidationError(f"coupling scale must be >= 0, got {lam}")
+        raise ModelError(f"coupling scale must be >= 0, got {lam}")
     return SpectralModel(model.energies.copy(), model.h1 * lam, label=model.label)
 
 

@@ -25,14 +25,6 @@ _MAX_NODES = 512
 _NEWTON_BUDGET = 10
 
 
-class NotHermitianError(ValueError):
-    pass
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    pass
-
-
 @dataclass
 class EigenDecomposition:
     """Real eigenvalues (ascending) and unitary eigenvector columns."""
@@ -70,7 +62,7 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
     n = a.shape[0]
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.conj().T))) > 1e-10 * scale:
-        raise NotHermitianError("input is not Hermitian to 1e-10")
+        raise ValueError("input is not Hermitian to 1e-10")
     work = (a + a.conj().T) / 2.0
     v = eye = np.eye(n, dtype=complex)
     thresh = _JACOBI_OFF_TOL * max(float(np.linalg.norm(work)), 1e-300)
@@ -227,7 +219,9 @@ def linear_solve(a, b) -> np.ndarray:
     the largest |entry| of column k among the rows not yet used as pivots,
     scales that row and clears column k from every other row with one rank-1
     update.  The rows of X are then the right-hand blocks in pivot order.
-    B is n x k; a 1-D B is refused, so its axes have one meaning.
+    B is n x k; a 1-D B is refused, so its axes have one meaning.  A pivot
+    below 1e-14 of the largest |entry| of A raises Unresolved, whose message
+    gives a lower bound on the condition number.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -247,9 +241,8 @@ def linear_solve(a, b) -> np.ndarray:
         piv = mags[p]
         if piv <= 1e-14 * peak:
             cond = peak / max(piv, 1e-300)
-            raise SingularMatrixError(
-                f"matrix singular to working precision (condition >= {cond:.3e})"
-            )
+            raise Unresolved("linear solve", "matrix singular to working precision "
+                             f"(condition >= {cond:.3e})")
         free[p] = 0.0
         order.append(p)
         row = aug[p] / aug[p, k]

@@ -28,19 +28,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import _phase_exp, dd_phase
-from .model import OperatorMatrix, SpectralModel, Unresolved
+from .divdiff import _check_phase, _phase_exp, dd_phase
+from .model import OperatorMatrix, SpectralModel
 
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Highest perturbation order kept in a partial sum."""
+    """Highest perturbation order kept in a partial sum: a nonnegative
+    integral number, stored as an int."""
 
     N: int
 
     def __post_init__(self):
-        if self.N < 0 or int(self.N) != self.N:
+        # a NaN or infinite N fails the comparisons before int() sees it
+        if not (0 <= self.N < math.inf and int(self.N) == self.N):
             raise ValueError(f"truncation order must be a nonnegative integer, got {self.N}")
+        object.__setattr__(self, "N", int(self.N))
+
+
+def _order(spec) -> int:
+    """The order N of a TruncationSpec, or of a number TruncationSpec accepts."""
+    return (spec if isinstance(spec, TruncationSpec) else TruncationSpec(spec)).N
 
 
 def normalize_sign(sign) -> int:
@@ -100,17 +108,13 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     one index tuple and picks up the divided difference of its energies, so
     one scaling-and-squaring exponential replaces the d^(l+1) tuples of the
     sum, at O(((l+1)d)^3) cost per Taylor term or squaring.  At every order,
-    |t| max|E| >= 1/eps_mach (eps_mach = 2^-52) raises Unresolved: the phases
-    e^{-iEt} then keep no correct bit, and past the float range none.
+    |t| max|E| >= 1/eps_mach (eps_mach = 2^-52) raises Unresolved, by
+    ``divdiff._check_phase``: the phases e^{-iEt} then keep no correct bit.
     """
     if l < 0:
         raise ValueError("order must be >= 0")
     d, e = model.dim, model.energies
-    # in Python floats: an overflowing product is inf with no warning, and NaN fails
-    t_abs, e_max = abs(float(t)), max(map(abs, e.tolist()))
-    if not t_abs * e_max * math.ulp(1.0) < 1:
-        raise Unresolved("exp(-i t E)", f"|t| = {t_abs:.3e} times max|E| = {e_max:.3e} is "
-                         f"not below 1/eps_mach = {1 / math.ulp(1.0):.3e}: no phase keeps a bit")
+    _check_phase(t, e.tolist())
     if l == 0:
         return OperatorMatrix(np.diag(np.exp(-1j * e * t)))
     if l == 1:
@@ -126,11 +130,9 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
 
 
 def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float) -> OperatorMatrix:
-    """Partial sum of the series through order spec.N."""
-    if isinstance(spec, int):
-        spec = TruncationSpec(spec)
+    """Partial sum of the series through order spec.N (a TruncationSpec or an int)."""
     total = np.zeros((model.dim, model.dim), dtype=complex)
-    for l in range(spec.N + 1):
+    for l in range(_order(spec) + 1):
         total += a_matrix(model, l, t).entries
     return OperatorMatrix(total)
 
@@ -150,7 +152,7 @@ def _graded_chains(model: SpectralModel, spec: TruncationSpec, eps: float, sgn: 
 
     ``right[m]`` sums the right chains of length 0..N-m.  Cost O(N d^3).
     """
-    N = TruncationSpec(spec).N if isinstance(spec, int) else spec.N
+    N = _order(spec)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     e = model.energies

@@ -16,7 +16,7 @@ from dysonprop.amplitude import (
     k_via_relation_extrapolated,
     load_lattice,
 )
-from dysonprop.model import ModelParseError, ModelValidationError
+from dysonprop.model import ModelError
 from dysonprop.propagator import TruncationSpec, _graded_chains, epsilon_form_evolution
 from test_propagator import _graded_tuple_sum
 
@@ -27,11 +27,11 @@ def well_spec(lam, m=6, h=0.5):
 
 
 def test_spec_validation():
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelError):
         LatticeSpec(M=1, h=0.5, mass=1.0, v0=np.zeros(1), v1=np.zeros(1))
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelError):
         LatticeSpec(M=4, h=-0.5, mass=1.0, v0=np.zeros(4), v1=np.zeros(4))
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelError):
         LatticeSpec(M=4, h=0.5, mass=1.0, v0=np.zeros(3), v1=np.zeros(4))
 
 
@@ -40,21 +40,21 @@ def test_load_lattice_roundtrip():
             '"v0": [0,0,0,0], "v1": [0.1,0.2,0.2,0.1]}')
     spec = load_lattice(text)
     assert spec.M == 4 and spec.mass == 2.0
-    with pytest.raises(ModelParseError):
+    with pytest.raises(ModelError):
         load_lattice("{bad")
-    with pytest.raises(ModelParseError):
+    with pytest.raises(ModelError):
         load_lattice('{"M": 4}')
 
 
 def test_load_lattice_rejects_fractional_point_count():
     text = ('{"M": 6.7, "x0": 0.0, "h": 0.5, "mass": 1.0, '
             '"v0": [0, 0, 0, 0, 0, 0], "v1": [0, 0, 0, 0, 0, 0]}')
-    with pytest.raises(ModelValidationError, match="lattice M must be an integer, got 6.7"):
+    with pytest.raises(ModelError, match="lattice M must be an integer, got 6.7"):
         load_lattice(text)
 
 
 def test_load_lattice_rejects_top_level_array():
-    with pytest.raises(ModelParseError, match="lattice file must contain a top-level object"):
+    with pytest.raises(ModelError, match="lattice file must contain a top-level object"):
         load_lattice('[{"M": 4}]')
 
 
@@ -74,14 +74,14 @@ def test_load_lattice_ignores_origin_and_keeps_dirichlet_walls():
     want = fields(json.dumps(plain))
     assert fields(_lattice_text(x0=-1.0)) == want
     assert fields(_lattice_text(bc="dirichlet")) == want
-    with pytest.raises(ModelValidationError, match="unsupported boundary condition 'periodic'"):
+    with pytest.raises(ModelError, match="unsupported boundary condition 'periodic'"):
         load_lattice(_lattice_text(bc="periodic"))
 
 
 def test_load_lattice_rejects_non_numeric_potential():
-    with pytest.raises(ModelValidationError, match="v0 must be a list, got 'ab'"):
+    with pytest.raises(ModelError, match="v0 must be a list, got 'ab'"):
         load_lattice(_lattice_text(v0="ab"))
-    with pytest.raises(ModelValidationError, match=r"v1 entries must be numbers"):
+    with pytest.raises(ModelError, match=r"v1 entries must be numbers"):
         load_lattice(_lattice_text(v1=[0, "1", 0, 0]))
 
 
@@ -250,6 +250,15 @@ def test_time_ordering_guards():
         k0_amplitude(sys_, 0, 0.0, 1, 1.0)
     with pytest.raises(ValueError):
         k_truncated_direct(sys_, TruncationSpec(1), 0, 1.0, 1, 1.0)
+    # every comparison with NaN is False: a guard must not let it through as
+    # nan+nanj, or as a phase refusal
+    routes = [(k0_amplitude, "tb must be >= ta"), (k_exact, "tb must be >= ta"),
+              (lambda s, *a: k_truncated_direct(s, TruncationSpec(1), *a), "tb must be > ta")]
+    for route, message in routes:
+        for xb, xa in ((3, 2), (slice(None), slice(None))):
+            for tb, ta in ((np.nan, 0.0), (1.0, np.nan)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    route(sys_, xb, tb, xa, ta)
 
 
 EVERY = slice(None)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 
 from dysonprop import divdiff
 from dysonprop.divdiff import (
-    SingularNodesError,
     _phase_exp,
     dd_phase,
     denominator_d,
     identity_suite,
 )
-from dysonprop.model import Unresolved, random_model
+from dysonprop.model import SpectralModel, Unresolved, random_model
+from dysonprop.propagator import a_matrix
 
 
 def mp_dd_phase(nodes, t, prec=60):
@@ -71,6 +72,19 @@ def test_dd_phase_rejects_bad_nodes_and_time():
         dd_phase([0.5, 1.0], np.inf)
     with pytest.raises(ValueError, match="t must be finite"):
         dd_phase([0.5], np.nan)
+
+
+def test_dd_phase_refuses_the_times_a_matrix_refuses():
+    # at |t| max|E| >= 1/eps_mach no phase keeps a correct bit: dd_phase
+    # returned 0.06+0.26i at t = 1e16, where the divided difference is 0.41+1.76i
+    model = SpectralModel(np.array([1.0, 2.0]), np.zeros((2, 2)))
+    with pytest.raises(Unresolved) as refused:
+        a_matrix(model, 2, 1e16)
+    with pytest.raises(Unresolved, match=f"^{re.escape(str(refused.value))}$"):
+        dd_phase([1.0, 2.0], 1e16)
+    # a tenth of the bound resolves, each phase off by about |t| max|E| eps_mach
+    t = 0.1 / (2.0 * math.ulp(1.0))
+    assert abs(dd_phase([1.0, 2.0], t) - mp_dd_phase([1.0, 2.0], t)) <= 0.2
 
 
 def test_two_distinct_nodes_closed_form():
@@ -172,7 +186,7 @@ def test_denominator_matches_product_form():
 
 
 def test_denominator_repeated_nodes_rejected():
-    with pytest.raises(SingularNodesError):
+    with pytest.raises(ValueError, match="coincident nodes at positions 2 and 1"):
         denominator_d((1.0, 1.0, 2.0), 1)
 
 
@@ -281,14 +295,18 @@ def test_phase_exp_raises_at_the_term_cap(monkeypatch):
         dd_phase([0.0, 0.11, 0.22], 1.0)
 
 
-@pytest.mark.parametrize("nodes, t", [([1e300, -1e300], 1e300), ([1.0, 2.0], 1e308),
+@pytest.mark.parametrize("nodes, t", [([1e300, -1e300], 1e300), ([2.0, 1.0], 1e308),
                                       ([1e308, -1e308], 1.0)])
 def test_phase_exp_refuses_an_unrepresentable_scale(nodes, t):
     # theta = |t| * ||J - mu||_1 is infinite, or finite but past 2^1023 so that
-    # the scale 2^s overflows: a halving loop never ended on the first
+    # the scale 2^s overflows: a halving loop never ended on the first.  J is
+    # dd_phase's bidiagonal matrix of the nodes in their Leja order; dd_phase
+    # itself refuses these times before it builds J
+    j = np.diag(np.array(nodes, dtype=complex))
+    j[0, 1] = 1.0
     with pytest.raises(Unresolved, match=r"^exp\(-i t m\) cannot be resolved: \|t\| = \S+ "
                                          r"times \|\|m - mu\|\|_1 = \S+ needs a scale 2\^s"):
-        dd_phase(nodes, t)
+        _phase_exp(j, t)
 
 
 def test_phase_exp_refuses_squarings_past_the_float_range():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from dysonprop.model import (
-    ModelParseError,
-    ModelValidationError,
+    ModelError,
     SpectralModel,
     emit_model,
     load_model,
@@ -22,7 +21,7 @@ def test_two_level_shape():
 
 
 def test_hermiticity_enforced():
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelError):
         SpectralModel(np.array([0.0, 1.0]),
                       np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
 
@@ -34,7 +33,7 @@ def test_near_hermitian_symmetrized():
 
 
 def test_energies_must_be_finite_and_real():
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelError):
         SpectralModel(np.array([0.0, np.inf]), np.zeros((2, 2)))
 
 
@@ -53,44 +52,44 @@ def test_roundtrip_through_text():
 
 
 def test_load_rejects_malformed():
-    with pytest.raises(ModelParseError):
+    with pytest.raises(ModelError):
         load_model("{not json")
-    with pytest.raises(ModelParseError):
+    with pytest.raises(ModelError):
         load_model('{"dim": 2, "energies": [0.0, 1.0]}')  # missing h1
 
 
 def test_load_rejects_shape_mismatch():
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelError):
         load_model('{"dim": 3, "energies": [0.0, 1.0], '
                    '"h1": [[[0,0],[1,0]],[[1,0],[0,0]]], "label": "x"}')
 
 
 def test_load_rejects_boolean_dim():
     # JSON true is a Python bool, which is an int subclass
-    with pytest.raises(ModelValidationError, match="dim must be a positive integer, got True"):
+    with pytest.raises(ModelError, match="dim must be a positive integer, got True"):
         load_model('{"dim": true, "energies": [0.0], "h1": [[[0.0, 0.0]]]}')
 
 
 def test_load_rejects_h1_entry_with_three_numbers():
     text = ('{"dim": 2, "energies": [0.0, 1.0], '
             '"h1": [[[0.0, 0.0], [0.1, 0.0, 7.0]], [[0.1, 0.0], [0.0, 0.0]]]}')
-    with pytest.raises(ModelParseError, match=r"h1 entries must be \[re, im\] pairs"):
+    with pytest.raises(ModelError, match=r"h1 entries must be \[re, im\] pairs"):
         load_model(text)
 
 
 def test_load_rejects_scalar_energies():
-    with pytest.raises(ModelValidationError, match="energies must be a list, got 0.5"):
+    with pytest.raises(ModelError, match="energies must be a list, got 0.5"):
         load_model('{"dim": 1, "energies": 0.5, "h1": [[[0.0, 0.0]]]}')
 
 
 def test_load_rejects_non_numeric_energy():
-    with pytest.raises(ModelValidationError,
+    with pytest.raises(ModelError,
                        match=r"energies entries must be numbers, got \['a'\]"):
         load_model('{"dim": 1, "energies": ["a"], "h1": [[[0.0, 0.0]]]}')
 
 
 def test_load_rejects_non_string_label():
-    with pytest.raises(ModelValidationError, match="label must be a string, got 5"):
+    with pytest.raises(ModelError, match="label must be a string, got 5"):
         load_model('{"dim": 1, "energies": [0.0], "h1": [[[0.0, 0.0]]], "label": 5}')
 
 
@@ -118,5 +117,5 @@ def test_coupling_scale_object():
     assert scale_coupling(m, 0.5).h1[0, 1] == pytest.approx(0.5)
     assert not scale_coupling(m, 0.0).h1.any()
     for bad in (-0.5, float("nan")):
-        with pytest.raises(ModelValidationError, match="coupling scale must be >= 0"):
+        with pytest.raises(ModelError, match="coupling scale must be >= 0"):
             scale_coupling(m, bad)

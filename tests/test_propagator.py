@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dysonprop import propagator
 from dysonprop.cli import _EPS_LADDER
 from dysonprop.divdiff import _phase_exp
+from dysonprop.green import ResolventQuery, dyson_partial
 from dysonprop.model import (
     SpectralModel,
     Unresolved,
@@ -279,6 +280,24 @@ def test_time_reversal():
 def test_truncation_spec_validation():
     with pytest.raises(ValueError):
         TruncationSpec(-1)
+    # every route reads its order through the one normalizer
+    m = random_model(3, 2, 0.3)
+    q = ResolventQuery(-2.0, "+", 0.05)
+    ref = (truncated_evolution(m, 2, 0.7).entries,
+           epsilon_form_evolution(m, 2, 0.7, 1e-2, "+").entries,
+           dyson_partial(m, q, 2).entries)
+    for order in (np.int64(2), 2.0, TruncationSpec(2.0), TruncationSpec(np.int64(2))):
+        got = (truncated_evolution(m, order, 0.7).entries,
+               epsilon_form_evolution(m, order, 0.7, 1e-2, "+").entries,
+               dyson_partial(m, q, order).entries)
+        assert [g.tobytes() for g in got] == [r.tobytes() for r in ref], order
+    assert type(TruncationSpec(2.0).N) is int and type(TruncationSpec(np.int64(2)).N) is int
+    for bad in (2.5, -1, np.nan, np.inf):
+        for route in (lambda: truncated_evolution(m, bad, 0.7),
+                      lambda: epsilon_form_evolution(m, bad, 0.7, 1e-2, "+"),
+                      lambda: dyson_partial(m, q, bad)):
+            with pytest.raises(ValueError, match="truncation order must be a nonnegative integer"):
+                route()
 
 
 def test_epsilon_form_converges_linearly():
