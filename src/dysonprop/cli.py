@@ -90,6 +90,12 @@ def _halving_item(name: str, errs, expected: float, tol: float,
     return SummaryItem(name, ratio, tol, abs(ratio / expected - 1.0) <= tol, expected)
 
 
+def _worst(rows, **match) -> float:
+    """The largest abs_error among ``rows`` whose inputs hold every item of
+    ``match``: the value of a summary item that summarises those rows."""
+    return max(r.abs_error for r in rows if match.items() <= r.inputs.items())
+
+
 def _entry_rows(*cases, keys=("row", "col")) -> list:
     """ReportRows for every entry (i, j) of square matrices, row-major, case
     by case within an entry.  A case is (inputs, computed, oracle); a row's
@@ -167,24 +173,15 @@ _IDENTITY_POOL = (-10, -7, -5, -4, -3, -2, -1, 1, 2, 4, 6, 10)
 
 def cmd_identity_check(opts) -> Report:
     """Exhaustive exactness of dd of monomials over an integer node pool."""
-    rows = []
-    n_exact_fail = 0
-    float_dev_gap1 = 0.0
-    count = 0
-    for combo, exact_ok, float_dev in divdiff.identity_suite(_IDENTITY_POOL, opts.max_nodes):
-        count += 1
-        if not exact_ok:
-            n_exact_fail += 1
-        # distinct pool integers: every combination's nodes are >= 1 apart
-        float_dev_gap1 = max(float_dev_gap1, float_dev)
-        if count <= 200:  # keep the report a sane size; checks cover all
-            rows.append(ReportRow(
-                {"nodes": " ".join(str(x) for x in combo)},
-                complex(float_dev), complex(0.0)))
+    cases = list(divdiff.identity_suite(_IDENTITY_POOL, opts.max_nodes))
+    # keep the report a sane size; the summary covers every case
+    rows = [ReportRow({"nodes": " ".join(str(x) for x in combo)}, complex(dev), complex(0.0))
+            for combo, _, dev in cases[:200]]
     summary = [
-        _at_most("exact_identities", n_exact_fail, 0.5),
-        _at_most("float_dev_min_gap_1", float_dev_gap1, opts.tol),
-        SummaryItem("case_count", float(count), 500.0, count >= 500),
+        _at_most("exact_identities", sum(not ok for _, ok, _ in cases), 0.5),
+        # distinct pool integers: every combination's nodes are >= 1 apart
+        _at_most("float_dev_min_gap_1", max(dev for _, _, dev in cases), opts.tol),
+        SummaryItem("case_count", float(len(cases)), 500.0, len(cases) >= 500),
     ]
     params = {"max_nodes": opts.max_nodes, "tol": opts.tol,
               "pool": " ".join(str(x) for x in _IDENTITY_POOL)}
@@ -202,15 +199,13 @@ def cmd_propagate(opts) -> Report:
     """Series terms vs time-ordered quadrature, plus the extrapolated
     resolvent-form consistency check."""
     model = _load_or_random_model(opts)
-    rows, worst_term = [], 0.0
+    rows = []
     # the partial sum of the terms, added in truncated_evolution's order
     direct = np.zeros((model.dim, model.dim), dtype=complex)
     terms = oracle._dyson_terms(model, opts.order, opts.t, opts.quad_points)
     for l, term in enumerate(terms):
         computed = a_matrix(model, l, opts.t).entries
-        ref = term.entries
-        rows += _entry_rows(({"l": l}, computed, ref))
-        worst_term = max(worst_term, float(np.max(np.abs(computed - ref))))
+        rows += _entry_rows(({"l": l}, computed, term.entries))
         direct += computed
 
     spec = TruncationSpec(opts.order)
@@ -219,7 +214,7 @@ def cmd_propagate(opts) -> Report:
     extrapolated = richardson_limit(_EPS_LADDER, samples)
     eps_dev = float(np.max(np.abs(extrapolated - direct)))
     summary = [
-        _at_most("series_term_vs_quadrature", worst_term, opts.tol),
+        _at_most("series_term_vs_quadrature", _worst(rows), opts.tol),
         _at_most("resolvent_form_extrapolated", eps_dev, opts.eps_tol),
     ]
     params = {"t": opts.t, "order": opts.order, "seed": opts.seed, "dim": model.dim,
@@ -277,7 +272,7 @@ def cmd_dyson_check(opts) -> Report:
     partial = green.dyson_partial(model, q, opts.order)
     direct = green.complete_resolvent_direct(model, q)
     rows = _entry_rows(({}, partial.entries, direct.entries))
-    err = float(np.max(np.abs(partial.entries - direct.entries)))
+    err = _worst(rows)
     rho = partial.params["rho"]
     g0_norm = float(np.linalg.norm(green.unperturbed_resolvent(model, q).entries, 2))
     # geometric tail plus a roundoff floor; at large orders the analytic
@@ -304,13 +299,12 @@ def cmd_green_ft(opts) -> Report:
     model = two_level_model(1.0, 0.3) if not opts.model else _load_or_random_model(opts)
     spec = TruncationSpec(opts.order)
     quad = green.QuadratureSpec((0.0, opts.quad_domain), opts.quad_points)
-    rows, worst_inv = [], 0.0
+    rows = []
     for sgn in (+1, -1):
         lhs = green.inverse_fourier_check(model, spec, opts.E, sgn, opts.eps, quad)
         rhs = green.dyson_partial(
             model, green.ResolventQuery(opts.E, sgn, opts.eps), opts.order)
         rows += _entry_rows(({"check": "inverse", "sign": sgn}, lhs.entries, rhs.entries))
-        worst_inv = max(worst_inv, float(np.max(np.abs(lhs.entries - rhs.entries))))
 
     e_min, e_max = float(np.min(model.energies)), float(np.max(model.energies))
     fwd_quad = green.QuadratureSpec((e_min - opts.window, e_max + opts.window),
@@ -322,9 +316,9 @@ def cmd_green_ft(opts) -> Report:
     rows += _entry_rows(({"check": "acausal", "sign": 1}, acausal.entries, np.zeros_like(damped)),
                         ({"check": "causal", "sign": 1}, causal.entries, damped))
     summary = [
-        _at_most("inverse_transform", worst_inv, opts.tol),
-        _at_most("causal_transform", np.max(np.abs(causal.entries - damped)), opts.causal_tol),
-        _at_most("causality", np.max(np.abs(acausal.entries)), opts.causal_tol),
+        _at_most("inverse_transform", _worst(rows, check="inverse"), opts.tol),
+        _at_most("causal_transform", _worst(rows, check="causal"), opts.causal_tol),
+        _at_most("causality", _worst(rows, check="acausal"), opts.causal_tol),
     ]
     params = {"E": opts.E, "eps": opts.eps, "order": opts.order, "t": opts.t,
               "quad_points": opts.quad_points, "quad_domain": opts.quad_domain,
@@ -353,8 +347,7 @@ def cmd_amplitude(opts) -> Report:
         systems = [(lam, amp.build_lattice(_default_lattice(lam)))
                    for lam in (opts.lam, opts.lam / 2)]
     every = slice(None)  # all endpoint pairs in one call
-    rows, rel_errs, dir_errs = [], [], []
-    scale = 0.0
+    rows = []
     for lam, sys_ in systems:
         exact = amp.k_exact(sys_, every, tb, every, ta)
         via = amp.k_via_relation_extrapolated(sys_, spec, _EPS_LADDER, every, tb, every, ta)
@@ -362,9 +355,6 @@ def cmd_amplitude(opts) -> Report:
         pair = {"lambda": lam, "xb": 0, "xa": 0}  # xb, xa hold their column places
         rows += _entry_rows(({**pair, "what": "relation"}, via, exact),
                             ({**pair, "what": "direct"}, direct, exact), keys=("xb", "xa"))
-        rel_errs.append(float(np.max(np.abs(via - exact))))
-        dir_errs.append(float(np.max(np.abs(direct - exact))))
-        scale = max(scale, float(np.max(np.abs(exact))))
 
     # free (v1 = 0) reduction of the same lattice must be exact
     lattice = systems[0][1].spec
@@ -372,15 +362,12 @@ def cmd_amplitude(opts) -> Report:
     free_dev = float(np.max(np.abs(amp.k_via_relation(sys0, spec, 1e-3, every, tb, every, ta)
                                    - amp.k0_amplitude(sys0, every, tb, every, ta))))
 
-    expected = 2.0 ** (opts.order + 1)
-    if len(systems) == 2:
-        summary = [
-            _halving_item("relation_error_ratio", rel_errs, expected, opts.ratio_tol, scale),
-            _halving_item("direct_error_ratio", dir_errs, expected, opts.ratio_tol, scale),
-        ]
-    else:
-        summary = [_at_most("relation_error", rel_errs[0], opts.tol),
-                   _at_most("direct_error", dir_errs[0], opts.tol)]
+    expected, scale = 2.0 ** (opts.order + 1), max(abs(r.oracle) for r in rows)
+    summary = []
+    for what in ("relation", "direct"):  # the largest deviation at each coupling
+        errs = [_worst(rows, what=what, **{"lambda": lam}) for lam, _ in systems]
+        summary.append(_halving_item(f"{what}_error_ratio", errs, expected, opts.ratio_tol, scale)
+                       if len(errs) == 2 else _at_most(f"{what}_error", errs[0], opts.tol))
     summary.append(_at_most("free_reduction", free_dev, opts.free_tol))
     params = {"t": opts.t, "order": opts.order, "lambda": opts.lam,
               "ratio_tol": opts.ratio_tol, "free_tol": opts.free_tol,
@@ -391,76 +378,59 @@ def cmd_amplitude(opts) -> Report:
 def cmd_selftest(opts) -> Report:
     """Small deterministic battery across all modules; byte-identical JSON
     for identical seeds."""
-    rows, checks = [], []
-
     # divided differences: a repeated node vs the confluent closed form
-    nodes = np.array([1.0, 1.0, 2.0])
-    val = divdiff.dd_phase(nodes, 1.0)
+    val = divdiff.dd_phase(np.array([1.0, 1.0, 2.0]), 1.0)
     # confluent closed form: f[a,a,b] = (f(b) - f(a) - (b-a) f'(a)) / (b-a)^2
     fa, fb = np.exp(-1j * 1.0), np.exp(-1j * 2.0)
-    ref = (fb - fa - (-1j) * fa) / 1.0
-    rows.append(ReportRow({"check": "dd_confluent"}, val, ref))
-    checks.append(("dd_confluent", abs(val - ref), 1e-12))
 
     model = random_model(3, opts.seed, 0.2)
     spec = TruncationSpec(2)
     u = truncated_evolution(model, spec, 1.0).entries
-    ref_u = oracle.exact_evolution(model, 1.0).entries
-    err_u = float(np.max(np.abs(u - ref_u)))
-    rows.append(ReportRow({"check": "truncation_error"}, complex(err_u), 0.0))
-    checks.append(("truncation_error", err_u, 1e-2))
-
     rev = truncated_evolution(model, spec, -1.0).entries
-    err_rev = float(np.max(np.abs(rev - u.conj().T)))
-    rows.append(ReportRow({"check": "time_reversal"}, complex(err_rev), 0.0))
-    checks.append(("time_reversal", err_rev, 1e-12))
-
     q = green.ResolventQuery(float(np.min(model.energies)) - 2.0, +1, 0.05)
     partial = green.dyson_partial(model, q, 30).entries
     direct = green.complete_resolvent_direct(model, q).entries
-    err_g = float(np.max(np.abs(partial - direct)))
-    rows.append(ReportRow({"check": "dyson_partial"}, complex(err_g), 0.0))
-    checks.append(("dyson_partial", err_g, 1e-8))
-
     sys_ = amp.build_lattice(_default_lattice(0.1))
-    kd = amp.k_truncated_direct(sys_, spec, 3, 1.0, 2, 0.0)
-    ke = amp.k_exact(sys_, 3, 1.0, 2, 0.0)
-    rows.append(ReportRow({"check": "lattice_amplitude"}, kd, ke))
-    checks.append(("lattice_amplitude", abs(kd - ke), 1e-3))
 
-    summary = [_at_most(name, v, tol) for name, v, tol in checks]
+    # (check, computed, oracle, tolerance); a matrix check reports its
+    # largest entry deviation as its computed value, against 0
+    cases = [
+        ("dd_confluent", val, (fb - fa - (-1j) * fa) / 1.0, 1e-12),
+        ("truncation_error", np.max(np.abs(u - oracle.exact_evolution(model, 1.0).entries)),
+         0.0, 1e-2),
+        ("time_reversal", np.max(np.abs(rev - u.conj().T)), 0.0, 1e-12),
+        ("dyson_partial", np.max(np.abs(partial - direct)), 0.0, 1e-8),
+        ("lattice_amplitude", amp.k_truncated_direct(sys_, spec, 3, 1.0, 2, 0.0),
+         amp.k_exact(sys_, 3, 1.0, 2, 0.0), 1e-3),
+    ]
+    rows = [ReportRow({"check": name}, computed, ref) for name, computed, ref, _ in cases]
+    summary = [_at_most(name, _worst(rows, check=name), tol) for name, _, _, tol in cases]
     return Report("selftest", {"seed": opts.seed}, rows, summary)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _nonnegative_int(text: str) -> int:
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
-    return v
+def _checked(name: str, convert, *rules):
+    """An argparse type named ``name`` (argparse names it in its "invalid ...
+    value" errors): ``convert`` of the text, refused with "must be <what>, got
+    <value>" at the first (test, what) of ``rules`` that the value fails."""
+    def check(text: str):
+        v = convert(text)
+        for test, what in rules:
+            if not test(v):
+                raise argparse.ArgumentTypeError(f"must be {what}, got {v}")
+        return v
+
+    check.__name__ = name
+    return check
 
 
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
-
-
-def _finite_float(text: str) -> float:
-    v = float(text)
-    if not np.isfinite(v):
-        raise argparse.ArgumentTypeError(f"must be finite, got {v}")
-    return v
-
-
-def _positive_float(text: str) -> float:
-    v = _finite_float(text)
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {v}")
-    return v
+_FINITE = (np.isfinite, "finite")
+_nonnegative_int = _checked("_nonnegative_int", int, (lambda v: v >= 0, ">= 0"))
+_positive_int = _checked("_positive_int", int, (lambda v: v >= 1, ">= 1"))
+_finite_float = _checked("_finite_float", float, _FINITE)
+_positive_float = _checked("_positive_float", float, _FINITE, (lambda v: v > 0, "> 0"))
 
 
 #: command -> (handler, help line, flags); a flag is (name, type or a tuple

@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import OperatorMatrix, SpectralModel, Unresolved, hamiltonian
 from .oracle import gauss_legendre, linear_solve
-from .propagator import TruncationSpec, _order, normalize_sign, truncated_evolution
+from .propagator import TruncationSpec, _is_count, _order, normalize_sign, truncated_evolution
 
 _RESIDUAL_TOL = 1e-10
 _DAMPING_TOL = 1e-8
@@ -35,8 +35,10 @@ class ResolventQuery:
     eps: float
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not math.isfinite(self.E):
+            raise ValueError(f"E must be finite, got {self.E}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         object.__setattr__(self, "sign", normalize_sign(self.sign))
 
     @property
@@ -47,8 +49,9 @@ class ResolventQuery:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """A quadrature's finite ``domain`` and node count ``npoints``.  Both
-    Fourier routes lay their nodes on it with ``_panel_rule``."""
+    """A quadrature's finite ``domain`` and node count ``npoints``, an
+    integral number >= 2 stored as an int.  Both Fourier routes lay their
+    nodes on it with ``_panel_rule``."""
 
     domain: tuple
     npoints: int
@@ -57,8 +60,10 @@ class QuadratureSpec:
         a, b = self.domain
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValueError(f"domain must be a finite interval, got {self.domain}")
-        if self.npoints < 2:
-            raise ValueError("need at least 2 quadrature points")
+        if not _is_count(self.npoints, 2):
+            raise ValueError(f"need a whole number of at least 2 quadrature points, "
+                             f"got {self.npoints}")
+        object.__setattr__(self, "npoints", int(self.npoints))
 
 
 def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:

@@ -25,6 +25,17 @@ _MAX_NODES = 512
 _NEWTON_BUDGET = 10
 
 
+def _finite_peak(a: np.ndarray) -> float:
+    """The largest |entry| of ``a``.  When it is not finite (NaN when an
+    entry is), a ValueError naming the [row, col] of the non-finite entries."""
+    peak = float(np.abs(a).max())
+    if not peak < np.inf:
+        bad = np.argwhere(~np.isfinite(a)).tolist()
+        raise ValueError(f"matrix entries must be finite; {len(bad)} non-finite, first at "
+                         f"[row, col] {bad[:4]}")
+    return peak
+
+
 @dataclass
 class EigenDecomposition:
     """Real eigenvalues (ascending) and unitary eigenvector columns."""
@@ -60,7 +71,7 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
+    scale = max(1.0, _finite_peak(a))
     if float(np.max(np.abs(a - a.conj().T))) > 1e-10 * scale:
         raise ValueError("input is not Hermitian to 1e-10")
     work = (a + a.conj().T) / 2.0
@@ -231,7 +242,7 @@ def linear_solve(a, b) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != n:
         raise ValueError(f"B must be an n x k array conformable with A (n = {n}), "
                          f"got shape {b.shape}")
-    peak = max(float(np.abs(a).max()), 1e-300)
+    peak = max(_finite_peak(a), 1e-300)
     aug = np.concatenate((a, b), axis=1)
     free = np.ones(n)  # 1.0 for rows not yet used as pivots
     order = []

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import _check_phase, _phase_exp, dd_phase
-from .model import OperatorMatrix, SpectralModel
+from .model import OperatorMatrix, SpectralModel, Unresolved
+
+
+def _is_count(n, least: int) -> bool:
+    """Whether n is an integral number >= least; a NaN or infinite n fails
+    the comparisons before int() sees it."""
+    return least <= n < math.inf and int(n) == n
 
 
 @dataclass(frozen=True)
@@ -40,8 +46,7 @@ class TruncationSpec:
     N: int
 
     def __post_init__(self):
-        # a NaN or infinite N fails the comparisons before int() sees it
-        if not (0 <= self.N < math.inf and int(self.N) == self.N):
+        if not _is_count(self.N, 0):
             raise ValueError(f"truncation order must be a nonnegative integer, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
 
@@ -153,8 +158,8 @@ def _graded_chains(model: SpectralModel, spec: TruncationSpec, eps: float, sgn: 
     ``right[m]`` sums the right chains of length 0..N-m.  Cost O(N d^3).
     """
     N = _order(spec)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     e = model.energies
     nodes = e - 1j * sgn * eps * np.arange(N + 1)[:, np.newaxis]
     left = np.empty((N + 1, model.dim, model.dim), dtype=complex)
@@ -186,9 +191,17 @@ def epsilon_form_evolution(
     left[m, g, a] e^{-i z_m(g) t} right[m, g, b].  Individual terms grow
     like 1/eps near coincident energies while the assembled matrix converges
     to ``truncated_evolution`` as eps -> 0; callers are expected to
-    extrapolate over a ladder of eps values.
+    extrapolate over a ladder of eps values.  Raises Unresolved at the times
+    ``a_matrix`` refuses, and where |e^{-i z_N t}| = e^{-sgn N eps t} is past
+    the float range.
     """
-    nodes, left, right = _graded_chains(model, spec, eps, normalize_sign(sign))
+    _check_phase(t, model.energies.tolist())
+    sgn = normalize_sign(sign)
+    nodes, left, right = _graded_chains(model, spec, eps, sgn)
+    N = len(nodes) - 1
+    if -sgn * N * eps * t >= np.log(np.finfo(float).max):
+        raise Unresolved("e^{-i z t}", f"at t = {t}, eps = {eps} and N = {N} the graded "
+                         f"shift grows it to e^{-sgn * N * eps * t:.3e}, past the float range")
     return OperatorMatrix(_graded_sum(left, np.exp(-1j * nodes * t), right))
 
 

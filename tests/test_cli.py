@@ -297,6 +297,48 @@ def test_green_ft_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert out.read_bytes() == golden, threads
 
 
+#: command -> summary item -> the row filters behind its value, for every item
+#: that summarises rows of its own report: the largest abs_error of the rows
+#: whose inputs hold the filter, or for a halving ratio the first filter's
+#: over the second's.  identity-check's deviation covers more cases than its
+#: first 200 rows, so none of its items is row-backed.
+ROW_BACKED = {
+    "identity-check": {},
+    "propagate": {"series_term_vs_quadrature": [{}]},
+    "converge": {f"{item}_ratio_N{N}": [{"N": N, "lambda": lam, "what": what}
+                                        for lam in (0.1, 0.05)]
+                 for N in (1, 2, 3)
+                 for item, what in (("error", "max_err"), ("unitarity", "unitarity_defect"))},
+    "dyson-check": {"partial_vs_direct": [{}], "geometric_tail_bound": [{}]},
+    "green-ft": {"inverse_transform": [{"check": "inverse"}],
+                 "causal_transform": [{"check": "causal"}],
+                 "causality": [{"check": "acausal"}]},
+    "amplitude": {f"{what}_error_ratio": [{"lambda": lam, "what": what} for lam in (0.1, 0.05)]
+                  for what in ("relation", "direct")},
+    "selftest": {check: [{"check": check}] for check in (
+        "dd_confluent", "truncation_error", "time_reversal", "dyson_partial",
+        "lattice_amplitude")},
+}
+
+
+@pytest.mark.parametrize("argv", _default_runs(), ids=lambda argv: argv[0])
+def test_summary_values_are_the_largest_row_errors(argv):
+    # one |z| routine for the rows and the summary: the value of every
+    # row-backed item is, bit for bit, what a reader recomputes from the rows
+    report = _default_report(argv)
+
+    def worst(match):
+        errs = [r.abs_error for r in report.rows
+                if all(r.inputs.get(k) == v for k, v in match.items())]
+        assert errs, match
+        return max(errs)
+
+    values = {item.name: item.value for item in report.summary}
+    for name, matches in ROW_BACKED[argv[0]].items():
+        want = worst(matches[0]) if len(matches) == 1 else worst(matches[0]) / worst(matches[1])
+        assert float(values[name]).hex() == float(want).hex(), name
+
+
 def _params(argv, path):
     main([*argv, "--out", str(path)])
     return json.loads(path.read_text())["params"]

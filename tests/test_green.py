@@ -27,8 +27,12 @@ from dysonprop.propagator import OperatorMatrix, TruncationSpec, truncated_evolu
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        ResolventQuery(1.0, "+", -0.1)
+    # accepted, a NaN E warned in the divisions of dyson_partial and of the
+    # direct solve, and an infinite E or eps in the direct solve's products
+    for E, eps, what in ((1.0, -0.1, "eps"), (np.nan, 0.1, "E"), (np.inf, 0.1, "E"),
+                         (-np.inf, 0.1, "E"), (0.4, np.inf, "eps"), (0.4, np.nan, "eps")):
+        with pytest.raises(ValueError, match=f"^{what} must be .*finite, got"):
+            ResolventQuery(E, "+", eps)
     q = ResolventQuery(2.0, "-", 0.3)
     assert q.z == pytest.approx(2.0 - 0.3j)
 
@@ -341,3 +345,18 @@ def test_quadrature_spec_computes_nothing(monkeypatch):
     assert spec == QuadratureSpec((-1.0, 3.0), 40)
     assert hash(spec) == hash(QuadratureSpec((-1.0, 3.0), 40))
     assert repr(spec) == "QuadratureSpec(domain=(-1.0, 3.0), npoints=40)"
+
+
+def test_quadrature_spec_stores_an_integral_count():
+    # a float count of 40.0 passed validation and then failed in _panel_rule;
+    # it is now the int 40, with the bits of the int count
+    quad = QuadratureSpec((0.0, 200.0), 40.0)
+    assert quad == QuadratureSpec((0.0, 200.0), 40) and type(quad.npoints) is int
+    assert type(QuadratureSpec((0.0, 200.0), np.int64(40)).npoints) is int
+    m, spec = two_level_model(1.0, 0.3), TruncationSpec(2)
+    got, want = (inverse_fourier_check(m, spec, 0.37, "+", 0.1, q).entries
+                 for q in (quad, QuadratureSpec((0.0, 200.0), 40)))
+    assert got.tobytes() == want.tobytes()
+    for bad in (40.5, np.nan, np.inf, 1, -3):
+        with pytest.raises(ValueError, match="whole number of at least 2 quadrature points"):
+            QuadratureSpec((0.0, 200.0), bad)

@@ -94,6 +94,20 @@ def test_sweep_budget_exhaustion_raises(monkeypatch):
         hermitian_eigendecomposition(random_hermitian(10, 4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+def test_oracles_refuse_non_finite_entries(bad):
+    # a NaN warned in the solve's divisions, and ran all of Jacobi's sweeps
+    # to a "sweeps exhausted" refusal; an infinity warned in both
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite; 1 non-finite, "
+                                         r"first at \[row, col\] \[\[1, 2\]\]$"):
+        linear_solve(a, np.eye(3))
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite; 2 non-finite, "
+                                         r"first at \[row, col\] \[\[0, 1\], \[1, 0\]\]$"):
+        hermitian_eigendecomposition(np.array([[1.0, bad], [np.conj(bad), 2.0]]))
+
+
 def test_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))

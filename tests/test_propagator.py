@@ -382,8 +382,26 @@ def test_epsilon_form_large_dimension(sign):
 
 def test_epsilon_form_rejects_bad_eps():
     m = two_level_model()
-    with pytest.raises(ValueError):
-        epsilon_form_evolution(m, TruncationSpec(1), 1.0, 0.0, "+")
+    for eps in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            epsilon_form_evolution(m, TruncationSpec(1), 1.0, eps, "+")
+
+
+def test_epsilon_form_refuses_phases_it_cannot_hold():
+    m = two_level_model(1.0, 0.3)
+    # the times a_matrix refuses, with its text; the eps-form once returned
+    # finite numbers with no correct bit here
+    with pytest.raises(Unresolved, match="no phase keeps a bit"):
+        epsilon_form_evolution(m, 2, 1e300, 0.1, "+")
+    # |e^{-i z_N t}| = e^{-sgn N eps t} past the float range, which overflowed
+    # exp: the advanced shift at t > 0, the retarded one at t < 0
+    for t, sign in ((1e4, "-"), (-1e4, "+")):
+        with pytest.raises(Unresolved, match=r"^e\^\{-i z t\} cannot be resolved: at t = "
+                                             r"-?10000\.0, eps = 0\.1 and N = 2 "):
+            epsilon_form_evolution(m, 2, t, 0.1, sign)
+    # the decaying side, and a growth e^709.6 just inside the range
+    for t, sign in ((1e4, "+"), (3548.0, "-")):
+        assert np.all(np.isfinite(epsilon_form_evolution(m, 2, t, 0.1, sign).entries))
 
 
 def test_normalize_sign():
