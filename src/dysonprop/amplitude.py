@@ -22,12 +22,12 @@ times them is the secular t * e^{-iEt} contribution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError, SpectralModel, Unresolved, _real, _reals
+from .model import (ModelError, SpectralModel, Unresolved, _check_phase, _count, _finite,
+                    _json_object, _real, _reals)
 from .oracle import hermitian_eigendecomposition
 from .propagator import (
     TruncationSpec,
@@ -42,7 +42,7 @@ _ORTHO_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """1D grid geometry plus base and perturbing potentials."""
+    """1D grid geometry (M stored as an int) plus base and perturbing potentials."""
 
     M: int
     h: float
@@ -51,20 +51,19 @@ class LatticeSpec:
     v1: np.ndarray
 
     def __post_init__(self):
-        if self.M < 2:
-            raise ModelError("need at least 2 grid points")
-        if not self.h > 0:
-            raise ModelError("grid spacing must be positive")
-        if not self.mass > 0:
-            raise ModelError("mass must be positive")
-        v0 = np.asarray(self.v0, dtype=float)
-        v1 = np.asarray(self.v1, dtype=float)
-        if v0.shape != (self.M,) or v1.shape != (self.M,):
+        M = _count(self.M, 2, "need a whole number of at least 2 grid points", ModelError)
+        # Python floats: 2 mass h^2 and its inverse over- or underflow silently
+        denom = 2.0 * float(self.mass) * float(self.h) * float(self.h)
+        if not (self.h > 0 and denom > 0 and 0 < 1.0 / denom < np.inf):
+            raise ModelError("need h > 0 and a positive finite hopping 1/(2 mass h^2), "
+                             f"got h = {self.h} and mass = {self.mass}")
+        v0 = _finite(np.asarray(self.v0, dtype=float), "potentials", ModelError)
+        v1 = _finite(np.asarray(self.v1, dtype=float), "potentials", ModelError)
+        if v0.shape != (M,) or v1.shape != (M,):
             raise ModelError("potentials must have one value per grid point")
-        if not (np.all(np.isfinite(v0)) and np.all(np.isfinite(v1))):
-            raise ModelError("potentials must be finite")
         v0.flags.writeable = False
         v1.flags.writeable = False
+        object.__setattr__(self, "M", M)
         object.__setattr__(self, "v0", v0)
         object.__setattr__(self, "v1", v1)
 
@@ -72,27 +71,12 @@ class LatticeSpec:
 def load_lattice(text: str) -> LatticeSpec:
     """Parse the lattice spec file (JSON keys M, h, mass, v0, v1; an optional
     bc must be "dirichlet", and x0, the grid origin, changes no amplitude)."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"invalid lattice file: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ModelError("lattice file must contain a top-level object")
-    try:
-        M = obj["M"]
-        if not isinstance(M, int) or isinstance(M, bool):
-            raise ModelError(f"lattice M must be an integer, got {M!r}")
-        if obj.get("bc", "dirichlet") != "dirichlet":
-            raise ModelError(f"unsupported boundary condition {obj['bc']!r}")
-        return LatticeSpec(
-            M=M,
-            h=_real("h", obj["h"]),
-            mass=_real("mass", obj["mass"]),
-            v0=_reals("v0", obj["v0"]),
-            v1=_reals("v1", obj["v1"]),
-        )
-    except KeyError as exc:
-        raise ModelError(f"lattice file missing key {exc}") from exc
+    obj, M, h, mass, v0, v1 = _json_object(text, "lattice", "M", "h", "mass", "v0", "v1")
+    if not isinstance(M, int) or isinstance(M, bool):
+        raise ModelError(f"lattice M must be an integer, got {M!r}")
+    if obj.get("bc", "dirichlet") != "dirichlet":
+        raise ModelError(f"unsupported boundary condition {obj['bc']!r}")
+    return LatticeSpec(M, _real("h", h), _real("mass", mass), _reals("v0", v0), _reals("v1", v1))
 
 
 @dataclass(frozen=True)
@@ -133,19 +117,28 @@ def build_lattice(spec: LatticeSpec) -> LatticeSystem:
                          full.vectors / np.sqrt(spec.h))
 
 
+def _endpoint(x, M: int, every=slice(None)):
+    """x, when it is ``every`` or a grid index 0 <= x < M (a Python or numpy int)."""
+    if not (isinstance(x, slice) and x == every or isinstance(x, (int, np.integer))
+            and not isinstance(x, bool) and 0 <= x < M):
+        raise ValueError(f"endpoint {x!r} is not a grid index 0 <= x < {M}")
+    return x
+
+
 def _at(amplitudes: np.ndarray, xb, xa):
     """Entry (xb, xa) of an M x M amplitude matrix: one Python complex for
     grid indices, the matrix itself for slice(None) on both."""
-    out = amplitudes[xb, xa]
+    out = amplitudes[_endpoint(xb, len(amplitudes)), _endpoint(xa, len(amplitudes))]
     return complex(out) if np.ndim(out) == 0 else out
 
 
 def _evolve(psi: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
     """<x_b| e^{-iHt} |x_a> over every (x_b, x_a), t >= 0, from the
     energies of H and its lattice-normalized eigenfunctions psi[n, g]; a NaN
-    t is refused too."""
+    t is refused too, and the times ``a_matrix`` refuses raise its Unresolved."""
     if not t >= 0:
         raise ValueError("tb must be >= ta")
+    _check_phase(t, energies.tolist())
     return (psi * np.exp(-1j * energies * t)) @ psi.conj().T
 
 
@@ -181,8 +174,8 @@ def c_kernel_matrix(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb: in
     the chains: w[m, g] = (left[m, g] . psi[x_b]) * (right[m, g] . psi*[x_a]).
     """
     _, left, right = _graded_chains(sys.model, spec, eps, 1)
-    psi = sys.basis
-    weight = (left @ psi[xb]) * (right @ np.conj(psi[xa]))
+    psi, M = sys.basis, sys.spec.M
+    weight = (left @ psi[_endpoint(xb, M, None)]) * (right @ np.conj(psi[_endpoint(xa, M, None)]))
     return (np.conj(psi) * weight[:, np.newaxis, :]) @ psi.T
 
 

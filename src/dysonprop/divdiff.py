@@ -21,21 +21,10 @@ import math
 
 import numpy as np
 
-from .model import Unresolved
+from .model import Unresolved, _check_phase, _finite
 
 _TAYLOR_RTOL = 1e-18
 _TAYLOR_MAX_TERMS = 64
-
-
-def _check_phase(t, levels) -> None:
-    """Raise Unresolved when |t| max|E| over the Python numbers ``levels`` is
-    not below 1/eps_mach (eps_mach = 2^-52): the phases e^{-iEt} then keep no
-    correct bit, and past the float range none.  In Python floats, with no
-    numpy call: an overflowing product is inf with no warning, and NaN fails."""
-    t_abs, e_max = abs(float(t)), max(map(abs, levels))
-    if not t_abs * e_max * math.ulp(1.0) < 1:
-        raise Unresolved("exp(-i t E)", f"|t| = {t_abs:.3e} times max|E| = {e_max:.3e} is "
-                         f"not below 1/eps_mach = {1 / math.ulp(1.0):.3e}: no phase keeps a bit")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -105,15 +94,10 @@ def dd_phase(nodes, t) -> complex:
     The corner entry of exp(-i t J) for the upper-bidiagonal node matrix J.
     |t| max|E| >= 1/eps_mach raises Unresolved, as in ``propagator.a_matrix``.
     """
-    nodes = np.array(nodes, dtype=complex) + 0.0  # + 0.0 turns -0.0 into 0.0
+    nodes = _finite(np.array(nodes, dtype=complex) + 0.0, "nodes")  # + 0.0 turns -0.0 into 0.0
     if nodes.ndim != 1 or nodes.size < 1:
         raise ValueError("a node list needs at least one node")
-    if not np.isfinite(nodes).all():
-        raise ValueError("nodes must be finite")
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    _check_phase(t, nodes.tolist())
+    t = _check_phase(t, nodes.tolist())
     n = nodes.size
     # Leja order (Reichel, BIT 30 (1990) 332): next the fewest equal nodes so far,
     # then the largest product of distances.  Sorted, a run of close nodes gives

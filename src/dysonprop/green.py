@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OperatorMatrix, SpectralModel, Unresolved, hamiltonian
+from .model import (OperatorMatrix, SpectralModel, Unresolved, _check_eps, _check_phase, _count,
+                    hamiltonian)
 from .oracle import gauss_legendre, linear_solve
-from .propagator import TruncationSpec, _is_count, _order, normalize_sign, truncated_evolution
+from .propagator import TruncationSpec, _order, normalize_sign, truncated_evolution
 
 _RESIDUAL_TOL = 1e-10
 _DAMPING_TOL = 1e-8
@@ -37,8 +38,7 @@ class ResolventQuery:
     def __post_init__(self):
         if not math.isfinite(self.E):
             raise ValueError(f"E must be finite, got {self.E}")
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        _check_eps(self.eps)
         object.__setattr__(self, "sign", normalize_sign(self.sign))
 
     @property
@@ -60,10 +60,8 @@ class QuadratureSpec:
         a, b = self.domain
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValueError(f"domain must be a finite interval, got {self.domain}")
-        if not _is_count(self.npoints, 2):
-            raise ValueError(f"need a whole number of at least 2 quadrature points, "
-                             f"got {self.npoints}")
-        object.__setattr__(self, "npoints", int(self.npoints))
+        n = _count(self.npoints, 2, "need a whole number of at least 2 quadrature points")
+        object.__setattr__(self, "npoints", n)
 
 
 def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:
@@ -142,7 +140,7 @@ def inverse_fourier_check(
     With the e^{-eps|tau|} damping folded in, this is the Fourier transform
     of the time-dependent Green operator evaluated at E +- i*eps, and must
     reproduce ``dyson_partial`` at the matched query up to quadrature error.
-    An eps that is not positive leaves no damping and fails the domain check.
+    An eps that is not positive leaves no damping (Unresolved); inf is refused.
     The nodes are ``_panel_rule``'s with the whole domain (0, T) as its
     bound: ``quad.npoints`` nodes on equal panels, one ``timedep_green`` each.
     """
@@ -154,6 +152,7 @@ def inverse_fourier_check(
     if not eps * b >= -np.log(_DAMPING_TOL):
         raise Unresolved("inverse Fourier check", f"the damping exp(-eps*T) does not fall to "
                          f"{_DAMPING_TOL}: eps*T = {eps * b:.3g} at eps = {eps}, T = {b}")
+    _check_eps(eps)
     d = model.dim
     total = np.zeros((d, d), dtype=complex)
     for tau, w in zip(*_panel_rule(quad.domain, quad.npoints, a, b, eps)):
@@ -218,7 +217,8 @@ def forward_fourier(
     theta(+-tau) = 1.  Gamma = rho / 2: larger slows the remainder's decay
     (|H-c| / |E-e0|)^K, smaller swamps G in rounding, 0 (poles at e0) gives
     O(1) errors.  K is the least in 12..24 with (hypot(rho, Gamma) / D)^K
-    below the unit roundoff, D from e0 to the nearer window edge.
+    below the unit roundoff, D from e0 to the nearer window edge.  Each tau =
+    t - t' passes ``model._check_phase`` over e0 +- rho, not over the window.
 
     ``t`` is one time or a sequence of times.  Each node's resolvent is
     computed once and shared by every time, so a sequence costs one solve
@@ -226,20 +226,20 @@ def forward_fourier(
     OperatorMatrix, a sequence a list of them in the same order.
     """
     sgn = normalize_sign(sign)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    single = np.ndim(t) == 0
-    taus = np.array([s - tp for s in ([t] if single else t)], dtype=float)
+    _check_eps(eps)
     lo, hi = quad.domain
     e_min, e_max = float(np.min(model.energies)), float(np.max(model.energies))
     w_width = min(e_min - lo, hi - e_max)
     if w_width < 50 * eps:
         raise Unresolved("forward Fourier transform", f"energy window extends only "
                          f"{w_width:.3g} beyond the spectrum; need >= {50 * eps:.3g}")
-    d, h = model.dim, hamiltonian(model)
-    eye = np.eye(d, dtype=complex)
     e0 = (e_min + e_max) / 2
     rho = (e_max - e_min) / 2 + float(np.abs(model.h1).sum(axis=0).max())
+    # every tau passes a_matrix's phase rule over the spectrum bound, not the window
+    single = np.ndim(t) == 0
+    taus = np.array([_check_phase(s - tp, (e0 - rho, e0 + rho)) for s in ([t] if single else t)])
+    d, h = model.dim, hamiltonian(model)
+    eye = np.eye(d, dtype=complex)
     c = e0 - 0.5j * sgn * rho
     decay = np.hypot(rho, rho / 2) / min(e0 - lo, hi - e0)
     K = next((k for k in range(12, 24) if decay**k < np.finfo(float).eps), 24)

@@ -4,13 +4,14 @@ A model carries the eigenvalues of the solvable part of the Hamiltonian
 (the working basis is its eigenbasis, i.e. the standard basis) together
 with the matrix elements of the perturbation in that basis.  Every other
 module consumes these two ingredients and nothing else.  The operator
-matrix every route returns and the errors every route raises live here too,
-so the oracles import nothing from the code they check.
+matrix every route returns, the errors it raises and its input rules live
+here too, so the oracles import nothing from the code they check.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,43 @@ class Unresolved(ValueError):
         super().__init__(f"{what} cannot be resolved: {reason}")
 
 
+def _count(n, least: int, refusal: str, error=ValueError) -> int:
+    """n as an int when it is an integral number >= least, else ``error``
+    "<refusal>, got n"; NaN and inf fail the comparisons before int() runs."""
+    if not (least <= n < math.inf and int(n) == n):
+        raise error(f"{refusal}, got {n}")
+    return int(n)
+
+
+def _check_phase(t, levels) -> float:
+    """t as a float; a non-finite t raises ValueError, and Unresolved when |t|
+    max|E| over the Python numbers ``levels`` is not below 1/eps_mach = 2^52:
+    the phases e^{-iEt} then keep no correct bit.  In Python floats, with no
+    numpy call: an overflowing product is inf with no warning."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    t_abs, e_max = abs(t), max(map(abs, levels))
+    if not t_abs * e_max * math.ulp(1.0) < 1:
+        raise Unresolved("exp(-i t E)", f"|t| = {t_abs:.3e} times max|E| = {e_max:.3e} is "
+                         f"not below 1/eps_mach = {1 / math.ulp(1.0):.3e}: no phase keeps a bit")
+    return t
+
+
+def _finite(a: np.ndarray, what: str, error=ValueError) -> np.ndarray:
+    """a, when all its entries are finite."""
+    if not np.isfinite(a).all():
+        raise error(f"{what} must be finite")
+    return a
+
+
+def _check_eps(eps):
+    """eps itself, when it is a positive and finite regularization."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    return eps
+
+
 @dataclass
 class OperatorMatrix:
     """Dense complex matrix, plus what its routine measured on the way
@@ -39,11 +77,9 @@ class OperatorMatrix:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
+        self.entries = _finite(np.asarray(self.entries, dtype=complex), "operator entries")
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("operator matrices must be square")
-        if not np.isfinite(self.entries).all():
-            raise ValueError("operator entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -60,17 +96,13 @@ class SpectralModel:
     label: str = ""
 
     def __post_init__(self):
-        energies = np.asarray(self.energies, dtype=float)
+        energies = _finite(np.asarray(self.energies, dtype=float), "energies", ModelError)
         if energies.ndim != 1 or energies.size < 1:
             raise ModelError("energies must be a non-empty 1-d real array")
-        if not np.all(np.isfinite(energies)):
-            raise ModelError("energies must be finite")
         d = energies.size
-        h1 = np.asarray(self.h1, dtype=complex)
+        h1 = _finite(np.asarray(self.h1, dtype=complex), "h1 entries", ModelError)
         if h1.shape != (d, d):
             raise ModelError(f"h1 shape {h1.shape} does not match dimension {d}")
-        if not np.all(np.isfinite(h1)):
-            raise ModelError("h1 entries must be finite")
         scale = max(1.0, float(np.max(np.abs(h1))))
         residual = float(np.max(np.abs(h1 - h1.conj().T)))
         if residual > _HERMITICITY_RTOL * scale:
@@ -111,25 +143,28 @@ def _reals(key: str, value) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
-def load_model(text: str) -> SpectralModel:
-    """Parse the model file format (JSON object, see ``emit_model``)."""
+def _json_object(text: str, kind: str, *keys):
+    """The top-level object of a JSON ``kind`` file and its required ``keys``."""
     try:
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ModelError(f"{kind} file must contain a top-level object")
+        return obj, *(obj[key] for key in keys)
     except json.JSONDecodeError as exc:
-        raise ModelError(f"invalid model file: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ModelError("model file must contain a top-level object")
-    try:
-        dim = obj["dim"]
-        energies = obj["energies"]
-        h1_pairs = obj["h1"]
+        raise ModelError(f"invalid {kind} file: {exc}") from exc
     except KeyError as exc:
-        raise ModelError(f"model file missing key {exc}") from exc
+        raise ModelError(f"{kind} file missing key {exc}") from exc
+
+
+def load_model(text: str) -> SpectralModel:
+    """Parse the model file format (JSON object, see ``emit_model``)."""
+    obj, dim, energies, h1_pairs = _json_object(text, "model", "dim", "energies", "h1")
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise ModelError(f"label must be a string, got {label!r}")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool):
         raise ModelError(f"dim must be a positive integer, got {dim!r}")
+    _count(dim, 1, "dim must be a positive integer", ModelError)
     energies = _reals("energies", energies)
     if len(energies) != dim:
         raise ModelError(f"energies has length {len(energies)}, expected {dim}")
@@ -161,8 +196,7 @@ def emit_model(model: SpectralModel) -> str:
 def random_model(dim: int, seed: int, lam: float = 1.0) -> SpectralModel:
     """Deterministic random model: sorted energies with gaps >= 0.05 and a
     random Hermitian perturbation with entry magnitudes <= ``lam``."""
-    if dim < 1:
-        raise ModelError(f"dim must be >= 1, got {dim}")
+    dim = _count(dim, 1, "dim must be a positive integer", ModelError)
     rng = np.random.default_rng(seed)
     start = rng.uniform(-1.0, 1.0)
     gaps = 0.05 + rng.uniform(0.0, 0.95, size=dim - 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
-from .model import OperatorMatrix, SpectralModel, Unresolved, hamiltonian
+from .model import OperatorMatrix, SpectralModel, Unresolved, _check_phase, _count, hamiltonian
 
 JACOBI_SWEEP_BUDGET = 30
 _JACOBI_OFF_TOL = 1e-14
@@ -119,6 +119,7 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
 def exact_evolution(model: SpectralModel, t: float) -> OperatorMatrix:
     """e^{-iHt} via eigendecomposition; unitary to working accuracy."""
     dec = hermitian_eigendecomposition(hamiltonian(model))
+    _check_phase(t, dec.values.tolist())
     phases = np.exp(-1j * dec.values * t)
     u = (dec.vectors * phases) @ dec.vectors.conj().T
     return OperatorMatrix(u)
@@ -141,8 +142,7 @@ def gauss_legendre(n: int):
     over the nodes in [0, 1) at once, mirrored onto (-1, 0): O(n^2) work and
     O(n) memory.  The weights are 2 / ((1 - x^2) P_n'(x)^2).
     """
-    if n < 1:
-        raise ValueError(f"need at least 1 node, got {n}")
+    n = _count(n, 1, "need a whole number of at least 1 node")
     theta = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
     x = np.cos(theta) * (1 - (n - 1) / (8 * n**3)
                          - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4))
@@ -178,10 +178,8 @@ def _spectral_tables(n: int):
 def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
     """Yield the series terms of orders 0..l from one spectral-integration
     pass; see ``dyson_term_quadrature``."""
-    if l < 0:
-        raise ValueError(f"order must be >= 0, got {l}")
-    if npoints < 16:
-        raise ValueError("need at least 16 quadrature points")
+    l = _count(l, 0, "order must be a nonnegative integer")
+    npoints = _count(npoints, 16, "need a whole number of at least 16 quadrature points")
     e = model.energies
     d = model.dim
     half_phase = abs(t) * float(np.ptp(e)) / 2.0
@@ -191,6 +189,7 @@ def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
         raise Unresolved(
             "series term", f"it needs {need:.3e} nodes (|t|*dE = "
             f"{2.0 * half_phase:.3e}, npoints {npoints}), above the maximum {_MAX_NODES}")
+    _check_phase(t, e.tolist())
     n = int(need)
     x, table = _spectral_tables(n)
     s = t * (x + 1.0) / 2.0

@@ -23,19 +23,12 @@ divided-difference route as epsilon -> 0 and is meant to be extrapolated
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import _check_phase, _phase_exp, dd_phase
-from .model import OperatorMatrix, SpectralModel, Unresolved
-
-
-def _is_count(n, least: int) -> bool:
-    """Whether n is an integral number >= least; a NaN or infinite n fails
-    the comparisons before int() sees it."""
-    return least <= n < math.inf and int(n) == n
+from .divdiff import _phase_exp, dd_phase
+from .model import OperatorMatrix, SpectralModel, Unresolved, _check_eps, _check_phase, _count
 
 
 @dataclass(frozen=True)
@@ -46,9 +39,8 @@ class TruncationSpec:
     N: int
 
     def __post_init__(self):
-        if not _is_count(self.N, 0):
-            raise ValueError(f"truncation order must be a nonnegative integer, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
+        N = _count(self.N, 0, "truncation order must be a nonnegative integer")
+        object.__setattr__(self, "N", N)
 
 
 def _order(spec) -> int:
@@ -81,8 +73,7 @@ def a_coefficient(model: SpectralModel, l: int, g: int, gp: int, t: float) -> co
     this is the reference that ``a_matrix`` is tested against, not a
     production route.
     """
-    if l < 0:
-        raise ValueError("order must be >= 0")
+    l = _count(l, 0, "order must be a nonnegative integer")
     e = model.energies
     if l == 0:
         return complex(np.exp(-1j * e[g] * t)) if g == gp else 0j
@@ -114,10 +105,9 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     one scaling-and-squaring exponential replaces the d^(l+1) tuples of the
     sum, at O(((l+1)d)^3) cost per Taylor term or squaring.  At every order,
     |t| max|E| >= 1/eps_mach (eps_mach = 2^-52) raises Unresolved, by
-    ``divdiff._check_phase``: the phases e^{-iEt} then keep no correct bit.
+    ``model._check_phase``: the phases e^{-iEt} then keep no correct bit.
     """
-    if l < 0:
-        raise ValueError("order must be >= 0")
+    l = _count(l, 0, "order must be a nonnegative integer")
     d, e = model.dim, model.energies
     _check_phase(t, e.tolist())
     if l == 0:
@@ -158,8 +148,7 @@ def _graded_chains(model: SpectralModel, spec: TruncationSpec, eps: float, sgn: 
     ``right[m]`` sums the right chains of length 0..N-m.  Cost O(N d^3).
     """
     N = _order(spec)
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _check_eps(eps)
     e = model.energies
     nodes = e - 1j * sgn * eps * np.arange(N + 1)[:, np.newaxis]
     left = np.empty((N + 1, model.dim, model.dim), dtype=complex)
@@ -208,9 +197,9 @@ def epsilon_form_evolution(
 def richardson_limit(eps_values, samples):
     """Polynomial (Neville) extrapolation of samples f(eps_k) to eps = 0.
 
-    Works on scalars or arrays; eps values must be distinct.
+    Works on scalars or arrays; eps values must be positive, finite and distinct.
     """
-    eps_values = [float(x) for x in eps_values]
+    eps_values = [_check_eps(float(x)) for x in eps_values]
     if len(eps_values) != len(samples) or not samples:
         raise ValueError("need one sample per eps value")
     if len(set(eps_values)) != len(eps_values):

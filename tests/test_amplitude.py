@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,27 @@ def test_spec_validation():
         LatticeSpec(M=4, h=-0.5, mass=1.0, v0=np.zeros(4), v1=np.zeros(4))
     with pytest.raises(ModelError):
         LatticeSpec(M=4, h=0.5, mass=1.0, v0=np.zeros(3), v1=np.zeros(4))
+
+
+@pytest.mark.parametrize("h, mass", [(1e-200, 1.0), (1e200, 1.0), (np.inf, 1.0), (np.nan, 1.0),
+                                     (-0.5, 1.0), (0.5, np.inf), (0.5, 0.0), (0.5, -1.0),
+                                     (1e-150, 1e-10)])
+def test_spec_refuses_a_grid_it_cannot_build(h, mass):
+    # h = 1e-200 divided by zero and 1e200 overflowed in base_hamiltonian,
+    # h = inf warned there, and mass = inf was accepted: each hopping
+    # 1/(2 mass h^2) that is not a positive finite float is refused
+    with pytest.raises(ModelError, match=re.escape("need h > 0 and a positive finite hopping "
+                                                   f"1/(2 mass h^2), got h = {h} and mass = {mass}")):
+        LatticeSpec(M=4, h=h, mass=mass, v0=np.zeros(4), v1=np.zeros(4))
+    # hoppings near either end of the float range are kept
+    for h, mass in ((1e-154, 1.0), (1e150, 1e-10)):
+        LatticeSpec(4, h, mass, np.zeros(4), np.zeros(4))
+
+
+def test_spec_refuses_non_finite_potentials():
+    for v0, v1 in (([0, np.nan, 0, 0], np.zeros(4)), (np.zeros(4), [0, 0, np.inf, 0])):
+        with pytest.raises(ModelError, match="^potentials must be finite$"):
+            LatticeSpec(M=4, h=0.5, mass=1.0, v0=v0, v1=v1)
 
 
 def test_load_lattice_roundtrip():
@@ -253,7 +275,8 @@ def test_time_ordering_guards():
     # every comparison with NaN is False: a guard must not let it through as
     # nan+nanj, or as a phase refusal
     routes = [(k0_amplitude, "tb must be >= ta"), (k_exact, "tb must be >= ta"),
-              (lambda s, *a: k_truncated_direct(s, TruncationSpec(1), *a), "tb must be > ta")]
+              (lambda s, *a: k_truncated_direct(s, TruncationSpec(1), *a), "tb must be > ta"),
+              (lambda s, *a: k_via_relation(s, TruncationSpec(1), 1e-2, *a), "tb must be > ta")]
     for route, message in routes:
         for xb, xa in ((3, 2), (slice(None), slice(None))):
             for tb, ta in ((np.nan, 0.0), (1.0, np.nan)):
@@ -272,6 +295,22 @@ ROUTES = {
     "k_via_relation_extrapolated": lambda s, b, a: k_via_relation_extrapolated(
         s, TruncationSpec(2), [1e-2, 5e-3, 2.5e-3], b, 1.0, a, 0.0),
 }
+
+
+@pytest.mark.parametrize("route", [*sorted(ROUTES), "c_kernel_matrix"])
+def test_endpoints_must_be_grid_indices(route):
+    # -1 silently gave the amplitude at x = M - 1, M a bare IndexError, and
+    # True or slice(1, 3) returned arrays; c_kernel_matrix takes indices only,
+    # since slice(None) gave it arrays of the wrong shape
+    sys_ = build_lattice(well_spec(0.2))
+    call = ROUTES.get(route, lambda s, b, a: c_kernel_matrix(s, TruncationSpec(1), 1e-2, b, a))
+    assert np.array_equal(call(sys_, np.int64(5), np.int64(0)), call(sys_, 5, 0))
+    bad_endpoints = [-1, 6, 2.0, True, "1", None, slice(1, 3), [0, 1]]
+    for bad in bad_endpoints + ([EVERY] if route == "c_kernel_matrix" else []):
+        for xb, xa in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match=f"^endpoint {re.escape(repr(bad))} is not "
+                                                 "a grid index 0 <= x < 6$"):
+                call(sys_, xb, xa)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))

@@ -397,6 +397,7 @@ _REFUSALS = {
     "inverse-phases-at-1e300": ["green-ft", "--quad-domain", "1e300"],
     "series-phases-at-1e308": ["converge", "--t", "1e308"],
     "panels-past-the-float-range": ["green-ft", "--window", "1e308"],
+    "forward-phases-at-1e300": ["green-ft", "--t", "1e300"],
     "taylor-term-cap": ["selftest"],
 }
 
@@ -615,9 +616,11 @@ def test_green_ft_unrepresentable_domain_warns_nothing(tmp_path):
     src = Path(dysonprop.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     # phases with no correct bit, then panels past the float range: at --eps 10
-    # only the last inverse panel's end sum overflows
+    # only the last inverse panel's end sum overflows; a forward time whose
+    # phases keep no bit (a short inverse rule, since it runs first)
     for flags in (["--quad-domain", "1e300"], ["--window", "1e308"],
-                  ["--quad-domain", "1.7e308"], ["--quad-domain", "1.7e308", "--eps", "10"]):
+                  ["--quad-domain", "1.7e308"], ["--quad-domain", "1.7e308", "--eps", "10"],
+                  ["--t", "1e300", "--quad-points", "256"]):
         done = subprocess.run([sys.executable, "-m", "dysonprop", "green-ft", *flags], env=env,
                               cwd=tmp_path, capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, flags

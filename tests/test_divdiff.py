@@ -190,6 +190,12 @@ def test_denominator_repeated_nodes_rejected():
         denominator_d((1.0, 1.0, 2.0), 1)
 
 
+def test_denominator_index_is_one_based():
+    for i in (0, 4, -1):
+        with pytest.raises(ValueError, match=rf"^index i={i} out of range 1\.\.3$"):
+            denominator_d((1, 2, 3), i)
+
+
 @given(st.lists(st.integers(min_value=-10, max_value=10), min_size=2, max_size=6,
                 unique=True))
 @settings(max_examples=80, deadline=None)

@@ -175,6 +175,9 @@ def test_inverse_fourier_domain_guards():
     for eps in (0.0, -0.1, -10.0, np.nan):  # no damping at all
         with pytest.raises(Unresolved, match="damping"):
             inverse_fourier_check(m, spec, 0.0, "+", eps, QuadratureSpec((0.0, 200.0), 100))
+    # an infinite eps passed the damping test, then warned in the products
+    with pytest.raises(ValueError, match="^eps must be positive and finite, got inf$"):
+        inverse_fourier_check(m, spec, 0.0, "+", np.inf, QuadratureSpec((0.0, 200.0), 100))
 
 
 def test_forward_fourier_causality():
@@ -345,6 +348,12 @@ def test_quadrature_spec_computes_nothing(monkeypatch):
     assert spec == QuadratureSpec((-1.0, 3.0), 40)
     assert hash(spec) == hash(QuadratureSpec((-1.0, 3.0), 40))
     assert repr(spec) == "QuadratureSpec(domain=(-1.0, 3.0), npoints=40)"
+
+
+def test_quadrature_spec_refuses_domains_that_are_not_finite_intervals():
+    for domain in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match=r"^domain must be a finite interval, got \("):
+            QuadratureSpec(domain, 40)
 
 
 def test_quadrature_spec_stores_an_integral_count():

@@ -1,15 +1,34 @@
+import functools
+import json
+
 import numpy as np
 import pytest
 
+from dysonprop.amplitude import (
+    LatticeSpec,
+    build_lattice,
+    c_kernel_matrix,
+    k0_amplitude,
+    k_exact,
+    k_truncated_direct,
+    k_via_relation,
+    load_lattice,
+)
+from dysonprop.divdiff import dd_phase
+from dysonprop.green import QuadratureSpec, ResolventQuery, forward_fourier, timedep_green
 from dysonprop.model import (
     ModelError,
+    OperatorMatrix,
     SpectralModel,
+    Unresolved,
     emit_model,
     load_model,
     random_model,
     scale_coupling,
     two_level_model,
 )
+from dysonprop.oracle import dyson_term_quadrature, exact_evolution, gauss_legendre
+from dysonprop.propagator import a_coefficient, a_matrix, epsilon_form_evolution, richardson_limit
 
 
 def test_two_level_shape():
@@ -119,3 +138,166 @@ def test_coupling_scale_object():
     for bad in (-0.5, float("nan")):
         with pytest.raises(ModelError, match="coupling scale must be >= 0"):
             scale_coupling(m, bad)
+
+
+#: model-layer refusals: (call, exception type, message pattern)
+_MODEL_REFUSALS = {
+    "operator-not-square": (lambda: OperatorMatrix(np.ones((2, 3))), ValueError,
+                            "^operator matrices must be square$"),
+    "operator-not-finite": (lambda: OperatorMatrix([[1.0, np.nan], [0.0, 1.0]]), ValueError,
+                            "^operator entries must be finite$"),
+    "empty-energies": (lambda: SpectralModel(np.array([]), np.zeros((0, 0))), ModelError,
+                       "^energies must be a non-empty 1-d real array$"),
+    "h1-shape": (lambda: SpectralModel([0.0, 1.0], np.zeros((3, 3))), ModelError,
+                 r"^h1 shape \(3, 3\) does not match dimension 2$"),
+    "h1-not-finite": (lambda: SpectralModel([0.0, 1.0], [[0.0, np.inf], [np.inf, 0.0]]),
+                      ModelError, "^h1 entries must be finite$"),
+    "model-file-not-object": (lambda: load_model('[{"dim": 1}]'), ModelError,
+                              "^model file must contain a top-level object$"),
+    "model-file-ragged-h1": (lambda: load_model('{"dim": 2, "energies": [0, 1], '
+                                                '"h1": [[[0, 0], [1, 0]], [[1, 0]]]}'),
+                             ModelError, "^h1 must be a dim x dim array$"),
+    "model-file-dim-0": (lambda: load_model('{"dim": 0, "energies": [], "h1": []}'),
+                         ModelError, "^dim must be a positive integer, got 0$"),
+    "random-dim-0": (lambda: random_model(0, 1), ModelError,
+                     "^dim must be a positive integer, got 0$"),
+    "lattice-h-not-a-number": (lambda: load_lattice(
+        '{"M": 2, "h": "half", "mass": 1, "v0": [0, 0], "v1": [0, 0]}'), ModelError,
+        "^h must be a number, got 'half'$"),
+    "lattice-mass-not-a-number": (lambda: load_lattice(
+        '{"M": 2, "h": 0.5, "mass": null, "v0": [0, 0], "v1": [0, 0]}'), ModelError,
+        "^mass must be a number, got None$"),
+}
+
+
+@pytest.mark.parametrize("case", _MODEL_REFUSALS)
+def test_model_layer_refusals(case):
+    call, error, message = _MODEL_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("kind, load, keys", [
+    ("model", load_model, ("dim", "energies", "h1")),
+    ("lattice", load_lattice, ("M", "h", "mass", "v0", "v1")),
+])
+def test_file_loaders_read_json_through_one_reader(kind, load, keys):
+    # one reader, one text for each fault, the first missing key named
+    with pytest.raises(ModelError, match=f"^invalid {kind} file: Expecting"):
+        load("{not json")
+    for text in ("[]", "3", '"x"', "null"):
+        with pytest.raises(ModelError, match=f"^{kind} file must contain a top-level object$"):
+            load(text)
+    for k, key in enumerate(keys):
+        obj = {earlier: 1 for earlier in keys[:k]}
+        with pytest.raises(ModelError, match=f"^{kind} file missing key '{key}'$"):
+            load(json.dumps(obj))
+
+
+def _lattice(M):
+    return LatticeSpec(M=M, h=0.5, mass=1.0, v0=np.zeros(6), v1=np.full(6, -0.1))
+
+
+def _random_model_fields(dim):
+    m = random_model(dim, 4)
+    return [m.energies, m.h1, m.label]
+
+
+def _lattice_points(M):
+    M = _lattice(M).M
+    return [M, type(M).__name__]
+
+
+#: every route that takes a count: (call, an accepted count, the least count)
+_M31 = random_model(3, 1, 0.3)
+COUNT_ROUTES = {
+    "a_matrix order": (lambda n: a_matrix(_M31, n, 0.7).entries, 2, 0),
+    "a_coefficient order": (lambda n: [a_coefficient(_M31, n, 0, 1, 0.7)], 2, 0),
+    "quadrature order": (lambda n: dyson_term_quadrature(_M31, n, 0.7).entries, 2, 0),
+    "quadrature points": (lambda n: dyson_term_quadrature(_M31, 2, 0.7, n).entries, 32, 16),
+    "gauss_legendre nodes": (lambda n: np.concatenate(gauss_legendre(n)), 10, 1),
+    "random_model dim": (_random_model_fields, 3, 1),
+    "lattice points": (_lattice_points, 6, 2),
+}
+
+
+@pytest.mark.parametrize("route", sorted(COUNT_ROUTES))
+def test_every_count_takes_integral_floats_and_refuses_the_rest(route):
+    # 2.0 and np.int64(2) raised TypeError on all but the spec records, and
+    # 2.5, NaN and inf a TypeError, a numpy error or a misleading message
+    call, good, least = COUNT_ROUTES[route]
+    want = [np.asarray(x).tobytes() for x in call(good)]
+    for n in (float(good), np.int64(good), np.float64(good)):
+        assert [np.asarray(x).tobytes() for x in call(n)] == want, n
+    for bad in (good + 0.5, np.nan, np.inf, least - 1):
+        with pytest.raises(ValueError, match=f", got {bad}$"):
+            call(bad)
+
+
+#: every route that exponentiates levels of its own, at a time t: the
+#: quadrature oracle on equal levels, where its node cap lets every time
+#: through
+_EQUAL = SpectralModel([2.0, 2.0], [[0.0, 0.1], [0.1, 0.0]])
+PHASE_ROUTES = {
+    "a_matrix": lambda t: a_matrix(two_level_model(1.0, 0.3), 2, t),
+    "dd_phase": lambda t: dd_phase([1.0, 2.0], t),
+    "epsilon_form_evolution": lambda t: epsilon_form_evolution(
+        two_level_model(1.0, 0.3), 2, t, 0.1, "+"),
+    "exact_evolution": lambda t: exact_evolution(two_level_model(1.0, 0.3), t),
+    "dyson_term_quadrature": lambda t: dyson_term_quadrature(_EQUAL, 2, t),
+    "forward_fourier": lambda t: forward_fourier(
+        two_level_model(1.0, 0.3), QuadratureSpec((-40.0, 41.0), 64), t, 0.0, "+", 0.1),
+    "timedep_green": lambda t: timedep_green(two_level_model(1.0, 0.3), 1, t, 0.0, "+"),
+}
+LATTICE_PHASE_ROUTES = {
+    "k0_amplitude": lambda s, t: k0_amplitude(s, 0, t, 0, 0.0),
+    "k_exact": lambda s, t: k_exact(s, 0, t, 0, 0.0),
+    "k_truncated_direct": lambda s, t: k_truncated_direct(s, 2, 0, t, 0, 0.0),
+    "k_via_relation": lambda s, t: k_via_relation(s, 2, 1e-2, 0, t, 0, 0.0),
+}
+
+
+@pytest.mark.parametrize("route", sorted(PHASE_ROUTES) + sorted(LATTICE_PHASE_ROUTES))
+def test_every_phase_route_refuses_times_that_keep_no_bit(route):
+    # exact_evolution, the quadrature oracle, forward_fourier and the
+    # lattice's eigenbasis routes returned numbers with no correct bit at
+    # t = 1e300 (the oracle overflowed in its products)
+    if route in LATTICE_PHASE_ROUTES:
+        system = build_lattice(_lattice(6))
+        call = functools.partial(LATTICE_PHASE_ROUTES[route], system)
+    else:
+        call = PHASE_ROUTES[route]
+    for t in (1e300, -1e300, 1e16):
+        if t < 0 and route in {*LATTICE_PHASE_ROUTES, "timedep_green"}:
+            continue  # refused as tb < ta, or gated off to an exact zero
+        with pytest.raises(Unresolved, match=r"^exp\(-i t E\) cannot be resolved: \|t\| = "
+                                             r"\S+ times max\|E\| = \S+ is not below "
+                                             r"1/eps_mach = 4\.504e\+15: no phase keeps a bit$"):
+            call(t)
+    call(1.0)  # and an ordinary time resolves
+    if route not in LATTICE_PHASE_ROUTES:  # the lattice refuses NaN as tb < ta
+        with pytest.raises(ValueError, match="^t must be finite, got nan$") as refused:
+            call(np.nan)
+        assert type(refused.value) is ValueError
+
+
+#: every route that takes a regularization eps, as a function of eps
+EPS_ROUTES = {
+    "ResolventQuery": lambda e: ResolventQuery(0.3, "+", e),
+    "epsilon_form_evolution": lambda e: epsilon_form_evolution(
+        two_level_model(1.0, 0.3), 1, 1.0, e, "+"),
+    "c_kernel_matrix": lambda e: c_kernel_matrix(build_lattice(_lattice(6)), 1, e, 0, 0),
+    "forward_fourier": lambda e: forward_fourier(
+        two_level_model(1.0, 0.3), QuadratureSpec((-40.0, 41.0), 64), 1.0, 0.0, "+", e),
+    "richardson_limit": lambda e: richardson_limit([e, 1e-2], [1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(EPS_ROUTES))
+def test_every_eps_route_shares_one_test(route):
+    # forward_fourier let inf through to "need >= inf", and richardson_limit
+    # warned in its divisions on NaN
+    EPS_ROUTES[route](1e-3)
+    for eps in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^eps must be positive and finite, got {eps}$"):
+            EPS_ROUTES[route](eps)

@@ -113,6 +113,12 @@ def test_rejects_non_hermitian():
         hermitian_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigendecomposition_rejects_non_square_input():
+    for a in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            hermitian_eigendecomposition(a)
+
+
 def test_exact_evolution_identity_at_zero():
     m = random_model(4, 5)
     u = exact_evolution(m, 0.0).entries

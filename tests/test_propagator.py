@@ -417,6 +417,12 @@ def test_richardson_limit_rejects_repeated_eps():
         richardson_limit([1e-2, 1e-2], [1.0, 2.0])
 
 
+def test_richardson_limit_needs_one_sample_per_eps():
+    for eps, samples in (([1e-2, 5e-3], [1.0]), ([1e-2], [1.0, 2.0]), ([], [])):
+        with pytest.raises(ValueError, match="^need one sample per eps value$"):
+            richardson_limit(eps, samples)
+
+
 def test_richardson_limit_polynomial():
     # exact for data that is polynomial in eps
     eps = [0.4, 0.2, 0.1]
