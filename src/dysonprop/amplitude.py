@@ -187,11 +187,12 @@ def _level_sums(sys: LatticeSystem, t: float) -> np.ndarray:
     return np.sum(np.conj(psi) * (_evolve(psi, sys.model.energies, t) @ psi), axis=0)
 
 
-def _relation(sys: LatticeSystem, spec: TruncationSpec, eps: float, t: float, level):
-    """h^2 psi X psi^dagger over every (x_b, x_a), X the graded sum of the
-    retarded chains weighted by e^{-m*eps*t} G[g] at position m and level g."""
+def _relation(sys: LatticeSystem, spec: TruncationSpec, eps, t: float, level):
+    """h^2 psi X psi^dagger over the eps ladder and every (x_b, x_a), X the graded
+    sum of the retarded chains weighted by e^{-m*eps*t} G[g] at position m, level g."""
     _, left, right = _graded_chains(sys.model, spec, eps, 1)
-    damped = np.outer(np.exp(-eps * t * np.arange(len(left))), level)
+    rate = -np.asarray(eps)[..., np.newaxis] * t
+    damped = np.exp(rate * np.arange(left.shape[-3]))[..., np.newaxis] * level
     return sys.spec.h**2 * (sys.basis @ _graded_sum(left, damped, right) @ sys.basis.conj().T)
 
 
@@ -210,7 +211,6 @@ def k_via_relation(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb, tb:
 def k_via_relation_extrapolated(sys: LatticeSystem, spec: TruncationSpec, eps_values, xb,
                                 tb: float, xa, ta: float):
     """Richardson (Neville) extrapolation of ``k_via_relation`` to eps = 0;
-    the samples share one K0 and its level sums G."""
-    level = _level_sums(sys, tb - ta)
-    samples = [_relation(sys, spec, eps, tb - ta, level) for eps in eps_values]
+    one ``_relation`` call makes every sample, from one K0 and its level sums G."""
+    samples = _relation(sys, spec, eps_values, tb - ta, _level_sums(sys, tb - ta))
     return _at(richardson_limit(eps_values, samples), xb, xa)

@@ -70,10 +70,11 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    scale = max(1.0, _finite_peak(a))
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-10 * scale:
+    n, peak = a.shape[0], _finite_peak(a)
+    if float(np.max(np.abs(a - a.conj().T))) > 1e-10 * max(1.0, peak):
         raise ValueError("input is not Hermitian to 1e-10")
+    shift = int(np.frexp(peak)[1])  # 2^-shift a peaks in [1/2, 1); no rotation changes a bit
+    a = np.ldexp(np.ascontiguousarray(a).view(float), -shift).view(complex)
     work = (a + a.conj().T) / 2.0
     v = eye = np.eye(n, dtype=complex)
     thresh = _JACOBI_OFF_TOL * max(float(np.linalg.norm(work)), 1e-300)
@@ -108,6 +109,9 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
             work.reshape(-1)[pos[1:3]] = 0.0
             work.reshape(-1).imag[:: n + 1] = 0.0
     values = np.real(np.diag(work))
+    if shift + np.frexp(values)[1].max() > 1024:
+        raise Unresolved("Jacobi eigendecomposition", "an eigenvalue is past the float range")
+    values = np.ldexp(values, shift)
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], v[:, order]
     # deterministic phase: largest-magnitude component real and positive

@@ -132,9 +132,9 @@ def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float) ->
     return OperatorMatrix(total)
 
 
-def _graded_chains(model: SpectralModel, spec: TruncationSpec, eps: float, sgn: int):
+def _graded_chains(model: SpectralModel, spec: TruncationSpec, eps, sgn: int):
     """Partial fractions of the graded-shift sum through order ``spec.N`` (an
-    int or a TruncationSpec), split at one tuple position; eps must be > 0.
+    int or a TruncationSpec), split at one tuple position; each eps must be > 0.
 
     Node j of a tuple g_0, ..., g_l is z_j = E_{g_j} - i*sgn*j*eps.  With
     g_m = g fixed, 1/(z_m - z_j) depends only on g, g_j and m - j, so the
@@ -145,27 +145,32 @@ def _graded_chains(model: SpectralModel, spec: TruncationSpec, eps: float, sgn: 
             = sum over tuples a = g_0, ..., g_l = b with l >= m and g_m = g of
               H1[g_0, g_1] ... H1[g_{l-1}, g_l] / prod_{j != m} (z_m - z_j);
 
-    ``right[m]`` sums the right chains of length 0..N-m.  Cost O(N d^3).
+    ``right[m]`` sums the right chains of length 0..N-m.  Cost O(N d^3).  An eps
+    array (a ladder) puts its axes in front of all three, bit for bit per eps.
     """
     N = _order(spec)
-    _check_eps(eps)
+    eps = np.asarray(eps)
+    for x in eps.flat:
+        _check_eps(x)
     e = model.energies
-    nodes = e - 1j * sgn * eps * np.arange(N + 1)[:, np.newaxis]
-    left = np.empty((N + 1, model.dim, model.dim), dtype=complex)
+    nodes = e - 1j * sgn * eps[..., np.newaxis, np.newaxis] * np.arange(N + 1)[:, np.newaxis]
+    left = np.empty((*eps.shape, N + 1, model.dim, model.dim), dtype=complex)
     chain = np.empty_like(left)
-    left[0] = chain[0] = np.eye(model.dim)
+    left[..., 0, :, :] = chain[..., 0, :, :] = np.eye(model.dim)
     for k in range(1, N + 1):
-        # z_m - z_{m-k} = nodes[k, g_m] - E_{g_{m-k}}
-        # z_m - z_{m+k} = E_{g_m} - nodes[k, g_{m+k}]
-        left[k] = (left[k - 1] @ model.h1.T) / (nodes[k][:, np.newaxis] - e)
-        chain[k] = (chain[k - 1] @ model.h1) / (e[:, np.newaxis] - nodes[k])
-    return nodes, left, np.cumsum(chain, axis=0)[::-1]
+        # z_m - z_{m-k} = nodes[k, g_m] - E_{g_{m-k}}, z_m - z_{m+k} = E_{g_m} - nodes[k, g_{m+k}]
+        left[..., k, :, :] = ((left[..., k - 1, :, :] @ model.h1.T)
+                              / (nodes[..., k, :, np.newaxis] - e))
+        chain[..., k, :, :] = ((chain[..., k - 1, :, :] @ model.h1)
+                               / (e[:, np.newaxis] - nodes[..., k, np.newaxis, :]))
+    return nodes, left, np.cumsum(chain, axis=-3)[..., ::-1, :, :]
 
 
 def _graded_sum(left: np.ndarray, weight: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Sum over m, g of left[m, g, :]^T weight[m, g] right[m, g, :], one product."""
-    return (left.reshape(-1, left.shape[-1]).T
-            @ (weight.reshape(-1, 1) * right.reshape(-1, right.shape[-1])))
+    """Sum over m, g of left[..., m, g, :]^T weight[..., m, g] right[..., m, g, :]."""
+    *lead, m, g, d = left.shape
+    return (np.swapaxes(left.reshape(*lead, m * g, d), -1, -2)
+            @ (weight.reshape(*lead, m * g, 1) * right.reshape(*lead, m * g, d)))
 
 
 def epsilon_form_evolution(
@@ -197,10 +202,11 @@ def epsilon_form_evolution(
 def richardson_limit(eps_values, samples):
     """Polynomial (Neville) extrapolation of samples f(eps_k) to eps = 0.
 
-    Works on scalars or arrays; eps values must be positive, finite and distinct.
+    Works on scalars or arrays, given as a sequence or stacked along the first
+    axis of one array; eps values must be positive, finite and distinct.
     """
     eps_values = [_check_eps(float(x)) for x in eps_values]
-    if len(eps_values) != len(samples) or not samples:
+    if len(eps_values) != len(samples) or len(samples) == 0:
         raise ValueError("need one sample per eps value")
     if len(set(eps_values)) != len(eps_values):
         raise ValueError(f"eps values must be distinct, got {eps_values}")

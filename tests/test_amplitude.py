@@ -18,7 +18,8 @@ from dysonprop.amplitude import (
     load_lattice,
 )
 from dysonprop.model import ModelError
-from dysonprop.propagator import TruncationSpec, _graded_chains, epsilon_form_evolution
+from dysonprop.propagator import (TruncationSpec, _graded_chains, epsilon_form_evolution,
+                                  richardson_limit)
 from test_propagator import _graded_tuple_sum
 
 
@@ -356,6 +357,31 @@ def test_relation_is_the_retarded_epsilon_form(lam, m):
                 got = k_via_relation(sys_, N, eps, EVERY, t, EVERY, 0.0)
                 err = np.max(np.abs(got - psi @ u @ psi.conj().T))
                 assert err <= 1e-13 * np.max(term) / sys_.spec.h
+
+
+@pytest.mark.parametrize("ladder", [[1e-2, 5e-3, 2.5e-3], [1e-2, 5e-3, 2.5e-3, 1.25e-3],
+                                    [3e-3]])
+def test_extrapolation_over_one_ladder_call_equals_one_relation_per_eps(ladder):
+    # the per-eps loop the ladder axis replaced, kept as the reference, bit for bit
+    for lam, m, h in ((0.1, 6, 0.5), (0.4, 5, 0.3), (0.2, 9, 0.8)):
+        sys_ = build_lattice(well_spec(lam, m=m, h=h))
+        for N in range(4):
+            for t in (0.4, 1.0, 3.0):
+                level = amplitude._level_sums(sys_, t)
+                samples = [amplitude._relation(sys_, N, eps, t, level) for eps in ladder]
+                want = richardson_limit(ladder, samples)
+                got = k_via_relation_extrapolated(sys_, N, ladder, EVERY, t, EVERY, 0.0)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_extrapolation_checks_every_eps_of_its_ladder():
+    sys_ = build_lattice(well_spec(0.2))
+    for bad in (0.0, -1e-3, np.nan, np.inf):
+        for ladder in ([bad, 5e-3, 2.5e-3], [1e-2, 5e-3, bad]):
+            with pytest.raises(ValueError, match=f"^eps must be positive and finite, got {bad}$"):
+                k_via_relation_extrapolated(sys_, 2, ladder, EVERY, 1.0, EVERY, 0.0)
+    with pytest.raises(ValueError, match="^need one sample per eps value$"):
+        k_via_relation_extrapolated(sys_, 2, [], EVERY, 1.0, EVERY, 0.0)
 
 
 def test_relation_for_all_pairs_forms_no_kernel_array():

@@ -281,20 +281,22 @@ def test_report_matches_golden_output(golden, tmp_path):
     assert out.read_bytes() == (Path(__file__).resolve().parent / "data" / golden).read_bytes()
 
 
-def test_green_ft_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+@pytest.mark.parametrize("golden", ["amplitude.json", "green-ft_fourier.json", "propagate.json"])
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(golden, tmp_path):
     # one BLAS thread is how the benchmark workers run; a sum whose rounding
-    # follows the thread count would write other bytes under one of the two
+    # follows the thread count would write other bytes under one of the two.
+    # amplitude's eps ladder is one stacked matmul; propagate's eps-form shares its chains
     src = Path(dysonprop.__file__).resolve().parent.parent
-    golden = (Path(__file__).resolve().parent / "data" / "green-ft_fourier.json").read_bytes()
+    want = (Path(__file__).resolve().parent / "data" / golden).read_bytes()
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
         out = tmp_path / f"threads{threads}.json"
         done = subprocess.run([sys.executable, "-m", "dysonprop",
-                               *GOLDEN_REPORTS["green-ft_fourier.json"], "--out", str(out)],
+                               *GOLDEN_REPORTS[golden], "--out", str(out)],
                               env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert out.read_bytes() == golden, threads
+        assert out.read_bytes() == want, threads
 
 
 #: command -> summary item -> the row filters behind its value, for every item
@@ -658,6 +660,19 @@ def test_amplitude_relation_resolves_small_coupling(tmp_path):
     ratio = json.loads(out.read_text())["summary"][0]
     assert ratio["name"] == "relation_error_ratio"
     assert abs(ratio["value"] / 8.0 - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("h", [1e-100, 1e-154])
+@pytest.mark.parametrize("m", [3, 6])
+def test_amplitude_refuses_a_lattice_whose_levels_leave_the_float_range(h, m, tmp_path, capsys):
+    # hopping 5e199 or 5e307: the Jacobi norms overflowed ("overflow encountered
+    # in dot" or "in add"); now the phases, or at M = 6 and h = 1e-154 a top
+    # level of about 1.9e308, cannot be resolved
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps({"M": m, "h": h, "mass": 1.0, "v0": [0.0] * m, "v1": [0.0] * m}))
+    assert main(["amplitude", "--lattice", str(path), "--out", str(tmp_path / "a.json")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot be resolved" in err and "overflow" not in err
 
 
 def test_amplitude_makes_one_truncated_evolution_per_coupling(monkeypatch, tmp_path):

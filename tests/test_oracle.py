@@ -571,3 +571,25 @@ def test_per_size_tables_are_read_only_and_bounded():
             arr[0] = 0
     for cached in (oracle._spectral_tables, oracle._round_robin):
         assert isinstance(cached.cache_info().maxsize, int)
+
+
+@pytest.mark.parametrize("k", [900, -900])
+def test_eigendecomposition_commutes_with_powers_of_two(k):
+    # at 2^900 the norms overflowed ("overflow encountered in dot"), at 2^-900
+    # they underflowed to 0 and no rotation ran; scaled by its own power of two
+    # the input rotates as the in-range matrix does, bit for bit
+    for kind, d in itertools.product(KINDS, (2, 5, 8)):
+        a = _test_matrix(kind, d, d, 0.5)
+        scaled = np.ldexp(np.ascontiguousarray(a, dtype=complex).view(float), k).view(complex)
+        dec, want = hermitian_eigendecomposition(scaled), hermitian_eigendecomposition(a)
+        assert _same_bits(dec.vectors, want.vectors)
+        assert _same_bits(dec.values, np.ldexp(want.values, k))
+
+
+def test_eigendecomposition_refuses_eigenvalues_past_the_float_range():
+    # every entry is finite, but the largest eigenvalue, about 1.9e308, is not
+    hop = np.diag(np.full(5, -5e307), 1)
+    a = np.diag(np.full(6, 1e308)) + hop + hop.T
+    with pytest.raises(Unresolved, match="^Jacobi eigendecomposition cannot be resolved: an "
+                                         "eigenvalue is past the float range$"):
+        hermitian_eigendecomposition(a)

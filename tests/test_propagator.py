@@ -368,6 +368,30 @@ def test_graded_chains_match_tuple_sum(degenerate):
                     assert np.max(np.abs(u - u_want)) <= 1e-13 * scale
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 8), N=st.integers(0, 4), seed=st.integers(0, 2**16),
+       lam=st.floats(0.01, 1.0))
+def test_graded_chains_over_a_ladder_equal_one_call_per_eps(d, N, seed, lam):
+    # the ladder is a leading axis: slice k is the scalar call at eps_k, bit for bit
+    m = random_model(d, seed, lam=lam)
+    ladder = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+    for sgn in (1, -1):
+        stacked = _graded_chains(m, N, ladder, sgn)
+        for k, eps in enumerate(ladder):
+            for got, want in zip(stacked, _graded_chains(m, N, eps, sgn)):
+                assert got[k].shape == want.shape
+                assert got[k].tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("where", [0, 2])
+def test_graded_chains_check_every_eps_of_a_ladder(bad, where):
+    ladder = [1e-2, 5e-3, 2.5e-3]
+    ladder[where] = bad
+    with pytest.raises(ValueError, match=f"^eps must be positive and finite, got {bad}$"):
+        _graded_chains(random_model(3, 1), 2, ladder, 1)
+
+
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_epsilon_form_large_dimension(sign):
     # d=64 at N=3 with levels in coincident pairs: 64^4 index tuples, so the
@@ -418,9 +442,18 @@ def test_richardson_limit_rejects_repeated_eps():
 
 
 def test_richardson_limit_needs_one_sample_per_eps():
-    for eps, samples in (([1e-2, 5e-3], [1.0]), ([1e-2], [1.0, 2.0]), ([], [])):
+    for eps, samples in (([1e-2, 5e-3], [1.0]), ([1e-2], [1.0, 2.0]), ([], []),
+                         ([], np.empty((0, 3, 3)))):
         with pytest.raises(ValueError, match="^need one sample per eps value$"):
             richardson_limit(eps, samples)
+
+
+def test_richardson_limit_takes_samples_stacked_in_one_array():
+    eps = [1e-2, 5e-3, 2.5e-3]
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    assert richardson_limit(eps, stack).tobytes() == richardson_limit(eps, list(stack)).tobytes()
+    assert richardson_limit(eps[:2], np.array([1.0, 2.0])) == richardson_limit(eps[:2], [1.0, 2.0])
 
 
 def test_richardson_limit_polynomial():
