@@ -102,24 +102,25 @@ def base_hamiltonian(spec: LatticeSpec) -> np.ndarray:
 
 
 def build_lattice(spec: LatticeSpec) -> LatticeSystem:
-    """Diagonalize the base and the full lattice Hamiltonian and rotate the
-    perturbing potential into the base eigenbasis."""
+    """Diagonalize the base Hamiltonian (``eigh``) and rotate the perturbing
+    potential into its eigenbasis; the oracle decomposes the full one."""
     h0 = base_hamiltonian(spec)
-    dec = hermitian_eigendecomposition(h0)
-    basis = np.real_if_close(dec.vectors, tol=1e6) / np.sqrt(spec.h)
+    values, vectors = np.linalg.eigh(h0)
+    if not np.isfinite(values).all():
+        raise Unresolved("lattice eigenbasis", "a level of H0 is past the float range")
+    basis = vectors / np.sqrt(spec.h)
     gram = spec.h * basis.conj().T @ basis
     if float(np.max(np.abs(gram - np.eye(spec.M)))) > _ORTHO_TOL:
         raise Unresolved("lattice eigenbasis", "it failed the lattice orthonormality check")
     h1 = basis.conj().T @ (spec.v1[:, np.newaxis] * basis) * spec.h
-    model = SpectralModel(dec.values, h1, label="lattice")
-    full = hermitian_eigendecomposition(h0 + np.diag(spec.v1)) if spec.v1.any() else dec
-    return LatticeSystem(spec, model, np.asarray(basis), full.values,
-                         full.vectors / np.sqrt(spec.h))
+    model = SpectralModel(values, h1, label="lattice")
+    full = hermitian_eigendecomposition(h0 + np.diag(spec.v1))
+    return LatticeSystem(spec, model, basis, full.values, full.vectors / np.sqrt(spec.h))
 
 
-def _endpoint(x, M: int, every=slice(None)):
-    """x, when it is ``every`` or a grid index 0 <= x < M (a Python or numpy int)."""
-    if not (isinstance(x, slice) and x == every or isinstance(x, (int, np.integer))
+def _endpoint(x, M: int):
+    """x, when it is slice(None) or a grid index 0 <= x < M (a Python or numpy int)."""
+    if not (isinstance(x, slice) and x == slice(None) or isinstance(x, (int, np.integer))
             and not isinstance(x, bool) and 0 <= x < M):
         raise ValueError(f"endpoint {x!r} is not a grid index 0 <= x < {M}")
     return x
@@ -160,23 +161,6 @@ def k_truncated_direct(sys: LatticeSystem, spec: TruncationSpec, xb, tb: float, 
         raise ValueError("tb must be > ta")
     u = truncated_evolution(sys.model, spec, tb - ta).entries
     return _at(sys.basis @ u @ sys.basis.conj().T, xb, xa)
-
-
-def c_kernel_matrix(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb: int,
-                    xa: int) -> np.ndarray:
-    """Kernels C_m(x_b, y_b; x_a, y_a) for fixed endpoints, as an
-    (N+1) x M x M array over (m, y_b, y_a).
-
-    Node m of each index tuple is shifted to E - i*m*eps, the retarded
-    graded shifts of ``propagator._graded_chains``; the partial fraction of
-    node m goes into C_m, and ``k_via_relation`` supplies its factor
-    e^{-m*eps*t}.  C_m = sum_g psi*(y_b, g) w[m, g] psi(y_a, g), weighted by
-    the chains: w[m, g] = (left[m, g] . psi[x_b]) * (right[m, g] . psi*[x_a]).
-    """
-    _, left, right = _graded_chains(sys.model, spec, eps, 1)
-    psi, M = sys.basis, sys.spec.M
-    weight = (left @ psi[_endpoint(xb, M, None)]) * (right @ np.conj(psi[_endpoint(xa, M, None)]))
-    return (np.conj(psi) * weight[:, np.newaxis, :]) @ psi.T
 
 
 def _level_sums(sys: LatticeSystem, t: float) -> np.ndarray:

@@ -17,10 +17,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .model import (OperatorMatrix, SpectralModel, Unresolved, _check_eps, _check_phase, _count,
                     hamiltonian)
-from .oracle import gauss_legendre, linear_solve
+from .oracle import linear_solve
 from .propagator import TruncationSpec, _order, normalize_sign, truncated_evolution
 
 _RESIDUAL_TOL = 1e-10
@@ -188,7 +189,7 @@ def _panel_rule(domain, n: int, s_lo: float, s_hi: float, eps: float):
     m, extra = divmod(n, len(cuts) - 1)
     nodes, weights = [], []
     for k, ends in ((m + 1, cuts[:extra + 1]), (m, cuts[extra:])):
-        x, w = gauss_legendre(k)
+        x, w = leggauss(k)
         half = np.diff(ends)[:, None] / 2
         nodes.append(((ends[1:] + ends[:-1])[:, None] / 2 + half * x).ravel())
         weights.append((half * w).ravel())

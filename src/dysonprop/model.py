@@ -33,8 +33,9 @@ class Unresolved(ValueError):
 
 def _count(n, least: int, refusal: str, error=ValueError) -> int:
     """n as an int when it is an integral number >= least, else ``error``
-    "<refusal>, got n"; NaN and inf fail the comparisons before int() runs."""
-    if not (least <= n < math.inf and int(n) == n):
+    "<refusal>, got n"; NaN and inf fail the comparisons before int() runs,
+    and a bool is no count."""
+    if isinstance(n, (bool, np.bool_)) or not (least <= n < math.inf and int(n) == n):
         raise error(f"{refusal}, got {n}")
     return int(n)
 

@@ -71,10 +71,14 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     n, peak = a.shape[0], _finite_peak(a)
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-10 * max(1.0, peak):
-        raise ValueError("input is not Hermitian to 1e-10")
     shift = int(np.frexp(peak)[1])  # 2^-shift a peaks in [1/2, 1); no rotation changes a bit
-    a = np.ldexp(np.ascontiguousarray(a).view(float), -shift).view(complex)
+    scaled = np.ldexp(np.ascontiguousarray(a).view(float), -shift).view(complex)
+    # |a - a^H| <= 1e-10 max(1, peak), on the scaled matrix so that no difference
+    # overflows; below a peak of 1 on a itself, as 2^-shift may overflow there
+    test, bound = (scaled, np.ldexp(peak, -shift)) if peak >= 1 else (a, 1.0)
+    if float(np.max(np.abs(test - test.conj().T))) > 1e-10 * bound:
+        raise ValueError("input is not Hermitian to 1e-10")
+    a = scaled
     work = (a + a.conj().T) / 2.0
     v = eye = np.eye(n, dtype=complex)
     thresh = _JACOBI_OFF_TOL * max(float(np.linalg.norm(work)), 1e-300)

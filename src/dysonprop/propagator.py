@@ -49,11 +49,12 @@ def _order(spec) -> int:
 
 
 def normalize_sign(sign) -> int:
-    """Map '+', '-', +1, -1 to the integer sign of the i*epsilon shift."""
-    if sign in ("+", 1, +1):
-        return 1
-    if sign in ("-", -1):
-        return -1
+    """Map '+', '-', +1, -1 to the integer sign of the i*epsilon shift; a bool is no sign."""
+    if not isinstance(sign, (bool, np.bool_)):
+        if sign in ("+", 1):
+            return 1
+        if sign in ("-", -1):
+            return -1
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 

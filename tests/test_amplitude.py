@@ -9,7 +9,6 @@ from dysonprop import amplitude
 from dysonprop.amplitude import (
     LatticeSpec,
     build_lattice,
-    c_kernel_matrix,
     k0_amplitude,
     k_exact,
     k_truncated_direct,
@@ -234,6 +233,23 @@ def test_relation_vs_direct_gap_structure():
     assert abs(gaps[0.1] / gaps[0.05] / 2.0 - 1.0) <= 0.05  # first order in coupling
 
 
+def c_kernel_matrix(sys, spec, eps, xb, xa):
+    """Kernels C_m(x_b, y_b; x_a, y_a) for grid indices x_b, x_a, as an
+    (N+1) x M x M array over (m, y_b, y_a): the explicit kernel that
+    ``k_via_relation`` sums level by level without forming it.
+
+    Node m of each index tuple is shifted to E - i*m*eps, the retarded
+    graded shifts of ``propagator._graded_chains``; the partial fraction of
+    node m goes into C_m, and the relation supplies its factor e^{-m*eps*t}.
+    C_m = sum_g psi*(y_b, g) w[m, g] psi(y_a, g), weighted by the chains:
+    w[m, g] = (left[m, g] . psi[x_b]) * (right[m, g] . psi*[x_a]).
+    """
+    _, left, right = _graded_chains(sys.model, spec, eps, 1)
+    psi = sys.basis
+    weight = (left @ psi[xb]) * (right @ np.conj(psi[xa]))
+    return (np.conj(psi) * weight[:, np.newaxis, :]) @ psi.T
+
+
 def test_c_kernel_scalar_consistent_with_matrix():
     # one kernel value C_m(x_b, y_b; x_a, y_a) as a scalar sum over levels g
     sys_ = build_lattice(well_spec(0.2))
@@ -259,12 +275,6 @@ def test_c_kernel_matches_tuple_sum():
             want = (np.conj(psi) * weight[:, np.newaxis, :]) @ psi.T
             got = c_kernel_matrix(sys_, N, 2.5e-3, xb, xa)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_c_kernel_rejects_bad_eps():
-    sys_ = build_lattice(well_spec(0.2))
-    with pytest.raises(ValueError):
-        c_kernel_matrix(sys_, TruncationSpec(1), 0.0, 0, 0)
 
 
 def test_time_ordering_guards():
@@ -298,16 +308,14 @@ ROUTES = {
 }
 
 
-@pytest.mark.parametrize("route", [*sorted(ROUTES), "c_kernel_matrix"])
+@pytest.mark.parametrize("route", sorted(ROUTES))
 def test_endpoints_must_be_grid_indices(route):
     # -1 silently gave the amplitude at x = M - 1, M a bare IndexError, and
-    # True or slice(1, 3) returned arrays; c_kernel_matrix takes indices only,
-    # since slice(None) gave it arrays of the wrong shape
+    # True or slice(1, 3) returned arrays
     sys_ = build_lattice(well_spec(0.2))
-    call = ROUTES.get(route, lambda s, b, a: c_kernel_matrix(s, TruncationSpec(1), 1e-2, b, a))
+    call = ROUTES[route]
     assert np.array_equal(call(sys_, np.int64(5), np.int64(0)), call(sys_, 5, 0))
-    bad_endpoints = [-1, 6, 2.0, True, "1", None, slice(1, 3), [0, 1]]
-    for bad in bad_endpoints + ([EVERY] if route == "c_kernel_matrix" else []):
+    for bad in [-1, 6, 2.0, True, "1", None, slice(1, 3), [0, 1]]:
         for xb, xa in ((bad, 0), (0, bad)):
             with pytest.raises(ValueError, match=f"^endpoint {re.escape(repr(bad))} is not "
                                                  "a grid index 0 <= x < 6$"):
@@ -402,15 +410,29 @@ def test_lattice_system_is_frozen():
         sys_.full_energies = sys_.model.energies
 
 
-@pytest.mark.parametrize("lam,solves", [(0.0, 1), (0.2, 2)])
-def test_build_lattice_solves_the_full_hamiltonian_only_when_v1_is_nonzero(
-        monkeypatch, lam, solves):
+@pytest.mark.parametrize("lam", [0.0, 0.2])
+def test_build_lattice_decomposes_h0_plus_v1_once_with_the_oracle(monkeypatch, lam):
+    # H0's basis comes from eigh; the oracle decomposes H = H0 + diag(v1)
+    # itself, also for a free lattice, and never H0 alone
     calls = []
     real = amplitude.hermitian_eigendecomposition
     monkeypatch.setattr(amplitude, "hermitian_eigendecomposition",
                         lambda a: calls.append(a) or real(a))
-    build_lattice(well_spec(lam))
-    assert len(calls) == solves
+    spec = well_spec(lam)
+    build_lattice(spec)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], amplitude.base_hamiltonian(spec) + np.diag(spec.v1))
+
+
+@pytest.mark.parametrize("m", [6, 12, 48])
+def test_eigh_levels_match_the_jacobi_levels(m):
+    # production's eigh and the Jacobi oracle decompose the same H0
+    # independently: each checks the other, relative to the top level (the
+    # lowest level at M = 48 differs by 6e-14 of itself)
+    spec = well_spec(0.2, m=m, h=0.25 if m == 48 else 0.5)
+    levels = build_lattice(spec).model.energies
+    want = amplitude.hermitian_eigendecomposition(amplitude.base_hamiltonian(spec)).values
+    assert np.max(np.abs(levels - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_free_lattice_full_basis_equals_a_second_solve():

@@ -643,6 +643,22 @@ def test_green_ft_shares_each_forward_solve_across_both_times(monkeypatch, tmp_p
     assert len(calls) == 800
 
 
+def test_green_ft_reads_no_oracle_gauss_rule(monkeypatch, tmp_path):
+    # the panels take numpy's tables: a fault in the oracle's rule cannot
+    # reach the production side of the Fourier checks
+    def unreachable(n):
+        raise AssertionError("green-ft read oracle.gauss_legendre")
+
+    rule = oracle.gauss_legendre
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dysonprop" and getattr(module, "gauss_legendre", None) is rule:
+            monkeypatch.setattr(module, "gauss_legendre", unreachable)
+    out = tmp_path / "g.json"
+    assert main([*GOLDEN_REPORTS["green-ft_fourier.json"], "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).resolve().parent / "data"
+                                / "green-ft_fourier.json").read_bytes()
+
+
 def test_amplitude_refuses_ratio_at_roundoff_floor(capsys):
     # at lambda = 1e-4 the relation errors are 8.1e-14 and 7.4e-15: only the
     # second is roundoff, and their ratio (11 against an expected 8) is noise

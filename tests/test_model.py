@@ -7,7 +7,6 @@ import pytest
 from dysonprop.amplitude import (
     LatticeSpec,
     build_lattice,
-    c_kernel_matrix,
     k0_amplitude,
     k_exact,
     k_truncated_direct,
@@ -224,12 +223,13 @@ COUNT_ROUTES = {
 @pytest.mark.parametrize("route", sorted(COUNT_ROUTES))
 def test_every_count_takes_integral_floats_and_refuses_the_rest(route):
     # 2.0 and np.int64(2) raised TypeError on all but the spec records, and
-    # 2.5, NaN and inf a TypeError, a numpy error or a misleading message
+    # 2.5, NaN and inf a TypeError, a numpy error or a misleading message;
+    # True counted as 1, as the file readers' dims never did
     call, good, least = COUNT_ROUTES[route]
     want = [np.asarray(x).tobytes() for x in call(good)]
     for n in (float(good), np.int64(good), np.float64(good)):
         assert [np.asarray(x).tobytes() for x in call(n)] == want, n
-    for bad in (good + 0.5, np.nan, np.inf, least - 1):
+    for bad in (good + 0.5, np.nan, np.inf, least - 1, True, np.True_):
         with pytest.raises(ValueError, match=f", got {bad}$"):
             call(bad)
 
@@ -281,12 +281,32 @@ def test_every_phase_route_refuses_times_that_keep_no_bit(route):
         assert type(refused.value) is ValueError
 
 
+#: every route that takes a +- sign, as a function of the sign
+SIGN_ROUTES = {
+    "ResolventQuery": lambda s: ResolventQuery(0.3, s, 0.1).z,
+    "epsilon_form_evolution": lambda s: epsilon_form_evolution(
+        two_level_model(1.0, 0.3), 1, 1.0, 0.1, s).entries,
+    "timedep_green": lambda s: timedep_green(two_level_model(1.0, 0.3), 1, 1.0, 0.0, s).entries,
+}
+
+
+@pytest.mark.parametrize("route", sorted(SIGN_ROUTES))
+def test_every_sign_route_refuses_bools(route):
+    # True == 1 made ResolventQuery(0.0, True, 0.1) retarded
+    call = SIGN_ROUTES[route]
+    for sign, text in ((np.int64(1), "+"), (np.int64(-1), "-")):
+        assert np.array_equal(call(sign), call(text))
+    for bad in (True, False, np.True_):
+        with pytest.raises(ValueError, match=rf"^sign must be '\+' or '-', got {bad!r}$"):
+            call(bad)
+
+
 #: every route that takes a regularization eps, as a function of eps
 EPS_ROUTES = {
     "ResolventQuery": lambda e: ResolventQuery(0.3, "+", e),
     "epsilon_form_evolution": lambda e: epsilon_form_evolution(
         two_level_model(1.0, 0.3), 1, 1.0, e, "+"),
-    "c_kernel_matrix": lambda e: c_kernel_matrix(build_lattice(_lattice(6)), 1, e, 0, 0),
+    "k_via_relation": lambda e: k_via_relation(build_lattice(_lattice(6)), 1, e, 0, 1.0, 0, 0.0),
     "forward_fourier": lambda e: forward_fourier(
         two_level_model(1.0, 0.3), QuadratureSpec((-40.0, 41.0), 64), 1.0, 0.0, "+", e),
     "richardson_limit": lambda e: richardson_limit([e, 1e-2], [1.0, 2.0]),

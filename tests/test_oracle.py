@@ -87,6 +87,42 @@ def test_oracle_imports_nothing_it_checks():
     assert not {name for name in absolute if name.split(".")[0] == "dysonprop"}
 
 
+#: the production modules' oracle imports still allowed, each with the ROADMAP
+#: item that removes it
+_ORACLE_EDGES = {
+    "green": ({"linear_solve"}, "item 2 takes the forward solves off the Gauss-Jordan oracle"),
+    "amplitude": ({"hermitian_eigendecomposition"},
+                  "item 11(c) builds k_exact on exact_evolution"),
+}
+
+
+def _oracle_imports(path):
+    """The names ``path`` imports from dysonprop.oracle; "oracle" for the module itself."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = ("." * node.level + (node.module or "")).replace("dysonprop", "", 1)
+            if module == ".oracle":
+                names |= {alias.name for alias in node.names}
+            elif module == ".":
+                names |= {alias.name for alias in node.names if alias.name == "oracle"}
+        elif isinstance(node, ast.Import):
+            names |= {"oracle" for alias in node.names if alias.name == "dysonprop.oracle"}
+    return names
+
+
+def test_no_production_module_imports_the_oracles():
+    # a fault in an oracle reaches only the oracle side of a comparison; cli
+    # runs both sides, and the package namespace re-exports the oracles
+    imports = {path.stem: _oracle_imports(path)
+               for path in Path(oracle.__file__).parent.glob("*.py")}
+    assert imports["cli"] and imports["__init__"]  # both import forms are read
+    for module, names in imports.items():
+        if module not in ("cli", "__init__"):
+            allowed, item = _ORACLE_EDGES.get(module, (set(), "no ROADMAP item"))
+            assert names <= allowed, f"{module} imports {sorted(names - allowed)}; {item}"
+
+
 def test_sweep_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(oracle, "JACOBI_SWEEP_BUDGET", 1)
     with pytest.raises(Unresolved, match=r"^Jacobi eigendecomposition cannot be resolved: "
@@ -111,6 +147,18 @@ def test_oracles_refuse_non_finite_entries(bad):
 def test_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermitian_test_runs_in_range_near_the_float_limit():
+    # a - a^H on the unscaled input overflowed ("overflow encountered in
+    # subtract") before the refusal; it is taken after the power-of-two scaling
+    with pytest.raises(ValueError, match="^input is not Hermitian to 1e-10$"):
+        hermitian_eigendecomposition([[0.0, 1e308], [-1e308, 0.0]])
+    a = np.array([[1e308, 5e307j], [-5e307j, -1e308]])
+    dec = hermitian_eigendecomposition(a)
+    assert np.allclose(dec.values, [-np.hypot(1e308, 5e307), np.hypot(1e308, 5e307)],
+                       rtol=1e-14, atol=0)
+    assert np.max(np.abs(dec.vectors.conj().T @ dec.vectors - np.eye(2))) <= 1e-15
 
 
 def test_eigendecomposition_rejects_non_square_input():
@@ -371,6 +419,17 @@ def test_gauss_legendre_symmetry_and_numpy_nodes(n):
     assert np.array_equal(w, w[::-1])
     assert np.all(np.diff(x) > 0)
     assert np.max(np.abs(x - leggauss(n)[0])) <= 2e-16
+
+
+def test_gauss_legendre_agrees_with_the_numpy_tables_of_the_panels():
+    # the Fourier panels take numpy's tables of at most 33 nodes, the series
+    # oracle this rule: each side checks the other.  numpy's weights are the
+    # rougher ones, up to 11 eps from mpmath's (n = 30), against 1 eps here
+    for n in range(1, 34):
+        x, w = gauss_legendre(n)
+        want_x, want_w = leggauss(n)
+        assert np.max(np.abs(x - want_x)) <= np.finfo(float).eps, n
+        assert np.max(np.abs(w - want_w)) <= 16 * np.finfo(float).eps, n
 
 
 def test_gauss_legendre_rejects_empty_rule():
