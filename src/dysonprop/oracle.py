@@ -20,8 +20,8 @@ from .model import OperatorMatrix, SpectralModel, Unresolved, _check_phase, _cou
 
 JACOBI_SWEEP_BUDGET = 30
 _JACOBI_OFF_TOL = 1e-14
-#: node cap of the series oracle: it bounds its n x n integration matrices
-_MAX_NODES = 512
+#: entries of one (nodes, d, d) array over the series oracle's panels: 256 MiB
+_MAX_ENTRIES = 2**24
 _NEWTON_BUDGET = 10
 
 
@@ -188,29 +188,28 @@ def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
     pass; see ``dyson_term_quadrature``."""
     l = _count(l, 0, "order must be a nonnegative integer")
     npoints = _count(npoints, 16, "need a whole number of at least 16 quadrature points")
-    e = model.energies
-    d = model.dim
+    e, d = model.energies, model.dim
     half_phase = abs(t) * float(np.ptp(e)) / 2.0
     # compared as a float, so a huge |t| is refused before any int conversion
-    need = np.maximum(npoints, np.ceil(half_phase) + 24)
-    if need > _MAX_NODES:
-        raise Unresolved(
-            "series term", f"it needs {need:.3e} nodes (|t|*dE = "
-            f"{2.0 * half_phase:.3e}, npoints {npoints}), above the maximum {_MAX_NODES}")
+    panels = max(half_phase / 40, npoints / 64, 1.0)
+    if panels * 64 * d * d > _MAX_ENTRIES:
+        raise Unresolved("series term", f"{panels:.3e} panels of 64 nodes (|t|*dE = "
+                         f"{2 * half_phase:.3e}) hold {d}x{d} blocks past {_MAX_ENTRIES} entries")
     _check_phase(t, e.tolist())
-    n = int(need)
+    p = int(np.ceil(panels))
+    n = max(-(-npoints // p), int(np.ceil(half_phase / p)) + 24)
     x, table = _spectral_tables(n)
-    s = t * (x + 1.0) / 2.0
-    # -i times the integral from 0 of the interpolant, at every node and at s = t
-    integ = (-0.5j * t) * table
-    v = np.exp(1j * s[:, np.newaxis, np.newaxis] * (e[:, np.newaxis] - e)) * model.h1
+    s = (t / p) * (np.arange(p)[:, np.newaxis] + (x + 1.0) / 2.0)
+    integ = (-0.5j * (t / p)) * table  # -i * integral from a panel's start, at its nodes and end
+    v = np.exp(1j * s[..., np.newaxis, np.newaxis] * (e[:, np.newaxis] - e)) * model.h1
     u0 = np.exp(-1j * e * t)[:, np.newaxis]  # e^{-iH0 t} as a column
-    # rows 0..n-1 hold b at the nodes, row n at s = t
-    b = np.broadcast_to(np.eye(d, dtype=complex), (n + 1, d, d))
+    # b[j, :n] holds b at the nodes of panel j, b[j, n] at its end
+    b = np.broadcast_to(np.eye(d, dtype=complex), (p, n + 1, d, d))
     for k in range(l + 1):
         if k:
-            b = (integ @ (v @ b[:n]).reshape(n, d * d)).reshape(n + 1, d, d)
-        yield OperatorMatrix(u0 * b[n])
+            b = (integ @ (v @ b[:, :n]).reshape(p, n, d * d)).reshape(p, n + 1, d, d)
+            b[1:] += np.cumsum(b[:-1, n], axis=0)[:, np.newaxis]  # carry the panel ends
+        yield OperatorMatrix(u0 * b[-1, n])
 
 
 def dyson_term_quadrature(
@@ -220,11 +219,12 @@ def dyson_term_quadrature(
 
     The term is e^{-iH0 t} b_l(t), where b_0 = 1 and b_k(s) is -i times the
     integral of V(r) b_(k-1)(r) over [0, s], with V(r) = e^{iH0 r} H1 e^{-iH0 r}.
-    Each b_k is held at n Gauss-Legendre nodes of [0, t] and integrated by the
-    Legendre spectral integration matrix (Greengard, SIAM J. Numer. Anal. 28
-    (1991) 1071): O(l (n^2 d^2 + n d^3)) for any order l >= 0.  The integrands
-    oscillate up to the level spread dE, so n = max(npoints, ceil(|t| dE / 2) +
-    24); n above _MAX_NODES raises Unresolved, not inaccurate terms.
+    Each b_k is held at n Gauss-Legendre nodes on each of P equal panels of [0, t],
+    b_k(s) = b_k(s_p) - i * integral of V b_(k-1) over [s_p, s] by one Legendre
+    spectral integration matrix (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071).
+    The integrands oscillate up to the level spread dE, so P = ceil(max(|t| dE / 80,
+    npoints / 64, 1)) and n = max(ceil(npoints / P), ceil(|t| dE / 2P) + 24) <= 64:
+    O(l P (n^2 d^2 + n d^3)).  Arrays past _MAX_ENTRIES entries raise Unresolved.
     """
     *_, term = _dyson_terms(model, l, t, npoints)
     return term

@@ -392,7 +392,7 @@ def test_taylor_term_cap_exits_2(monkeypatch, capsys):
 _REFUSALS = {
     "halving-ratio-at-roundoff": ["converge", "--lambda", "1e-300"],
     "relation-ratio-at-roundoff": ["amplitude", "--lambda", "1e-4"],
-    "series-oracle-node-cap": ["propagate", "--t", "1e5"],
+    "series-oracle-size": ["propagate", "--t", "1e12"],
     "inverse-damping": ["green-ft", "--quad-domain", "10"],
     "forward-window": ["green-ft", "--window", "1"],
     "inverse-phases-at-1e17": ["green-ft", "--quad-domain", "1e17"],
@@ -493,6 +493,17 @@ def test_propagate_oracle_rows_match_per_order_calls():
     for row in report.rows:
         ins = row.inputs
         assert row.oracle == refs[ins["l"]][ins["row"], ins["col"]]
+
+
+def test_propagate_resolves_the_series_at_a_long_time(tmp_path):
+    # t = 800 puts |t| dE = 1351 on 17 panels.  The rows are absolute, a_2
+    # reaches 5.3e3 there and a_matrix is itself 8.2e-10 off 40-digit mpmath,
+    # so the item is checked at 1e-8, 1.9e-12 of the largest entry.  The exit code
+    # is not asserted: the resolvent form's eps ladder fails at this time
+    out = tmp_path / "p.json"
+    main(["propagate", "--t", "800", "--tol", "1e-8", "--out", str(out)])
+    summary = {item["name"]: item for item in json.loads(out.read_text())["summary"]}
+    assert summary["series_term_vs_quadrature"]["passed"]
 
 
 def test_unwritable_out_path_is_clean_error(tmp_path, capsys):

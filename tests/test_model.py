@@ -235,8 +235,8 @@ def test_every_count_takes_integral_floats_and_refuses_the_rest(route):
 
 
 #: every route that exponentiates levels of its own, at a time t: the
-#: quadrature oracle on equal levels, where its node cap lets every time
-#: through
+#: quadrature oracle on equal levels, where one panel holds every time and
+#: its size refusal lets every time through
 _EQUAL = SpectralModel([2.0, 2.0], [[0.0, 0.1], [0.1, 0.0]])
 PHASE_ROUTES = {
     "a_matrix": lambda t: a_matrix(two_level_model(1.0, 0.3), 2, t),

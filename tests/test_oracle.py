@@ -20,6 +20,7 @@ from dysonprop.oracle import (
     linear_solve,
 )
 from dysonprop.propagator import a_matrix
+from test_propagator import A_MATRIX_C, _block_matrix, mp_a_matrix
 
 
 def random_hermitian(d, seed):
@@ -260,20 +261,66 @@ def test_quadrature_matches_series_terms(d, seed, l, half_phase, sign):
     assert np.max(np.abs(got - want)) <= max(1e-13, floor) * np.max(np.abs(want))
 
 
-def test_quadrature_refuses_unresolvable_time():
-    # |t| * dE / 2 = 1000 would need more than the largest node count
+def test_quadrature_resolves_a_long_time_within_the_a_matrix_bound():
+    # |t| * dE / 2 = 1000 spans 25 panels; the oracle meets a_matrix within
+    # a_matrix's own error bound
     m = two_level_model(1.0, 0.3)
-    with pytest.raises(Unresolved, match=r"\|t\|\*dE"):
-        dyson_term_quadrature(m, 1, 2000.0)
+    _, norm = _block_matrix(m, 1)
+    want = a_matrix(m, 1, 2000.0).entries
+    err = np.max(np.abs(dyson_term_quadrature(m, 1, 2000.0).entries - want)) / np.max(np.abs(want))
+    assert err <= A_MATRIX_C * max(1.0, 2000.0 * norm) * np.finfo(float).eps / 2
 
 
 @pytest.mark.parametrize("t", [1.7e308, 1e300])
 def test_quadrature_refuses_overflowing_time(t):
-    # the node count is compared as a float before any int conversion, and
+    # the panel count is compared as a float before any int conversion, and
     # printed in exponent form (or as inf), not as a 300-digit integer
-    with pytest.raises(Unresolved,
-                       match=r"cannot be resolved: it needs (inf|\d\.\d{3}e\+\d+) nodes"):
+    with pytest.raises(Unresolved, match=r"cannot be resolved: (inf|\d\.\d{3}e\+\d+) panels of "
+                                         r"64 nodes .* past 16777216 entries$"):
         dyson_term_quadrature(random_model(4, 7, 0.2), 1, t)
+
+
+#: model -> the highest order checked at long times
+_LONG_TIME_MODELS = {
+    "two-level": (two_level_model(1.0, 0.3), 3),
+    "random": (random_model(3, 5, 0.5), 2),
+    "confluent": (SpectralModel([0.6, 0.6, 2.1], random_model(3, 5, 0.5).h1), 2),
+}
+
+
+@pytest.mark.parametrize("name", _LONG_TIME_MODELS)
+@pytest.mark.parametrize("t_de", [900.0, 2000.0])
+def test_quadrature_at_long_times_against_mpmath(name, t_de):
+    # every order at |t| dE = 900 and 2000 (12 and 25 panels) against the tuple
+    # sum at 40 digits, relative to the largest entry; the node phases s dE
+    # carry a rounding of |t| dE u each, which takes l = 1 near 1e-12
+    m, lmax = _LONG_TIME_MODELS[name]
+    t = t_de / float(np.ptp(m.energies))
+    for l, term in enumerate(oracle._dyson_terms(m, lmax, t, 64)):
+        want = mp_a_matrix(m, l, t)
+        assert np.max(np.abs(term.entries - want)) <= 1e-11 * np.max(np.abs(want)), l
+
+
+def test_quadrature_memory_is_linear_in_npoints(monkeypatch):
+    # npoints = 100000 adds panels of at most 64 nodes: a single rule's
+    # 100000 x 100000 table would take 160 GB, the panel arrays take
+    # 100032 * 2 * 2 * 16 bytes = 6.4 MB each
+    sizes, tables = [], oracle._spectral_tables
+
+    def spectral_tables(n):
+        sizes.append(n)
+        return tables(n)
+
+    monkeypatch.setattr(oracle, "_spectral_tables", spectral_tables)
+    m = two_level_model(1.0, 0.3)
+    tracemalloc.start()
+    try:
+        dyson_term_quadrature(m, 1, 1.0, 100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [64]
+    assert peak < 8 * 100032 * 2 * 2 * 16
 
 
 def test_linear_solve_identity_and_diagonal():
@@ -598,20 +645,23 @@ def test_eigendecomposition_matches_reference_bitwise(d):
 
 def _uncached_dyson_terms(model, l, t, npoints):
     # _dyson_terms with its spectral tables built inline on every call
-    n = int(max(npoints, np.ceil(abs(t) * float(np.ptp(model.energies)) / 2.0) + 24))
+    half_phase = abs(t) * float(np.ptp(model.energies)) / 2.0
+    p = int(np.ceil(max(half_phase / 40, npoints / 64, 1.0)))
+    n = max(-(-npoints // p), int(np.ceil(half_phase / p)) + 24)
     x, w = gauss_legendre(n)
     to_coef = (np.arange(n) + 0.5)[:, np.newaxis] * legvander(x, n - 1).T * w
-    integ = (-0.5j * t) * (
+    integ = (-0.5j * (t / p)) * (
         legvander(np.append(x, 1.0), n) @ legint(np.eye(n), lbnd=-1) @ to_coef)
     e, d = model.energies, model.dim
-    s = t * (x + 1.0) / 2.0
-    v = np.exp(1j * s[:, np.newaxis, np.newaxis] * (e[:, np.newaxis] - e)) * model.h1
+    s = (t / p) * (np.arange(p)[:, np.newaxis] + (x + 1.0) / 2.0)
+    v = np.exp(1j * s[..., np.newaxis, np.newaxis] * (e[:, np.newaxis] - e)) * model.h1
     u0 = np.exp(-1j * e * t)[:, np.newaxis]
-    b = np.broadcast_to(np.eye(d, dtype=complex), (n + 1, d, d))
+    b = np.broadcast_to(np.eye(d, dtype=complex), (p, n + 1, d, d))
     for k in range(l + 1):
         if k:
-            b = (integ @ (v @ b[:n]).reshape(n, d * d)).reshape(n + 1, d, d)
-        yield u0 * b[n]
+            b = (integ @ (v @ b[:, :n]).reshape(p, n, d * d)).reshape(p, n + 1, d, d)
+            b[1:] += np.cumsum(b[:-1, n], axis=0)[:, np.newaxis]
+        yield u0 * b[-1, n]
 
 
 @pytest.mark.parametrize("d,t,npoints", [(2, 1.0, 16), (3, -1.5, 64), (6, 1.0, 64),

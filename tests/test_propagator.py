@@ -145,8 +145,10 @@ def _block_matrix(m, l):
        st.integers(min_value=0, max_value=4), st.floats(min_value=0.01, max_value=488.0),
        st.sampled_from([1.0, -1.0]), st.floats(min_value=0.01, max_value=1.0),
        st.sampled_from(["random", "confluent"]))
-# the series oracle's cap: |t| dE = 976 is its 512-node limit
+# the top of the drawn range, |t| dE = 976, and |t| dE = 2000 past it
 @example(4, 3, 4, 488.0, -1.0, 1.0, "confluent")
+@example(3, 3, 2, 1000.0, 1.0, 0.5, "random")
+@example(4, 3, 3, 1000.0, -1.0, 1.0, "confluent")
 # close levels that make |t| large, t = 626 and t = 1590 exactly: l = 1 is off
 # by 4.0e-14 and 7.1e-14 there, the rounding of the phases, which the
 # quadrature oracle shows as well
