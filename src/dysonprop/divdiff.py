@@ -8,10 +8,11 @@ for distinct nodes, extended by derivative (confluent) limits when nodes
 repeat.  The phase function is evaluated as the corner row of e^{-iJt} for
 the upper-bidiagonal matrix J carrying the nodes on its diagonal and ones
 above it (Opitz 1964; McCurdy, Ng & Parlett, Math. Comp. 43 (1984) 501).
-``_phase_exp`` computes that exponential by shifting, scaling and squaring;
-it is stable for clustered or repeated nodes, where the partial-fraction
-sum cancels catastrophically, and it is the same routine the series terms
-of ``propagator.a_matrix`` use for their block-bidiagonal matrix.
+``_phase_exp`` computes that exponential by shifting, scaling to 1-norm
+<= 1, a Taylor polynomial in Paterson-Stockmeyer form and squaring; it is
+stable for clustered or repeated nodes, where the partial-fraction sum
+cancels catastrophically, and it is the same routine the series terms of
+``propagator.a_matrix`` use for their block-bidiagonal matrix.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .model import Unresolved, _check_phase, _finite
 
 _TAYLOR_RTOL = 1e-18
 _TAYLOR_MAX_TERMS = 64
+# 1/k! for k <= _TAYLOR_MAX_TERMS, each correctly rounded
+_INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(_TAYLOR_MAX_TERMS + 1)])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -32,22 +35,24 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t m) for a square matrix m.
 
     The mean diagonal entry is factored out first so the shifted matrix is
-    small; the remainder is scaled to 1-norm theta <= 0.5, summed as a
-    Taylor series and squared back up.  The series stops when every entry
-    of the last term is below _TAYLOR_RTOL of the same entry of the sum,
-    not of the largest entry: the entries wanted here, divided differences
-    over many nodes and high-order series terms, can lie many orders below
-    it.  That entrywise test (five array operations) runs only from the
-    first k at which the norm bound theta^k / k! of term k, a Python float,
-    is below _TAYLOR_RTOL too; a term before it costs one product, one
-    division and one sum.  The bound never stops the series by itself: the
-    series ends at the same term as a test of every term would, or later
-    when that term comes before the bound's k (nearly nilpotent shifted
-    matrices such as the bidiagonal J of few nodes), and those extra terms
-    lie below the last bit of the sum.  Raises Unresolved after
-    _TAYLOR_MAX_TERMS + max(0, n - 48) terms (an n-node J's corner starts at
-    k = n - 1), when theta is not finite or needs a scale 2^s, s >= 1024, and
-    when the squarings overflow, which one finiteness test sees silently.
+    small; the remainder b is scaled to 1-norm theta <= 1, its Taylor
+    polynomial summed and squared back up.  The degree is the first k at
+    which the norm bound theta^k / k! of term k is below _TAYLOR_RTOL (at
+    most 20), rounded up to p q with p = isqrt(k), q = ceil(k / p).  The
+    polynomial is evaluated in Paterson-Stockmeyer form (SIAM J. Comput. 2
+    (1973) 60): the powers I, b, ..., b^p once, the q blocks of p
+    coefficients from a 1/k! table in one product with them, and q - 1
+    Horner steps in b^p.  With the last term (b^p)^q / (pq)! that is
+    p + 2q - 3 products, 11 at k = 20, where a term-by-term sum takes k.
+    The sum is accepted when every entry of that last term is below
+    _TAYLOR_RTOL of the same entry of the sum, not of the largest entry:
+    the entries wanted here, divided differences over many nodes and
+    high-order series terms, can lie many orders below it.  When the test
+    fails, as for the bidiagonal J of spaced nodes, whose corner starts at
+    term n - 1, the sum goes on term by term until it passes.  Raises
+    Unresolved after _TAYLOR_MAX_TERMS + max(0, n - 48) terms, when theta
+    is not finite or needs a scale 2^s, s >= 1024, and when the squarings
+    overflow, which one finiteness test sees silently.
     """
     n = m.shape[0]
     max_terms = _TAYLOR_MAX_TERMS + max(0, n - 48)
@@ -56,18 +61,43 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     a.flat[:: n + 1] -= mu
     a *= -1j * t
     theta = float(np.abs(a).sum(axis=0).max())
-    # the least s >= 0 with theta / 2^s <= 0.5
+    # the least s >= 0 with theta / 2^s <= 1
     mant, e = math.frexp(theta)
-    s = 0 if theta <= 0.5 else e if mant == 0.5 else e + 1
+    s = 0 if theta <= 1.0 else e - 1 if mant == 0.5 else e
     if not math.isfinite(theta) or s >= 1024:
         norm = float(np.abs(m - mu * np.eye(n)).sum(axis=0).max())
         raise Unresolved("exp(-i t m)", f"|t| = {abs(t):.3e} times ||m - mu||_1 = {norm:.3e} "
                          "needs a scale 2^s with s >= 1024, past the float range")
     theta = math.ldexp(theta, -s)
-    b = a / (2.0**s)
-    f = np.eye(n, dtype=complex) + b
-    term, bound, k = b, theta, 1
-    while not (bound < _TAYLOR_RTOL and (abs(term) <= _TAYLOR_RTOL * abs(f)).all()):
+    bound, k = theta, 1
+    while bound >= _TAYLOR_RTOL and k < max_terms:
+        k += 1
+        bound *= theta / k
+    p = math.isqrt(k)
+    q = -(-k // p)
+    if p * q > max_terms:  # only a cap below 20 terms gets here
+        p, q = 1, k
+    k = p * q
+    # powers[i] = b^i for i <= p
+    powers = np.empty((p + 1, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    np.multiply(a, 2.0**-s, out=powers[1])
+    for i in range(2, p + 1):
+        # ndarray.dot runs the same BLAS product as @ with less dispatch
+        np.dot(powers[i - 1], powers[1], out=powers[i])
+    # block j = sum over i < p of b^i / (jp + i)!, the last one with b^p / k! too
+    coef = np.zeros((q, p + 1))
+    coef[:, :p] = _INV_FACTORIAL[:k].reshape(q, p)
+    coef[-1, p] = _INV_FACTORIAL[k]
+    blocks = coef.dot(powers.reshape(p + 1, n * n)).reshape(q, n, n)
+    f = blocks[-1]
+    for block in blocks[-2::-1]:
+        f = f.dot(powers[p])
+        f += block
+    term = powers[p] * _INV_FACTORIAL[k]
+    for _ in range(q - 1):
+        term = term.dot(powers[p])
+    while bound >= _TAYLOR_RTOL or not (abs(term) <= _TAYLOR_RTOL * abs(f)).all():
         if k == max_terms:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(term == 0, 0.0, abs(term) / abs(f))
@@ -76,10 +106,8 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
                 f"worst entry ratio |term| / |sum| = {ratio.max():.3e} > {_TAYLOR_RTOL:.0e}"
             )
         k += 1
-        # ndarray.dot runs the same BLAS product as @ with less dispatch
-        term = term.dot(b) / k
+        term = term.dot(powers[1]) / k
         f += term
-        bound *= theta / k
     for _ in range(s):
         f = f.dot(f)
     if not np.isfinite(f).all():

@@ -189,6 +189,11 @@ def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
     l = _count(l, 0, "order must be a nonnegative integer")
     npoints = _count(npoints, 16, "need a whole number of at least 16 quadrature points")
     e, d = model.energies, model.dim
+    # in ints, before any count becomes a float: the nodes of any panel split
+    # hold npoints d^2 entries
+    if npoints * d * d > _MAX_ENTRIES:
+        raise Unresolved("series term", f"a quadrature point count past {_MAX_ENTRIES // (d * d)} "
+                         f"puts {d}x{d} blocks past {_MAX_ENTRIES} entries")
     half_phase = abs(t) * float(np.ptp(e)) / 2.0
     # compared as a float, so a huge |t| is refused before any int conversion
     panels = max(half_phase / 40, npoints / 64, 1.0)

@@ -393,6 +393,8 @@ _REFUSALS = {
     "halving-ratio-at-roundoff": ["converge", "--lambda", "1e-300"],
     "relation-ratio-at-roundoff": ["amplitude", "--lambda", "1e-4"],
     "series-oracle-size": ["propagate", "--t", "1e12"],
+    # a 401-digit count, past the float range
+    "series-oracle-point-count": ["propagate", "--quad-points", "1" + "0" * 400],
     "inverse-damping": ["green-ft", "--quad-domain", "10"],
     "forward-window": ["green-ft", "--window", "1"],
     "inverse-phases-at-1e17": ["green-ft", "--quad-domain", "1e17"],

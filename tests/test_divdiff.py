@@ -275,8 +275,8 @@ def _node_bidiagonal(nodes):
 
 _STOP_RULE_MATRICES = {
     **{f"block-d{d}-l{l}": _block_bidiagonal(d, l) for d in range(2, 11) for l in range(1, 4)},
-    # on this grid the entrywise test passes from 14 terms before the norm
-    # bound's k (paired nodes) to 10 terms after it (spaced nodes)
+    # on this grid the sum goes on term by term past the Paterson-Stockmeyer
+    # degree by up to 10 terms (spaced nodes), 9 (paired) and 3 (blocks)
     **{f"spaced-n{n}": _node_bidiagonal([0.11 * k for k in range(n)]) for n in range(2, 13)},
     **{f"paired-n{n}": _node_bidiagonal([0.11 * (k // 2) for k in range(n)]) for n in range(2, 13)},
     # ||m - mu||_1 = 1: at t = 0.5, 1 and 2 theta sits on the boundary of a scale 2^s
@@ -288,11 +288,18 @@ _STOP_RULE_TIMES = [s * t for t in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 2
 
 @pytest.mark.parametrize("name", _STOP_RULE_MATRICES)
 def test_phase_exp_bitwise_equals_every_term_stop_test(name):
-    # the norm bound only defers the entrywise test: the sum must end on
-    # the same bits as the loop that tests every term
+    # the Paterson-Stockmeyer sum stops only once every entry of its last
+    # term passes the entrywise test, as the loop that tests every term does,
+    # so every entry, the tiny corners of node matrices included, matches
+    # that loop's to rounding: within 1e-10 of itself, and
+    # exactly where the loop's entry is 0 (the worst on this grid is 5.5e-12,
+    # block-d7).  A sum accepted on the norm bound alone misses the corner
+    # terms of spaced and paired nodes from n = 6 on, by 1e-9 of the entry
+    # up to all of it
     m = _STOP_RULE_MATRICES[name]
     for t in _STOP_RULE_TIMES:
-        assert _phase_exp(m, t).tobytes() == reference_phase_exp(m, t).tobytes(), t
+        got, want = _phase_exp(m, t), reference_phase_exp(m, t)
+        assert (abs(got - want) <= 1e-10 * abs(want)).all(), t
 
 
 def test_phase_exp_raises_at_the_term_cap(monkeypatch):
@@ -345,6 +352,15 @@ def test_sorted_and_confluent_nodes_against_mpmath(n):
             for t in (10.0, -25.0, 50.0):
                 want = mp_dd_phase(nodes, t)
                 assert abs(dd_phase(nodes, t) - want) <= 1e-12 * abs(want), (kind, seed, t)
+
+
+def test_random_nodes_at_a_long_time_against_mpmath():
+    # |t| * spread = 1800, six times the reach of the test above: 24 random
+    # nodes are 1.1e-13 off, and were 4.6e-13 off with the Taylor sum scaled
+    # to theta <= 0.5 and one squaring more
+    nodes = _spread_nodes("random", 24, 1)
+    want = mp_dd_phase(nodes, 300.0)
+    assert abs(dd_phase(nodes, 300.0) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("n", [57, 60, 80, 100])

@@ -154,12 +154,20 @@ def _block_matrix(m, l):
 # quadrature oracle shows as well
 @example(2, 31, 1, 35.77413131323159, 1.0, 0.5, "random")
 @example(2, 25, 1, 39.985664562900524, 1.0, 0.5, "random")
+# long times at l >= 2, where the Taylor sum at theta <= 1 took the error off
+# 40-digit mpmath from 2.0e-13 to 2.2e-15 (two-level(1, 0.3), l = 3, t = 900),
+# 1.4e-13 to 4.4e-14 (d = 7, l = 2, t = 80) and 2.0e-14 to 3.3e-15 (d = 4,
+# l = 3, t = 20) against a sum at theta <= 0.5 with one squaring more
+@example(2, 0, 3, 450.0, 1.0, 0.3, "two-level")
+@example(7, 0, 2, 113.0780796880032, 1.0, 0.5, "random")
+@example(4, 3, 3, 16.89234657473521, 1.0, 0.5, "random")
 @settings(max_examples=40, deadline=None)
 def test_a_matrix_against_mpmath(d, seed, l, half_phase, sign, lam, kind):
     # half_phase is |t| dE / 2, dE the level spread; a confluent model has
-    # levels 0 and 1 equal and keeps its spread through a third level
-    assume(kind == "random" or d >= 3)
-    m = random_model(d, seed, lam=lam)
+    # levels 0 and 1 equal and keeps its spread through a third level, and
+    # "two-level" is two_level_model(1, lam), which reads neither d nor seed
+    assume(kind != "confluent" or d >= 3)
+    m = two_level_model(1.0, lam) if kind == "two-level" else random_model(d, seed, lam=lam)
     if kind == "confluent":
         e = m.energies.copy()
         e[1] = e[0]
