@@ -50,7 +50,7 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     high-order series terms, can lie many orders below it.  When the test
     fails, as for the bidiagonal J of spaced nodes, whose corner starts at
     term n - 1, the sum goes on term by term until it passes.  Raises
-    Unresolved after _TAYLOR_MAX_TERMS + max(0, n - 48) terms, when theta
+    Unresolved once k reaches _TAYLOR_MAX_TERMS + max(0, n - 48), when theta
     is not finite or needs a scale 2^s, s >= 1024, and when the squarings
     overflow, which one finiteness test sees silently.
     """
@@ -75,8 +75,6 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
         bound *= theta / k
     p = math.isqrt(k)
     q = -(-k // p)
-    if p * q > max_terms:  # only a cap below 20 terms gets here
-        p, q = 1, k
     k = p * q
     # powers[i] = b^i for i <= p
     powers = np.empty((p + 1, n, n), dtype=complex)
@@ -98,7 +96,7 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     for _ in range(q - 1):
         term = term.dot(powers[p])
     while bound >= _TAYLOR_RTOL or not (abs(term) <= _TAYLOR_RTOL * abs(f)).all():
-        if k == max_terms:
+        if k >= max_terms:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(term == 0, 0.0, abs(term) / abs(f))
             raise Unresolved(

@@ -19,13 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import (OperatorMatrix, SpectralModel, Unresolved, _check_eps, _check_phase, _count,
-                    hamiltonian)
+from .model import (_MAX_ENTRIES, OperatorMatrix, SpectralModel, Unresolved, _check_eps,
+                    _check_phase, _count, hamiltonian)
 from .oracle import linear_solve
 from .propagator import TruncationSpec, _order, normalize_sign, truncated_evolution
 
 _RESIDUAL_TOL = 1e-10
 _DAMPING_TOL = 1e-8
+#: the most expansion terms the forward transform subtracts
+_MAX_SUBTRACTED = 24
 
 
 @dataclass(frozen=True)
@@ -168,8 +170,14 @@ def _panel_rule(domain, n: int, s_lo: float, s_hi: float, eps: float):
     panels, equal steps of integral dx / (eps + dist(x, [s_lo, s_hi])): eps
     wide on that interval, geometric outside, and all of one width when the
     interval is the whole domain.  The first n % P panels take a node more,
-    so no panel has more than 32 nodes.  Cuts or panel ends past the float
-    range raise Unresolved, before any product overflows."""
+    so no panel has more than 32 nodes.  A count whose forward-transform
+    coefficients, n x _MAX_SUBTRACTED, pass _MAX_ENTRIES, and cuts or panel
+    ends past the float range raise Unresolved, before any product overflows."""
+    # in ints, before the count becomes a float or sizes an array
+    if n * _MAX_SUBTRACTED > _MAX_ENTRIES:
+        raise Unresolved("quadrature panels", f"a quadrature point count past "
+                         f"{_MAX_ENTRIES // _MAX_SUBTRACTED} puts the forward transform's "
+                         f"n x {_MAX_SUBTRACTED} coefficients past {_MAX_ENTRIES} entries")
     lo, hi, s_lo, s_hi, eps = map(float, (*domain, s_lo, s_hi, eps))
     s_lo, s_hi = max(lo, s_lo), min(hi, s_hi)
     p, inner = max(1, n // 16), (s_hi - s_lo) / eps
@@ -239,13 +247,14 @@ def forward_fourier(
     # every tau passes a_matrix's phase rule over the spectrum bound, not the window
     single = np.ndim(t) == 0
     taus = np.array([_check_phase(s - tp, (e0 - rho, e0 + rho)) for s in ([t] if single else t)])
+    x, w = _panel_rule(quad.domain, quad.npoints, e0 - rho, e0 + rho, eps)
     d, h = model.dim, hamiltonian(model)
     eye = np.eye(d, dtype=complex)
     c = e0 - 0.5j * sgn * rho
     decay = np.hypot(rho, rho / 2) / min(e0 - lo, hi - e0)
-    K = next((k for k in range(12, 24) if decay**k < np.finfo(float).eps), 24)
+    K = next((k for k in range(12, _MAX_SUBTRACTED) if decay**k < np.finfo(float).eps),
+             _MAX_SUBTRACTED)
     powers = np.array([np.linalg.matrix_power(h - c * eye, k) for k in range(K)])
-    x, w = _panel_rule(quad.domain, quad.npoints, e0 - rho, e0 + rho, eps)
     z = x + 1j * sgn * eps
     phased = w * np.exp(-1j * np.outer(taus, x))
     coef = (1 / (z - c))[:, None] ** np.arange(1, K + 1)

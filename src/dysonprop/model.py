@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _HERMITICITY_RTOL = 1e-12
+#: entries of the largest array a route may build, a count of nodes times
+#: the entries each one carries: 256 MiB of complex
+_MAX_ENTRIES = 2**24
 
 
 class ModelError(ValueError):

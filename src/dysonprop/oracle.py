@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
-from .model import OperatorMatrix, SpectralModel, Unresolved, _check_phase, _count, hamiltonian
+from .model import (_MAX_ENTRIES, OperatorMatrix, SpectralModel, Unresolved, _check_phase, _count,
+                    hamiltonian)
 
 JACOBI_SWEEP_BUDGET = 30
 _JACOBI_OFF_TOL = 1e-14
-#: entries of one (nodes, d, d) array over the series oracle's panels: 256 MiB
-_MAX_ENTRIES = 2**24
 _NEWTON_BUDGET = 10
 
 

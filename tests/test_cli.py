@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -185,8 +186,7 @@ def _row_floats(row: ReportRow) -> list:
 
 def _default_runs() -> list:
     # each command at its golden file's arguments, once whatever the format
-    runs = [argv for name, argv in GOLDEN_REPORTS.items() if name.endswith(".json")]
-    return [tuple(argv) for argv in [*runs, ["selftest"]]]
+    return [tuple(argv) for name, argv in GOLDEN_REPORTS.items() if name.endswith(".json")]
 
 
 def test_json_roundtrip():
@@ -251,15 +251,6 @@ def test_selftest_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_selftest_matches_golden_output(tmp_path):
-    # tests/data/selftest_seed0.json is `dysonprop selftest --seed 0 --format json`
-    # as checked in; a change to it is a change of the report format or values
-    out = tmp_path / "s.json"
-    assert main(["selftest", "--seed", "0", "--format", "json", "--out", str(out)]) == 0
-    golden = Path(__file__).resolve().parent / "data" / "selftest_seed0.json"
-    assert out.read_bytes() == golden.read_bytes()
-
-
 #: golden file under tests/data -> the arguments that wrote it; the green-ft
 #: flags are the perfbench ``fourier`` workload's, which keep it under a second
 GOLDEN_REPORTS = {
@@ -270,33 +261,60 @@ GOLDEN_REPORTS = {
     "amplitude.json": ["amplitude"],
     "green-ft_fourier.json": ["green-ft", "--eps", "0.3", "--quad-domain", "80",
                               "--quad-points", "250", "--fwd-points", "800"],
+    "selftest_seed0.json": ["selftest", "--seed", "0"],
     "propagate.csv": ["propagate", "--format", "csv"],
 }
 
+DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(dysonprop.__file__).resolve().parent.parent
+
+#: the environment every golden is written and compared in.  The last bits of
+#: a report follow the BLAS kernel and numpy's SIMD loops, so both are pinned
+#: to what any x86-64-v3 (AVX2) host runs: OpenBLAS's Haswell kernels and
+#: numpy's loops up to X86_V3, with one BLAS and one OpenMP thread.  Every outer
+#: OPENBLAS_* and NPY_* variable is dropped: numpy refuses
+#: NPY_ENABLE_CPU_FEATURES next to NPY_DISABLE_CPU_FEATURES.
+GOLDEN_ENV = {
+    **{k: v for k, v in os.environ.items() if not k.startswith(("OPENBLAS_", "NPY_"))},
+    "PYTHONPATH": str(SRC),
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "OPENBLAS_CORETYPE": "Haswell",
+    "NPY_ENABLE_CPU_FEATURES": "X86_V3",
+    "PYTHONWARNINGS": "error::RuntimeWarning",
+}
+
+
+def _golden(name: str, threads: int = 1, write: bool = False) -> None:
+    """Run the arguments of golden ``name`` as ``python -m dysonprop`` under
+    GOLDEN_ENV at ``threads`` BLAS threads and compare the report's bytes with
+    tests/data/<name>, or first write them there.  The only reader and writer
+    of tests/data."""
+    env = dict(GOLDEN_ENV, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / name
+        done = subprocess.run([sys.executable, "-m", "dysonprop", *GOLDEN_REPORTS[name],
+                               "--out", str(out)],
+                              env=env, cwd=tmp, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        got = out.read_bytes()
+    if write:
+        (DATA / name).write_bytes(got)
+    assert got == (DATA / name).read_bytes(), name
+
 
 @pytest.mark.parametrize("golden", sorted(GOLDEN_REPORTS))
-def test_report_matches_golden_output(golden, tmp_path):
-    out = tmp_path / golden
-    assert main([*GOLDEN_REPORTS[golden], "--out", str(out)]) == 0
-    assert out.read_bytes() == (Path(__file__).resolve().parent / "data" / golden).read_bytes()
+def test_report_matches_golden_output(golden):
+    # a change to a golden is a change of the report format or values
+    _golden(golden)
 
 
 @pytest.mark.parametrize("golden", ["amplitude.json", "green-ft_fourier.json", "propagate.json"])
-def test_report_bytes_do_not_depend_on_the_blas_thread_count(golden, tmp_path):
-    # one BLAS thread is how the benchmark workers run; a sum whose rounding
-    # follows the thread count would write other bytes under one of the two.
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(golden):
+    # one BLAS thread is how the goldens and the benchmark workers run; a sum
+    # whose rounding follows the thread count would write other bytes at two.
     # amplitude's eps ladder is one stacked matmul; propagate's eps-form shares its chains
-    src = Path(dysonprop.__file__).resolve().parent.parent
-    want = (Path(__file__).resolve().parent / "data" / golden).read_bytes()
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
-        out = tmp_path / f"threads{threads}.json"
-        done = subprocess.run([sys.executable, "-m", "dysonprop",
-                               *GOLDEN_REPORTS[golden], "--out", str(out)],
-                              env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert out.read_bytes() == want, threads
+    _golden(golden, threads=2)
 
 
 #: command -> summary item -> the row filters behind its value, for every item
@@ -382,38 +400,93 @@ def test_green_ft_rejects_removed_flags(capsys):
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
-def test_taylor_term_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
-    assert main(["selftest"]) == 2
-    assert "did not converge in 3 terms: worst entry ratio" in capsys.readouterr().err
+def _lattice(h) -> str:
+    return json.dumps({"M": 3, "h": h, "mass": 1.0, "v0": [0, 0, 0], "v1": [0, 0, 0]})
 
 
-#: inputs that put a route outside what it can compute, one per refusal path
+_POINTS_401_DIGITS = "1" + "0" * 400
+
+#: each way a command refuses its inputs, by a route that cannot compute them
+#: or a file it cannot read -> the arguments and the text the message must
+#: contain.  An argument that starts with "{" is the contents of a file whose
+#: path takes its place.  The forward point counts run a short inverse rule
+#: first, since the inverse check runs first.
 _REFUSALS = {
-    "halving-ratio-at-roundoff": ["converge", "--lambda", "1e-300"],
-    "relation-ratio-at-roundoff": ["amplitude", "--lambda", "1e-4"],
-    "series-oracle-size": ["propagate", "--t", "1e12"],
+    "halving-ratio-at-roundoff": (["converge", "--lambda", "1e-300"],
+                                  "error_ratio_N1 cannot be resolved: "),
+    "relation-ratio-at-roundoff": (["amplitude", "--lambda", "1e-4"],
+                                   "relation_error_ratio cannot be resolved: "),
+    "series-oracle-size": (["propagate", "--t", "1e12"],
+                           "series term cannot be resolved: 2.112e+10 panels of 64 nodes"),
     # a 401-digit count, past the float range
-    "series-oracle-point-count": ["propagate", "--quad-points", "1" + "0" * 400],
-    "inverse-damping": ["green-ft", "--quad-domain", "10"],
-    "forward-window": ["green-ft", "--window", "1"],
-    "inverse-phases-at-1e17": ["green-ft", "--quad-domain", "1e17"],
-    "inverse-phases-at-1e300": ["green-ft", "--quad-domain", "1e300"],
-    "series-phases-at-1e308": ["converge", "--t", "1e308"],
-    "panels-past-the-float-range": ["green-ft", "--window", "1e308"],
-    "forward-phases-at-1e300": ["green-ft", "--t", "1e300"],
-    "taylor-term-cap": ["selftest"],
+    "series-oracle-point-count": (["propagate", "--quad-points", _POINTS_401_DIGITS],
+                                  "series term cannot be resolved: a quadrature point count"),
+    "inverse-point-count-1e8": (["green-ft", "--quad-points", "100000000"],
+                                "quadrature panels cannot be resolved: a quadrature point count"),
+    "inverse-point-count-401-digits": (
+        ["green-ft", "--quad-points", _POINTS_401_DIGITS],
+        "quadrature panels cannot be resolved: a quadrature point count"),
+    "forward-point-count-1e8": (["green-ft", "--quad-points", "256", "--fwd-points", "100000000"],
+                                "quadrature panels cannot be resolved: a quadrature point count"),
+    "forward-point-count-401-digits": (
+        ["green-ft", "--quad-points", "256", "--fwd-points", _POINTS_401_DIGITS],
+        "quadrature panels cannot be resolved: a quadrature point count"),
+    "inverse-damping": (["green-ft", "--quad-domain", "10"],
+                        "inverse Fourier check cannot be resolved: the damping"),
+    "forward-window": (["green-ft", "--window", "1"],
+                       "forward Fourier transform cannot be resolved: energy window"),
+    "inverse-phases-at-1e17": (["green-ft", "--quad-domain", "1e17"],
+                               "exp(-i t E) cannot be resolved: |t| = 4.513e+15"),
+    "inverse-phases-at-1e300": (["green-ft", "--quad-domain", "1e300"],
+                                "exp(-i t E) cannot be resolved: |t| = 4.240e+295"),
+    "series-phases-at-1e308": (["converge", "--t", "1e308"],
+                               "exp(-i t E) cannot be resolved: |t| = 1.000e+308"),
+    "panels-past-the-float-range": (["green-ft", "--window", "1e308"],
+                                    "quadrature panels cannot be resolved: domain (-1e+308, "),
+    "inverse-panels-past-the-float-range": (
+        ["green-ft", "--quad-domain", "1.7e308"],
+        "quadrature panels cannot be resolved: domain (0, 1.7e+308) at eps = 0.1 "),
+    # only the last inverse panel's end sum overflows
+    "inverse-panel-end-sum-past-the-float-range": (
+        ["green-ft", "--quad-domain", "1.7e308", "--eps", "10"],
+        "quadrature panels cannot be resolved: domain (0, 1.7e+308) at eps = 10 "),
+    "forward-phases-at-1e300": (["green-ft", "--t", "1e300"],
+                                "exp(-i t E) cannot be resolved: |t| = 1.000e+300"),
+    "forward-phases-after-a-short-inverse-rule": (
+        ["green-ft", "--t", "1e300", "--quad-points", "256"],
+        "exp(-i t E) cannot be resolved: |t| = 1.000e+300"),
+    "taylor-term-cap": (["selftest"], "cannot be resolved: its Taylor series did not converge "
+                                      "in 3 terms: worst entry ratio"),
+    "model-file-energy": (["propagate", "--model",
+                           '{"dim": 1, "energies": ["zero"], "h1": [[[0, 0]]]}'],
+                          "energies entries must be numbers"),
+    "lattice-file-h": (["amplitude", "--lattice", _lattice("half")],
+                       "h must be a number, got 'half'"),
+    "lattice-file-hopping": (["amplitude", "--lattice", _lattice(1e-200)],
+                             "positive finite hopping 1/(2 mass h^2), got h = 1e-200"),
+    # hopping 5e199 and 5e307: the phases, then a level past the float range
+    "lattice-file-phases-at-h-1e-100": (["amplitude", "--lattice", _lattice(1e-100)],
+                                        "exp(-i t E) cannot be resolved: "),
+    "lattice-file-phases-at-h-1e-154": (["amplitude", "--lattice", _lattice(1e-154)],
+                                        "exp(-i t E) cannot be resolved: "),
 }
 
 
 @pytest.mark.parametrize("case", _REFUSALS)
 def test_every_refusal_path_gives_one_verdict(case, monkeypatch, capsys, tmp_path):
+    # exit 2 with the case's text and no verdict.  A RuntimeWarning is an
+    # error under pytest, so a case that warns ends on the warning's text
+    argv, text = list(_REFUSALS[case][0]), _REFUSALS[case][1]
     if case == "taylor-term-cap":
         monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
+    for i, arg in enumerate(argv):
+        if arg.startswith("{"):
+            argv[i] = str(tmp_path / "input.json")
+            Path(argv[i]).write_text(arg)
     out = tmp_path / "r.json"
-    assert main([*_REFUSALS[case], "--out", str(out)]) == 2
+    assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "cannot be resolved: " in err
+    assert text in err, err
     assert "[PASS]" not in err and "[FAIL]" not in err and not out.exists()
 
 
@@ -605,15 +678,16 @@ def test_green_ft_checks_the_causal_transform_itself(monkeypatch, tmp_path, caps
             patch.setattr(green, "_panel_rule", scaled)
             return forward(*args)
 
+    argv = [*GOLDEN_REPORTS["green-ft_fourier.json"], "--t", "10"]
+    unpatched = _default_report(tuple(argv)).summary[0]
     monkeypatch.setattr(green, "forward_fourier", faulted)
     out = tmp_path / "g.json"
-    assert main([*GOLDEN_REPORTS["green-ft_fourier.json"], "--t", "10", "--out", str(out)]) == 1
+    assert main([*argv, "--out", str(out)]) == 1
     summary = {s["name"]: s for s in json.loads(out.read_text())["summary"]}
     verdicts = {name: s["passed"] for name, s in summary.items()}
     assert verdicts == {"inverse_transform": True, "causal_transform": False, "causality": True}
-    golden = json.loads((Path(__file__).resolve().parent / "data" / "green-ft_fourier.json")
-                        .read_text())["summary"][0]
-    assert summary["inverse_transform"]["value"] == golden["value"]
+    assert unpatched.name == "inverse_transform" and unpatched.passed
+    assert summary["inverse_transform"]["value"] == unpatched.value
     assert "[FAIL] causal_transform" in capsys.readouterr().err
 
 
@@ -625,21 +699,6 @@ def test_green_ft_resolves_long_times(t, tmp_path):
     assert main(["green-ft", "--t", t, "--out", str(out)]) == 0
     summary = {s["name"]: s["value"] for s in json.loads(out.read_text())["summary"]}
     assert summary["causal_transform"] <= 1e-10 and summary["causality"] <= 1e-10
-
-
-def test_green_ft_unrepresentable_domain_warns_nothing(tmp_path):
-    src = Path(dysonprop.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    # phases with no correct bit, then panels past the float range: at --eps 10
-    # only the last inverse panel's end sum overflows; a forward time whose
-    # phases keep no bit (a short inverse rule, since it runs first)
-    for flags in (["--quad-domain", "1e300"], ["--window", "1e308"],
-                  ["--quad-domain", "1.7e308"], ["--quad-domain", "1.7e308", "--eps", "10"],
-                  ["--t", "1e300", "--quad-points", "256"]):
-        done = subprocess.run([sys.executable, "-m", "dysonprop", "green-ft", *flags], env=env,
-                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 2, flags
-        assert "cannot be resolved" in done.stderr and "RuntimeWarning" not in done.stderr
 
 
 def test_green_ft_shares_each_forward_solve_across_both_times(monkeypatch, tmp_path):
@@ -662,14 +721,15 @@ def test_green_ft_reads_no_oracle_gauss_rule(monkeypatch, tmp_path):
     def unreachable(n):
         raise AssertionError("green-ft read oracle.gauss_legendre")
 
+    argv = GOLDEN_REPORTS["green-ft_fourier.json"]
+    unpatched = render_json(_default_report(tuple(argv)))
     rule = oracle.gauss_legendre
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "dysonprop" and getattr(module, "gauss_legendre", None) is rule:
             monkeypatch.setattr(module, "gauss_legendre", unreachable)
     out = tmp_path / "g.json"
-    assert main([*GOLDEN_REPORTS["green-ft_fourier.json"], "--out", str(out)]) == 0
-    assert out.read_bytes() == (Path(__file__).resolve().parent / "data"
-                                / "green-ft_fourier.json").read_bytes()
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text() == unpatched
 
 
 def test_amplitude_refuses_ratio_at_roundoff_floor(capsys):
@@ -740,3 +800,9 @@ def test_amplitude_free_reduction_runs_on_the_lattice_file(monkeypatch, tmp_path
     assert report["params"]["lattice"] == str(path)
     assert [s["name"] for s in report["summary"]] == ["relation_error", "direct_error",
                                                       "free_reduction"]
+
+
+if __name__ == "__main__":
+    # regenerate every golden under GOLDEN_ENV: PYTHONPATH=src python tests/test_cli.py
+    for name in GOLDEN_REPORTS:
+        _golden(name, write=True)

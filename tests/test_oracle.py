@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.legendre import leggauss, legint, legvander
+from numpy.polynomial.legendre import leggauss
 
 from dysonprop import oracle
 from dysonprop.model import SpectralModel, Unresolved, hamiltonian, random_model, two_level_model
@@ -643,34 +643,17 @@ def test_eigendecomposition_matches_reference_bitwise(d):
         assert _same_bits(dec.values, values) and _same_bits(dec.vectors, vectors), d
 
 
-def _uncached_dyson_terms(model, l, t, npoints):
-    # _dyson_terms with its spectral tables built inline on every call
-    half_phase = abs(t) * float(np.ptp(model.energies)) / 2.0
-    p = int(np.ceil(max(half_phase / 40, npoints / 64, 1.0)))
-    n = max(-(-npoints // p), int(np.ceil(half_phase / p)) + 24)
-    x, w = gauss_legendre(n)
-    to_coef = (np.arange(n) + 0.5)[:, np.newaxis] * legvander(x, n - 1).T * w
-    integ = (-0.5j * (t / p)) * (
-        legvander(np.append(x, 1.0), n) @ legint(np.eye(n), lbnd=-1) @ to_coef)
-    e, d = model.energies, model.dim
-    s = (t / p) * (np.arange(p)[:, np.newaxis] + (x + 1.0) / 2.0)
-    v = np.exp(1j * s[..., np.newaxis, np.newaxis] * (e[:, np.newaxis] - e)) * model.h1
-    u0 = np.exp(-1j * e * t)[:, np.newaxis]
-    b = np.broadcast_to(np.eye(d, dtype=complex), (p, n + 1, d, d))
-    for k in range(l + 1):
-        if k:
-            b = (integ @ (v @ b[:, :n]).reshape(p, n, d * d)).reshape(p, n + 1, d, d)
-            b[1:] += np.cumsum(b[:-1, n], axis=0)[:, np.newaxis]
-        yield u0 * b[-1, n]
-
-
 @pytest.mark.parametrize("d,t,npoints", [(2, 1.0, 16), (3, -1.5, 64), (6, 1.0, 64),
                                          (4, 60.0, 16), (5, 2.5, 40)])
-def test_dyson_terms_match_an_uncached_table_build_bitwise(d, t, npoints):
+def test_dyson_terms_match_an_uncached_table_build_bitwise(d, t, npoints, monkeypatch):
     m = random_model(d, d, lam=0.5)
     for _ in range(2):  # the second pass reads the cached tables
         got = [term.entries for term in oracle._dyson_terms(m, 3, t, npoints)]
-        assert all(_same_bits(g, w) for g, w in zip(got, _uncached_dyson_terms(m, 3, t, npoints)))
+        with monkeypatch.context() as patch:  # the tables built anew on every call
+            patch.setattr(oracle, "_spectral_tables", oracle._spectral_tables.__wrapped__)
+            want = [term.entries for term in oracle._dyson_terms(m, 3, t, npoints)]
+        assert len(got) == len(want) == 4
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
 def test_per_size_tables_are_read_only_and_bounded():
