@@ -400,6 +400,12 @@ def test_green_ft_rejects_removed_flags(capsys):
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
+def test_taylor_term_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
+    assert main(["selftest"]) == 2
+    assert "did not converge in 3 terms: worst entry ratio" in capsys.readouterr().err
+
+
 def _lattice(h) -> str:
     return json.dumps({"M": 3, "h": h, "mass": 1.0, "v0": [0, 0, 0], "v1": [0, 0, 0]})
 
