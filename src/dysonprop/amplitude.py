@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelError, SpectralModel, Unresolved, _check_phase, _count, _finite,
-                    _json_object, _real, _reals)
+from .model import (ModelError, SpectralModel, Unresolved, _check_coupling, _check_phase, _count,
+                    _finite, _json_object, _real, _reals)
 from .oracle import hermitian_eigendecomposition
 from .propagator import (
     TruncationSpec,
@@ -103,7 +103,12 @@ def base_hamiltonian(spec: LatticeSpec) -> np.ndarray:
 
 def build_lattice(spec: LatticeSpec) -> LatticeSystem:
     """Diagonalize the base Hamiltonian (``eigh``) and rotate the perturbing
-    potential into its eigenbasis; the oracle decomposes the full one."""
+    potential into its eigenbasis; the oracle decomposes the full one.  A
+    v1 whose rotation could leave the float range raises ModelError first:
+    no partial sum of the rotation passes M max|v1| max(1, 1/h)."""
+    peak = float(np.max(np.abs(spec.v1)))
+    _check_coupling(peak * max(1.0, 1.0 / spec.h) * spec.M,
+                    f"coupling potential v1 (largest |v1| = {peak:.3e})")
     h0 = base_hamiltonian(spec)
     values, vectors = np.linalg.eigh(h0)
     if not np.isfinite(values).all():

@@ -298,14 +298,9 @@ def cmd_green_ft(opts) -> Report:
                          "the causal and acausal transforms have no single value to match")
     model = two_level_model(1.0, 0.3) if not opts.model else _load_or_random_model(opts)
     spec = TruncationSpec(opts.order)
-    quad = green.QuadratureSpec((0.0, opts.quad_domain), opts.quad_points)
-    rows = []
-    for sgn in (+1, -1):
-        lhs = green.inverse_fourier_check(model, spec, opts.E, sgn, opts.eps, quad)
-        rhs = green.dyson_partial(
-            model, green.ResolventQuery(opts.E, sgn, opts.eps), opts.order)
-        rows += _entry_rows(({"check": "inverse", "sign": sgn}, lhs.entries, rhs.entries))
-
+    # the forward transform first: it refuses its window, times and point
+    # count before the inverse check's evaluations run; the rows keep the
+    # inverse ones first
     e_min, e_max = float(np.min(model.energies)), float(np.max(model.energies))
     fwd_quad = green.QuadratureSpec((e_min - opts.window, e_max + opts.window),
                                     opts.fwd_points)
@@ -313,6 +308,13 @@ def cmd_green_ft(opts) -> Report:
         model, fwd_quad, (-abs(opts.t), abs(opts.t)), 0.0, "+", opts.eps)
     damped = (-1j * oracle.exact_evolution(model, abs(opts.t)).entries
               * np.exp(-opts.eps * abs(opts.t)))
+    quad = green.QuadratureSpec((0.0, opts.quad_domain), opts.quad_points)
+    rows = []
+    for sgn in (+1, -1):
+        lhs = green.inverse_fourier_check(model, spec, opts.E, sgn, opts.eps, quad)
+        rhs = green.dyson_partial(
+            model, green.ResolventQuery(opts.E, sgn, opts.eps), opts.order)
+        rows += _entry_rows(({"check": "inverse", "sign": sgn}, lhs.entries, rhs.entries))
     rows += _entry_rows(({"check": "acausal", "sign": 1}, acausal.entries, np.zeros_like(damped)),
                         ({"check": "causal", "sign": 1}, causal.entries, damped))
     summary = [

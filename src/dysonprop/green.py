@@ -28,6 +28,9 @@ _RESIDUAL_TOL = 1e-10
 _DAMPING_TOL = 1e-8
 #: the most expansion terms the forward transform subtracts
 _MAX_SUBTRACTED = 24
+#: entries of a Fourier route's node block, nodes times d x d: every stack
+#: of solves or evaluations stays this small, whatever the node count
+_BLOCK_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -73,21 +76,31 @@ def unperturbed_resolvent(model: SpectralModel, q: ResolventQuery) -> OperatorMa
 
 
 def complete_resolvent_direct(model: SpectralModel, q: ResolventQuery) -> OperatorMatrix:
-    """Resolvent of the full Hamiltonian by a dense direct solve."""
-    x, residual = _resolvent_solve(q.z, hamiltonian(model), np.eye(model.dim, dtype=complex))
-    return OperatorMatrix(x, {"residual": residual})
+    """Resolvent of the full Hamiltonian by a dense direct solve: the
+    forward transform's node block at the one node z."""
+    x, residual = _resolvents(hamiltonian(model), np.array([q.z]))
+    return OperatorMatrix(x[0], {"residual": float(residual[0])})
 
 
-def _resolvent_solve(z: complex, h: np.ndarray, eye: np.ndarray):
-    """(z - h)^{-1} as a bare array, by the oracle solve against ``eye``, the
-    identity of h's size, and its residual.  Raises Unresolved when the
-    residual exceeds _RESIDUAL_TOL or is NaN, as ``linear_solve`` does on a
-    singular z - h."""
-    a = z * eye - h
-    x = linear_solve(a, eye)
-    residual = float(np.abs(a @ x - eye).max())
-    if not residual <= _RESIDUAL_TOL:
-        raise Unresolved("resolvent solve", f"residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
+def _block(d: int) -> int:
+    """Nodes per block of a Fourier route at dimension d: as many d x d
+    matrices as fit _BLOCK_ENTRIES, and at least one."""
+    return max(1, _BLOCK_ENTRIES // (d * d))
+
+
+def _resolvents(h: np.ndarray, z: np.ndarray):
+    """(z_j - h)^{-1} for every z_j of the 1-d z, one oracle ``linear_solve``
+    against the identity per node, as a (len(z), d, d) stack, and each
+    node's residual.  The first node whose residual exceeds _RESIDUAL_TOL or
+    is NaN raises Unresolved, as ``linear_solve`` does on a singular z - h."""
+    eye = np.eye(len(h), dtype=complex)
+    a = z[:, None, None] * eye - h
+    x = np.array([linear_solve(aj, eye) for aj in a])
+    residual = np.abs(a @ x - eye).max(axis=(1, 2))
+    bad = np.flatnonzero(~(residual <= _RESIDUAL_TOL))
+    if bad.size:
+        raise Unresolved("resolvent solve",
+                         f"residual {residual[bad[0]]:.3e} exceeds {_RESIDUAL_TOL}")
     return x, residual
 
 
@@ -145,7 +158,10 @@ def inverse_fourier_check(
     reproduce ``dyson_partial`` at the matched query up to quadrature error.
     An eps that is not positive leaves no damping (Unresolved); inf is refused.
     The nodes are ``_panel_rule``'s with the whole domain (0, T) as its
-    bound: ``quad.npoints`` nodes on equal panels, one ``timedep_green`` each.
+    bound: ``quad.npoints`` nodes on equal panels, one ``timedep_green`` call
+    each, the call the benchmark counts per node.  The factors
+    w e^{(+-iE - eps) tau} are taken for all nodes at once, and each block of
+    _BLOCK_ENTRIES / d^2 evaluations is summed by one fixed-order einsum.
     """
     sgn = normalize_sign(sign)
     a, b = quad.domain
@@ -156,12 +172,15 @@ def inverse_fourier_check(
         raise Unresolved("inverse Fourier check", f"the damping exp(-eps*T) does not fall to "
                          f"{_DAMPING_TOL}: eps*T = {eps * b:.3g} at eps = {eps}, T = {b}")
     _check_eps(eps)
-    d = model.dim
+    taus, w = _panel_rule(quad.domain, quad.npoints, a, b, eps)
+    factors = w * np.exp((1j * sgn * E - eps) * taus)
+    d, step = model.dim, _block(model.dim)
     total = np.zeros((d, d), dtype=complex)
-    for tau, w in zip(*_panel_rule(quad.domain, quad.npoints, a, b, eps)):
+    for s in range(0, len(taus), step):
         # sign '-' integrates over tau < 0; mirror the node onto (0, T)
-        g = timedep_green(model, spec, sgn * tau, 0.0, sgn).entries
-        total += w * np.exp((1j * sgn * E - eps) * tau) * g
+        g = np.array([timedep_green(model, spec, sgn * tau, 0.0, sgn).entries
+                      for tau in taus[s:s + step]])
+        total += np.einsum("n,nij->ij", factors[s:s + step], g)
     return OperatorMatrix(total)
 
 
@@ -233,6 +252,11 @@ def forward_fourier(
     computed once and shared by every time, so a sequence costs one solve
     per node, not one per node and time.  A single time gives one
     OperatorMatrix, a sequence a list of them in the same order.
+
+    Nodes go in blocks of _BLOCK_ENTRIES / d^2 (``_resolvents``): one
+    ``linear_solve`` per node, the call the benchmark counts per node, and
+    every other step once per block, the sums by one fixed-order einsum.
+    No (n, d, d) stack is built.
     """
     sgn = normalize_sign(sign)
     _check_eps(eps)
@@ -261,8 +285,9 @@ def forward_fourier(
     # einsum without optimize calls no BLAS: its sums run in one fixed order,
     # whatever the thread count, and the node axis is contracted first
     totals = -np.einsum("tk,kij->tij", np.einsum("tn,nk->tk", phased, coef), powers)
-    for j, zj in enumerate(z):
-        totals += phased[:, j, None, None] * _resolvent_solve(zj, h, eye)[0]
+    step = _block(d)
+    for s in range(0, len(z), step):
+        totals += np.einsum("tn,nij->tij", phased[:, s:s + step], _resolvents(h, z[s:s + step])[0])
     totals /= 2 * np.pi
     for tau, total in zip(taus, totals):
         if _gated_on(tau, sgn):  # the products underflow to 0 before a power overflows

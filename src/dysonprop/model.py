@@ -197,10 +197,26 @@ def emit_model(model: SpectralModel) -> str:
     )
 
 
+def _check_coupling(bound: float, what: str) -> None:
+    """Refuses, naming the coupling ``what``, a perturbation whose 1-norm
+    bound ``bound`` (a Python float, which overflows to inf with no warning)
+    is past half the float range; below it the Hermitian part's pair sums,
+    the spectrum bound's column sums and H's diagonal stay finite."""
+    if not 2 * bound < math.inf:
+        raise ModelError(f"{what} puts the perturbation's 1-norm bound, {bound:.3e}, "
+                         "past half the float range")
+
+
 def random_model(dim: int, seed: int, lam: float = 1.0) -> SpectralModel:
     """Deterministic random model: sorted energies with gaps >= 0.05 and a
-    random Hermitian perturbation with entry magnitudes <= ``lam``."""
+    random Hermitian perturbation with entry magnitudes <= ``lam``.  A dim
+    whose d x d arrays pass _MAX_ENTRIES, or a lam past the float range,
+    raises ModelError before any array is built."""
     dim = _count(dim, 1, "dim must be a positive integer", ModelError)
+    if dim * dim > _MAX_ENTRIES:
+        raise ModelError(f"dim {dim} puts the model's {dim} x {dim} arrays past "
+                         f"{_MAX_ENTRIES} entries")
+    _check_coupling(abs(float(lam)) * dim, f"coupling lambda = {lam}")
     rng = np.random.default_rng(seed)
     start = rng.uniform(-1.0, 1.0)
     gaps = 0.05 + rng.uniform(0.0, 0.95, size=dim - 1)
@@ -219,6 +235,7 @@ def scale_coupling(model: SpectralModel, lam: float) -> SpectralModel:
     lam = float(lam)
     if not lam >= 0:
         raise ModelError(f"coupling scale must be >= 0, got {lam}")
+    _check_coupling(lam * float(np.max(np.abs(model.h1))) * model.dim, f"coupling scale {lam}")
     return SpectralModel(model.energies.copy(), model.h1 * lam, label=model.label)
 
 

@@ -415,8 +415,7 @@ _POINTS_401_DIGITS = "1" + "0" * 400
 #: each way a command refuses its inputs, by a route that cannot compute them
 #: or a file it cannot read -> the arguments and the text the message must
 #: contain.  An argument that starts with "{" is the contents of a file whose
-#: path takes its place.  The forward point counts run a short inverse rule
-#: first, since the inverse check runs first.
+#: path takes its place.
 _REFUSALS = {
     "halving-ratio-at-roundoff": (["converge", "--lambda", "1e-300"],
                                   "error_ratio_N1 cannot be resolved: "),
@@ -432,11 +431,13 @@ _REFUSALS = {
     "inverse-point-count-401-digits": (
         ["green-ft", "--quad-points", _POINTS_401_DIGITS],
         "quadrature panels cannot be resolved: a quadrature point count"),
-    "forward-point-count-1e8": (["green-ft", "--quad-points", "256", "--fwd-points", "100000000"],
+    "forward-point-count-1e8": (["green-ft", "--fwd-points", "100000000"],
                                 "quadrature panels cannot be resolved: a quadrature point count"),
     "forward-point-count-401-digits": (
-        ["green-ft", "--quad-points", "256", "--fwd-points", _POINTS_401_DIGITS],
+        ["green-ft", "--fwd-points", _POINTS_401_DIGITS],
         "quadrature panels cannot be resolved: a quadrature point count"),
+    "forward-point-count-1e6": (["green-ft", "--fwd-points", "1000000"],
+                                "quadrature panels cannot be resolved: a quadrature point count"),
     "inverse-damping": (["green-ft", "--quad-domain", "10"],
                         "inverse Fourier check cannot be resolved: the damping"),
     "forward-window": (["green-ft", "--window", "1"],
@@ -452,15 +453,29 @@ _REFUSALS = {
     "inverse-panels-past-the-float-range": (
         ["green-ft", "--quad-domain", "1.7e308"],
         "quadrature panels cannot be resolved: domain (0, 1.7e+308) at eps = 0.1 "),
-    # only the last inverse panel's end sum overflows
+    # only the last inverse panel's end sum overflows; the window is wide
+    # enough for the forward transform, which runs first, at eps = 10
     "inverse-panel-end-sum-past-the-float-range": (
-        ["green-ft", "--quad-domain", "1.7e308", "--eps", "10"],
+        ["green-ft", "--quad-domain", "1.7e308", "--eps", "10", "--window", "600"],
         "quadrature panels cannot be resolved: domain (0, 1.7e+308) at eps = 10 "),
     "forward-phases-at-1e300": (["green-ft", "--t", "1e300"],
                                 "exp(-i t E) cannot be resolved: |t| = 1.000e+300"),
-    "forward-phases-after-a-short-inverse-rule": (
-        ["green-ft", "--t", "1e300", "--quad-points", "256"],
-        "exp(-i t E) cannot be resolved: |t| = 1.000e+300"),
+    # d x d arrays past the 2^24-entry bound, refused before any is built
+    "dim-past-the-entry-bound": (["dyson-check", "--dim", "4097"],
+                                 "dim 4097 puts the model's 4097 x 4097 arrays past 16777216"),
+    # a coupling whose perturbation's sums would overflow, refused where it is applied
+    "coupling-scale-past-the-float-range": (
+        ["converge", "--lambda", "1.7e308"],
+        "coupling scale 1.7e+308 puts the perturbation's 1-norm bound, inf, past half"),
+    "random-coupling-past-the-float-range": (
+        ["dyson-check", "--lambda", "1.7e308"],
+        "coupling lambda = 1.7e+308 puts the perturbation's 1-norm bound, inf, past half"),
+    "random-coupling-past-the-float-range-propagate": (
+        ["propagate", "--lambda", "1.7e308"],
+        "coupling lambda = 1.7e+308 puts the perturbation's 1-norm bound, inf, past half"),
+    "lattice-potential-past-the-float-range": (
+        ["amplitude", "--lambda", "1.7e308"],
+        "coupling potential v1 (largest |v1| = 1.500e+308) puts the perturbation's"),
     "taylor-term-cap": (["selftest"], "cannot be resolved: its Taylor series did not converge "
                                       "in 3 terms: worst entry ratio"),
     "model-file-energy": (["propagate", "--model",
@@ -494,6 +509,18 @@ def test_every_refusal_path_gives_one_verdict(case, monkeypatch, capsys, tmp_pat
     err = capsys.readouterr().err
     assert text in err, err
     assert "[PASS]" not in err and "[FAIL]" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("case", ["forward-window", "panels-past-the-float-range",
+                                  "forward-phases-at-1e300", "forward-point-count-1e6"])
+def test_green_ft_refuses_forward_flags_before_the_inverse_check(case, monkeypatch, capsys,
+                                                                 tmp_path):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the inverse check ran before the forward refusal")
+
+    monkeypatch.setattr(green, "inverse_fourier_check", unreachable)
+    assert main([*_REFUSALS[case][0], "--out", str(tmp_path / "r.json")]) == 2
+    assert _REFUSALS[case][1] in capsys.readouterr().err
 
 
 def test_package_runs_as_module(tmp_path):

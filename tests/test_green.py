@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,87 @@ def test_solve_returning_nan_fails_the_residual_check(monkeypatch):
         forward_fourier(m, QuadratureSpec((-40.0, 41.0), 70), (-1.5, 1.5), 0.0, "+", 0.1)
     with pytest.raises(Unresolved, match="^resolvent solve cannot be resolved: residual nan"):
         complete_resolvent_direct(m, ResolventQuery(0.4, "+", 0.1))
+
+
+def test_forward_fourier_blocks_equal_a_per_node_sum(monkeypatch):
+    # at d = 24 a block holds 4096 // 576 = 7 nodes, so 60 nodes are 9 blocks,
+    # the last of 4.  The reference adds each node's phased solve, in node
+    # order, to the transform whose solves are all zero (residual check lifted)
+    m = random_model(24, 5, 0.3)
+    quad = QuadratureSpec((float(m.energies.min()) - 30, float(m.energies.max()) + 30), 60)
+    times, eps = (0.5, 1.5), 0.3
+    solves = []
+
+    def recording(a, b):
+        solves.append(linear_solve(a, b))
+        return solves[-1]
+
+    monkeypatch.setattr(green, "linear_solve", recording)
+    got = [g.entries for g in forward_fourier(m, quad, times, 0.0, "+", eps)]
+    assert green._block(24) == 7 and len(solves) == 60
+    monkeypatch.setattr(green, "linear_solve", lambda a, b: np.zeros_like(b))
+    monkeypatch.setattr(green, "_RESIDUAL_TOL", np.inf)
+    bare = [g.entries for g in forward_fourier(m, quad, times, 0.0, "+", eps)]
+    e_min, e_max = float(m.energies.min()), float(m.energies.max())
+    e0, rho = (e_min + e_max) / 2, (e_max - e_min) / 2 + float(np.abs(m.h1).sum(axis=0).max())
+    x, w = green._panel_rule(quad.domain, quad.npoints, e0 - rho, e0 + rho, eps)
+    for tau, g, zeroed in zip(times, got, bare):
+        acc = np.zeros((24, 24), dtype=complex)
+        for xj, wj, solve in zip(x, w, solves):
+            acc += wj * np.exp(-1j * tau * xj) * solve
+        assert np.max(np.abs(g - (zeroed + acc / (2 * np.pi)))) <= 1e-14 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("faults, residual", [({16: np.nan, 18: 2.0}, "nan"),
+                                              ({16: 2.0, 18: np.nan}, "1.000e+00")])
+def test_forward_fourier_refuses_the_first_bad_node_of_a_later_block(monkeypatch, faults,
+                                                                     residual):
+    # nodes 16 and 18 sit in the third block of 7 at d = 24; a solve doubled
+    # leaves the residual I, a NaN one the residual nan
+    calls = []
+
+    def faulty(a, b):
+        calls.append(len(calls))
+        return linear_solve(a, b) * faults.get(calls[-1], 1.0)
+
+    monkeypatch.setattr(green, "linear_solve", faulty)
+    m = random_model(24, 5, 0.3)
+    quad = QuadratureSpec((float(m.energies.min()) - 30, float(m.energies.max()) + 30), 60)
+    with pytest.raises(Unresolved, match=f"^resolvent solve cannot be resolved: residual "
+                                         f"{re.escape(residual)} exceeds 1e-10$"):
+        forward_fourier(m, quad, 1.5, 0.0, "+", 0.3)
+    assert len(calls) == 21  # the third block is solved, the fourth is not
+
+
+def test_forward_fourier_peak_memory_stays_below_a_solve_stack(monkeypatch):
+    # d = 24, 2000 nodes, two times: the (n, K) coefficients (0.73 MiB) and
+    # 4096-entry blocks; a (2000, 24, 24) stack of solves alone is 17.6 MiB.
+    # LAPACK's solve stands in for the oracle's, whose many small arrays
+    # make tracing slow; the peak is the route's own arrays either way
+    monkeypatch.setattr(green, "linear_solve", np.linalg.solve)
+    m = random_model(24, 5, 0.3)
+    quad = QuadratureSpec((float(m.energies.min()) - 40, float(m.energies.max()) + 40), 2000)
+    tracemalloc.start()
+    try:
+        forward_fourier(m, quad, (-1.5, 1.5), 0.0, "+", 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_inverse_fourier_blocks_equal_a_per_node_sum():
+    # at d = 8 a block holds 64 nodes: 200 nodes are 4 blocks, the last of 8
+    m, spec, E, eps = random_model(8, 3, 0.2), TruncationSpec(1), 0.37, 0.1
+    quad = QuadratureSpec((0.0, 200.0), 200)
+    taus, w = green._panel_rule(quad.domain, quad.npoints, 0.0, 200.0, eps)
+    for sgn in (1, -1):
+        got = inverse_fourier_check(m, spec, E, sgn, eps, quad).entries
+        want = np.zeros((8, 8), dtype=complex)
+        for tau, wj in zip(taus, w):
+            want += (wj * np.exp((1j * sgn * E - eps) * tau)
+                     * timedep_green(m, spec, sgn * tau, 0.0, sgn).entries)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_forward_fourier_window_guard():

@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,18 @@ _MODEL_REFUSALS = {
                          ModelError, "^dim must be a positive integer, got 0$"),
     "random-dim-0": (lambda: random_model(0, 1), ModelError,
                      "^dim must be a positive integer, got 0$"),
+    "random-dim-past-the-entry-bound": (lambda: random_model(4097, 1), ModelError,
+                                        "^dim 4097 puts the model's 4097 x 4097 arrays past "),
+    "random-coupling-past-the-float-range": (
+        lambda: random_model(3, 1, 5e307), ModelError,
+        r"^coupling lambda = 5e\+307 puts the perturbation's 1-norm bound, 1\.500e\+308, "),
+    "scaled-coupling-past-the-float-range": (
+        lambda: scale_coupling(two_level_model(1.0, 0.5), 1e308), ModelError,
+        r"^coupling scale 1e\+308 puts the perturbation's 1-norm bound, 1\.000e\+308, "),
+    "lattice-potential-past-the-float-range": (
+        lambda: build_lattice(LatticeSpec(M=2, h=0.5, mass=1.0, v0=np.zeros(2),
+                                          v1=np.array([0.0, 5e307]))), ModelError,
+        r"^coupling potential v1 \(largest \|v1\| = 5\.000e\+307\) puts the perturbation's "),
     "lattice-h-not-a-number": (lambda: load_lattice(
         '{"M": 2, "h": "half", "mass": 1, "v0": [0, 0], "v1": [0, 0]}'), ModelError,
         "^h must be a number, got 'half'$"),
@@ -174,6 +187,17 @@ def test_model_layer_refusals(case):
     call, error, message = _MODEL_REFUSALS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_random_model_refuses_a_large_dim_before_any_array():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match="^dim 4097 puts"):
+            random_model(4097, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # one 4097 x 4097 complex array is 256 MiB
 
 
 @pytest.mark.parametrize("kind, load, keys", [
