@@ -35,9 +35,15 @@ from .propagator import (
 _ROUNDOFF_ULPS = 100
 
 
-#: eps ladder of the extrapolated resolvent form and kernel relation; four
-#: points keep the Richardson remainder below the truncation errors compared
+#: eps ladder of the extrapolated resolvent form and kernel relation at |t| <= 1;
+#: four points keep the Richardson remainder below the truncation errors compared
 _EPS_LADDER = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+
+
+def _eps_ladder(t: float) -> list[float]:
+    """_EPS_LADDER over max(1, |t|): the eps forms damp by e^{-m eps |t|}, so
+    eps |t| stays at most its |t| = 1 values, where four points extrapolate."""
+    return [eps / max(1.0, abs(t)) for eps in _EPS_LADDER]
 
 
 @dataclass(frozen=True)
@@ -208,10 +214,9 @@ def cmd_propagate(opts) -> Report:
         rows += _entry_rows(({"l": l}, computed, term.entries))
         direct += computed
 
-    spec = TruncationSpec(opts.order)
-    samples = [epsilon_form_evolution(model, spec, opts.t, e, opts.sign).entries
-               for e in _EPS_LADDER]
-    extrapolated = richardson_limit(_EPS_LADDER, samples)
+    spec, ladder = TruncationSpec(opts.order), _eps_ladder(opts.t)
+    samples = [epsilon_form_evolution(model, spec, opts.t, e, opts.sign).entries for e in ladder]
+    extrapolated = richardson_limit(ladder, samples)
     eps_dev = float(np.max(np.abs(extrapolated - direct)))
     summary = [
         _at_most("series_term_vs_quadrature", _worst(rows), opts.tol),
@@ -352,7 +357,8 @@ def cmd_amplitude(opts) -> Report:
     rows = []
     for lam, sys_ in systems:
         exact = amp.k_exact(sys_, every, tb, every, ta)
-        via = amp.k_via_relation_extrapolated(sys_, spec, _EPS_LADDER, every, tb, every, ta)
+        via = amp.k_via_relation_extrapolated(sys_, spec, _eps_ladder(tb - ta), every, tb,
+                                              every, ta)
         direct = amp.k_truncated_direct(sys_, spec, every, tb, every, ta)
         pair = {"lambda": lam, "xb": 0, "xa": 0}  # xb, xa hold their column places
         rows += _entry_rows(({**pair, "what": "relation"}, via, exact),

@@ -156,7 +156,8 @@ def inverse_fourier_check(
     With the e^{-eps|tau|} damping folded in, this is the Fourier transform
     of the time-dependent Green operator evaluated at E +- i*eps, and must
     reproduce ``dyson_partial`` at the matched query up to quadrature error.
-    An eps that is not positive leaves no damping (Unresolved); inf is refused.
+    An eps that is not positive leaves no damping (Unresolved); inf is refused,
+    and so is an E whose phases e^{iE tau} over (0, T) keep no bit.
     The nodes are ``_panel_rule``'s with the whole domain (0, T) as its
     bound: ``quad.npoints`` nodes on equal panels, one ``timedep_green`` call
     each, the call the benchmark counts per node.  The factors
@@ -181,6 +182,7 @@ def inverse_fourier_check(
         g = np.array([timedep_green(model, spec, sgn * tau, 0.0, sgn).entries
                       for tau in taus[s:s + step]])
         total += np.einsum("n,nij->ij", factors[s:s + step], g)
+    _check_phase(b, (E,))  # the factors e^{iE tau}, after each node's own phase rule
     return OperatorMatrix(total)
 
 
@@ -190,8 +192,8 @@ def _panel_rule(domain, n: int, s_lo: float, s_hi: float, eps: float):
     wide on that interval, geometric outside, and all of one width when the
     interval is the whole domain.  The first n % P panels take a node more,
     so no panel has more than 32 nodes.  A count whose forward-transform
-    coefficients, n x _MAX_SUBTRACTED, pass _MAX_ENTRIES, and cuts or panel
-    ends past the float range raise Unresolved, before any product overflows."""
+    coefficients, n x _MAX_SUBTRACTED, pass _MAX_ENTRIES, and a cut, panel end
+    sum or width past the float range raise Unresolved, before any node."""
     # in ints, before the count becomes a float or sizes an array
     if n * _MAX_SUBTRACTED > _MAX_ENTRIES:
         raise Unresolved("quadrature panels", f"a quadrature point count past "
@@ -201,15 +203,12 @@ def _panel_rule(domain, n: int, s_lo: float, s_hi: float, eps: float):
     s_lo, s_hi = max(lo, s_lo), min(hi, s_hi)
     p, inner = max(1, n // 16), (s_hi - s_lo) / eps
     start, stop = -float(np.log1p((s_lo - lo) / eps)), inner + float(np.log1p((hi - s_hi) / eps))
-    # Python floats overflow to inf with no warning: linspace's last step, the
-    # extents past [s_lo, s_hi] that bound every inner cut, then the panel ends
-    cuts = []
-    if all(map(math.isfinite, (p * ((stop - start) / p), (hi - s_lo) / eps, (s_hi - lo) / eps))):
+    # a step or cut past the float range is inf or NaN here, which the test refuses
+    with np.errstate(over="ignore", invalid="ignore"):
         u = np.linspace(start, stop, p + 1)[1:-1]
         cuts = [lo, *(s_lo + eps * (np.clip(u, 0, inner) - np.expm1(np.maximum(-u, 0))
                                     + np.expm1(np.maximum(u - inner, 0)))).tolist(), hi]
-    if not (cuts and all(math.isfinite(a + b) and math.isfinite(b - a)
-                         for a, b in zip(cuts, cuts[1:]))):
+    if not all(math.isfinite(a + b) and math.isfinite(b - a) for a, b in zip(cuts, cuts[1:])):
         raise Unresolved("quadrature panels", f"domain ({lo:.4g}, {hi:.4g}) at eps = {eps:.4g} "
                          "puts a panel end or width past the float range")
     cuts = np.array(cuts)

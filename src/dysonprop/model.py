@@ -59,9 +59,10 @@ def _check_phase(t, levels) -> float:
 
 
 def _finite(a: np.ndarray, what: str, error=ValueError) -> np.ndarray:
-    """a, when all its entries are finite."""
+    """a, when all its entries are finite; else ``error`` naming how many are not and the first."""
     if not np.isfinite(a).all():
-        raise error(f"{what} must be finite")
+        bad = np.argwhere(~np.isfinite(a))
+        raise error(f"{what} must be finite; {len(bad)} non-finite, first at {bad[0].tolist()}")
     return a
 
 

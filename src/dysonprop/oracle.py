@@ -11,28 +11,18 @@ other module is checked against.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
 from .model import (_MAX_ENTRIES, OperatorMatrix, SpectralModel, Unresolved, _check_phase, _count,
-                    hamiltonian)
+                    _finite, hamiltonian)
 
 JACOBI_SWEEP_BUDGET = 30
 _JACOBI_OFF_TOL = 1e-14
 _NEWTON_BUDGET = 10
-
-
-def _finite_peak(a: np.ndarray) -> float:
-    """The largest |entry| of ``a``.  When it is not finite (NaN when an
-    entry is), a ValueError naming the [row, col] of the non-finite entries."""
-    peak = float(np.abs(a).max())
-    if not peak < np.inf:
-        bad = np.argwhere(~np.isfinite(a)).tolist()
-        raise ValueError(f"matrix entries must be finite; {len(bad)} non-finite, first at "
-                         f"[row, col] {bad[:4]}")
-    return peak
 
 
 @dataclass
@@ -69,7 +59,9 @@ def hermitian_eigendecomposition(a) -> EigenDecomposition:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n, peak = a.shape[0], _finite_peak(a)
+    n, peak = a.shape[0], float(np.abs(a).max())
+    if not peak < np.inf:  # NaN too: an entry, or its modulus, is not finite
+        _finite(np.abs(a), "matrix entry moduli")
     shift = int(np.frexp(peak)[1])  # 2^-shift a peaks in [1/2, 1); no rotation changes a bit
     scaled = np.ldexp(np.ascontiguousarray(a).view(float), -shift).view(complex)
     # |a - a^H| <= 1e-10 max(1, peak), on the scaled matrix so that no difference
@@ -184,23 +176,25 @@ def _spectral_tables(n: int):
 
 def _dyson_terms(model: SpectralModel, l: int, t: float, npoints: int):
     """Yield the series terms of orders 0..l from one spectral-integration
-    pass; see ``dyson_term_quadrature``."""
+    pass, after one node budget and one series-size test; see
+    ``dyson_term_quadrature``."""
     l = _count(l, 0, "order must be a nonnegative integer")
     npoints = _count(npoints, 16, "need a whole number of at least 16 quadrature points")
     e, d = model.energies, model.dim
-    # in ints, before any count becomes a float: the nodes of any panel split
-    # hold npoints d^2 entries
-    if npoints * d * d > _MAX_ENTRIES:
-        raise Unresolved("series term", f"a quadrature point count past {_MAX_ENTRIES // (d * d)} "
-                         f"puts {d}x{d} blocks past {_MAX_ENTRIES} entries")
     half_phase = abs(t) * float(np.ptp(e)) / 2.0
-    # compared as a float, so a huge |t| is refused before any int conversion
-    panels = max(half_phase / 40, npoints / 64, 1.0)
-    if panels * 64 * d * d > _MAX_ENTRIES:
-        raise Unresolved("series term", f"{panels:.3e} panels of 64 nodes (|t|*dE = "
-                         f"{2 * half_phase:.3e}) hold {d}x{d} blocks past {_MAX_ENTRIES} entries")
+    # neither count is converted: a 401-digit npoints stays an int, and an
+    # overflowing |t| dE is inf
+    if max(npoints, 64, 1.6 * half_phase) > _MAX_ENTRIES / (d * d):
+        raise Unresolved("series term", f"a quadrature past {_MAX_ENTRIES // (d * d)} nodes "
+                         f"({npoints} points asked, |t|*dE = {2 * half_phase:.3e}) puts "
+                         f"{d}x{d} blocks past {_MAX_ENTRIES} entries")
     _check_phase(t, e.tolist())
-    p = int(np.ceil(panels))
+    # in Python floats and log space, which overflow with no warning
+    size = abs(t) * float(np.abs(model.h1).sum(axis=0).max())
+    if size > 1 and l * math.log(size) >= math.log(np.finfo(float).max / 2):
+        raise Unresolved("series term", f"the order-{l} term's a-priori size (|t|*||H1||_1)^{l} "
+                         f"= 10^{l * math.log10(size):.1f} is past half the float range")
+    p = int(np.ceil(max(half_phase / 40, npoints / 64, 1.0)))
     n = max(-(-npoints // p), int(np.ceil(half_phase / p)) + 24)
     x, table = _spectral_tables(n)
     s = (t / p) * (np.arange(p)[:, np.newaxis] + (x + 1.0) / 2.0)
@@ -228,7 +222,8 @@ def dyson_term_quadrature(
     spectral integration matrix (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071).
     The integrands oscillate up to the level spread dE, so P = ceil(max(|t| dE / 80,
     npoints / 64, 1)) and n = max(ceil(npoints / P), ceil(|t| dE / 2P) + 24) <= 64:
-    O(l P (n^2 d^2 + n d^3)).  Arrays past _MAX_ENTRIES entries raise Unresolved.
+    O(l P (n^2 d^2 + n d^3)).  Nodes past _MAX_ENTRIES / d^2, or an a-priori order-l
+    size (|t| ||H1||_1)^l past half the float range, raise Unresolved.
     """
     *_, term = _dyson_terms(model, l, t, npoints)
     return term
@@ -253,7 +248,9 @@ def linear_solve(a, b) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != n:
         raise ValueError(f"B must be an n x k array conformable with A (n = {n}), "
                          f"got shape {b.shape}")
-    peak = max(_finite_peak(a), 1e-300)
+    peak = max(float(np.abs(a).max()), 1e-300)
+    if not peak < np.inf:  # NaN too: an entry, or its modulus, is not finite
+        _finite(np.abs(a), "matrix entry moduli")
     aug = np.concatenate((a, b), axis=1)
     free = np.ones(n)  # 1.0 for rows not yet used as pivots
     order = []

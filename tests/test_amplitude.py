@@ -52,8 +52,9 @@ def test_spec_refuses_a_grid_it_cannot_build(h, mass):
 
 
 def test_spec_refuses_non_finite_potentials():
-    for v0, v1 in (([0, np.nan, 0, 0], np.zeros(4)), (np.zeros(4), [0, 0, np.inf, 0])):
-        with pytest.raises(ModelError, match="^potentials must be finite$"):
+    for v0, v1, first in (([0, np.nan, 0, 0], np.zeros(4), 1), (np.zeros(4), [0, 0, np.inf, 0], 2)):
+        with pytest.raises(ModelError, match=rf"^potentials must be finite; 1 non-finite, "
+                                             rf"first at \[{first}\]$"):
             LatticeSpec(M=4, h=0.5, mass=1.0, v0=v0, v1=v1)
 
 

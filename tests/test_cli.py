@@ -421,11 +421,21 @@ _REFUSALS = {
                                   "error_ratio_N1 cannot be resolved: "),
     "relation-ratio-at-roundoff": (["amplitude", "--lambda", "1e-4"],
                                    "relation_error_ratio cannot be resolved: "),
+    # one node budget for the nodes |t| dE asks for and the points asked
     "series-oracle-size": (["propagate", "--t", "1e12"],
-                           "series term cannot be resolved: 2.112e+10 panels of 64 nodes"),
-    # a 401-digit count, past the float range
+                           "series term cannot be resolved: a quadrature past 1864135 nodes "
+                           "(64 points asked, |t|*dE = 1.689e+12) puts 3x3 blocks past "),
+    # a 401-digit count, past the float range, named as the int it is
     "series-oracle-point-count": (["propagate", "--quad-points", _POINTS_401_DIGITS],
-                                  "series term cannot be resolved: a quadrature point count"),
+                                  "series term cannot be resolved: a quadrature past 1864135 "
+                                  f"nodes ({_POINTS_401_DIGITS} points asked, |t|*dE = "),
+    # the order-2 term scales as lambda^2: refused before its product overflows
+    "series-size-at-lambda-1e200": (["propagate", "--lambda", "1e200"],
+                                    "series term cannot be resolved: the order-2 term's a-priori "
+                                    "size (|t|*||H1||_1)^2 = 10^400.4 is past half the float"),
+    "series-size-at-lambda-1e300": (["propagate", "--lambda", "1e300"],
+                                    "series term cannot be resolved: the order-2 term's a-priori "
+                                    "size (|t|*||H1||_1)^2 = 10^600.4 is past half the float"),
     "inverse-point-count-1e8": (["green-ft", "--quad-points", "100000000"],
                                 "quadrature panels cannot be resolved: a quadrature point count"),
     "inverse-point-count-401-digits": (
@@ -446,6 +456,10 @@ _REFUSALS = {
                                "exp(-i t E) cannot be resolved: |t| = 4.513e+15"),
     "inverse-phases-at-1e300": (["green-ft", "--quad-domain", "1e300"],
                                 "exp(-i t E) cannot be resolved: |t| = 4.240e+295"),
+    # the inverse check's factors e^{iE tau} over (0, T), T = 200
+    "inverse-phases-of-E-at-1e300": (["green-ft", "--E", "1e300"],
+                                     "exp(-i t E) cannot be resolved: |t| = 2.000e+02 times "
+                                     "max|E| = 1.000e+300"),
     "series-phases-at-1e308": (["converge", "--t", "1e308"],
                                "exp(-i t E) cannot be resolved: |t| = 1.000e+308"),
     "panels-past-the-float-range": (["green-ft", "--window", "1e308"],
@@ -521,6 +535,34 @@ def test_green_ft_refuses_forward_flags_before_the_inverse_check(case, monkeypat
     monkeypatch.setattr(green, "inverse_fourier_check", unreachable)
     assert main([*_REFUSALS[case][0], "--out", str(tmp_path / "r.json")]) == 2
     assert _REFUSALS[case][1] in capsys.readouterr().err
+
+
+def test_eps_ladder_is_the_fixed_one_up_to_unit_time():
+    for t in (0.0, 0.5, -1.0, 1.0):
+        assert cli._eps_ladder(t) == cli._EPS_LADDER
+    assert cli._eps_ladder(-20.0) == [eps / 20 for eps in cli._EPS_LADDER]
+
+
+#: a command at a long time, the summary item it must pass, and the most
+#: that item may read (None: its verdict only).  The ladder over |t| keeps
+#: the extrapolated eps form near 1e-8 (2.6e-9, 4.8e-9 and 7.7e-8 measured),
+#: where the fixed ladder failed at 6.8e-6, 1.3e-3 and 6.6e-2
+@pytest.mark.parametrize("argv, name, most", [
+    (["propagate", "--t", "20"], "resolvent_form_extrapolated", 1e-8),
+    (["propagate", "--t", "50"], "resolvent_form_extrapolated", 1e-8),
+    (["propagate", "--t", "100"], "resolvent_form_extrapolated", 1e-7),
+    # the kernel relation's halving ratio stays near 8: 7.99, 7.85 and 7.11
+    (["amplitude", "--t", "5"], "relation_error_ratio", None),
+    (["amplitude", "--t", "20"], "relation_error_ratio", None),
+    (["amplitude", "--t", "50"], "relation_error_ratio", None),
+])
+def test_eps_ladder_follows_the_time(argv, name, most, tmp_path):
+    out = tmp_path / "r.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    summary = {item["name"]: item for item in json.loads(out.read_text())["summary"]}
+    assert summary[name]["passed"]
+    if most is not None:
+        assert summary[name]["value"] <= most
 
 
 def test_package_runs_as_module(tmp_path):

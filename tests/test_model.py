@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,8 @@ from dysonprop.model import (
     scale_coupling,
     two_level_model,
 )
-from dysonprop.oracle import dyson_term_quadrature, exact_evolution, gauss_legendre
+from dysonprop.oracle import (dyson_term_quadrature, exact_evolution, gauss_legendre,
+                              hermitian_eigendecomposition, linear_solve)
 from dysonprop.propagator import a_coefficient, a_matrix, epsilon_form_evolution, richardson_limit
 
 
@@ -145,13 +147,13 @@ _MODEL_REFUSALS = {
     "operator-not-square": (lambda: OperatorMatrix(np.ones((2, 3))), ValueError,
                             "^operator matrices must be square$"),
     "operator-not-finite": (lambda: OperatorMatrix([[1.0, np.nan], [0.0, 1.0]]), ValueError,
-                            "^operator entries must be finite$"),
+                            r"^operator entries must be finite; 1 non-finite, first at \[0, 1\]$"),
     "empty-energies": (lambda: SpectralModel(np.array([]), np.zeros((0, 0))), ModelError,
                        "^energies must be a non-empty 1-d real array$"),
     "h1-shape": (lambda: SpectralModel([0.0, 1.0], np.zeros((3, 3))), ModelError,
                  r"^h1 shape \(3, 3\) does not match dimension 2$"),
     "h1-not-finite": (lambda: SpectralModel([0.0, 1.0], [[0.0, np.inf], [np.inf, 0.0]]),
-                      ModelError, "^h1 entries must be finite$"),
+                      ModelError, r"^h1 entries must be finite; 2 non-finite, first at \[0, 1\]$"),
     "model-file-not-object": (lambda: load_model('[{"dim": 1}]'), ModelError,
                               "^model file must contain a top-level object$"),
     "model-file-ragged-h1": (lambda: load_model('{"dim": 2, "energies": [0, 1], '
@@ -186,6 +188,46 @@ _MODEL_REFUSALS = {
 def test_model_layer_refusals(case):
     call, error, message = _MODEL_REFUSALS[case]
     with pytest.raises(error, match=message):
+        call()
+
+
+def _spoiled(n: int, *where, bad=np.nan) -> np.ndarray:
+    """The n x n identity with ``bad`` at each [row, col] of ``where``."""
+    a = np.eye(n, dtype=complex)
+    for i, j in where:
+        a[i, j] = bad
+    return a
+
+
+#: one finiteness rule, model._finite, for every array input: (call, exception
+#: type, what is named, how many entries are not finite, the first one's index)
+_NON_FINITE = {
+    "operator": (lambda: OperatorMatrix(_spoiled(3, (2, 0), (1, 2))), ValueError,
+                 "operator entries", 2, [1, 2]),
+    "energies": (lambda: SpectralModel([0.0, np.inf, np.nan], np.zeros((3, 3))), ModelError,
+                 "energies", 2, [1]),
+    "h1": (lambda: SpectralModel([0.0, 1.0, 2.0], _spoiled(3, (2, 1), (1, 2), bad=np.inf)),
+           ModelError, "h1 entries", 2, [1, 2]),
+    "lattice-potential": (lambda: LatticeSpec(3, 0.5, 1.0, np.zeros(3), [0.0, -np.inf, 0.0]),
+                          ModelError, "potentials", 1, [1]),
+    "divided-difference-nodes": (lambda: dd_phase([0.0, 1.0, np.nan], 1.0), ValueError,
+                                 "nodes", 1, [2]),
+    "jacobi-input": (lambda: hermitian_eigendecomposition(_spoiled(3, (2, 1), (1, 2))),
+                     ValueError, "matrix entry moduli", 2, [1, 2]),
+    # finite parts whose modulus overflows: Jacobi's scale would be garbage
+    "jacobi-modulus": (lambda: hermitian_eigendecomposition(
+        _spoiled(2, (0, 1), (1, 0), bad=complex(1.5e308, 1.5e308))),
+        ValueError, "matrix entry moduli", 2, [0, 1]),
+    "solve-input": (lambda: linear_solve(_spoiled(3, (2, 0), (1, 2)), np.eye(3)), ValueError,
+                    "matrix entry moduli", 2, [1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", _NON_FINITE)
+def test_every_finiteness_refusal_names_the_first_bad_index(case):
+    call, error, what, count, first = _NON_FINITE[case]
+    message = f"{what} must be finite; {count} non-finite, first at {first}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 
