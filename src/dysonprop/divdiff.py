@@ -17,6 +17,7 @@ cancels catastrophically, and it is the same routine the series terms of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -28,6 +29,17 @@ _TAYLOR_RTOL = 1e-18
 _TAYLOR_MAX_TERMS = 64
 # 1/k! for k <= _TAYLOR_MAX_TERMS, each correctly rounded
 _INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(_TAYLOR_MAX_TERMS + 1)])
+
+
+@functools.lru_cache(maxsize=64)
+def _ps_table(p: int, q: int) -> np.ndarray:
+    """Row j holds 1/(jp + i)! at column i < p, the last row 1/(pq)! at column p
+    too: read-only, complex as the product with the powers casts it, once per (p, q)."""
+    coef = np.zeros((q, p + 1), dtype=complex)
+    coef[:, :p] = _INV_FACTORIAL[: p * q].reshape(q, p)
+    coef[-1, p] = _INV_FACTORIAL[p * q]
+    coef.flags.writeable = False
+    return coef
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -56,11 +68,13 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     """
     n = m.shape[0]
     max_terms = _TAYLOR_MAX_TERMS + max(0, n - 48)
-    mu = m.trace() / n
-    a = m.astype(complex)
-    a.flat[:: n + 1] -= mu
+    # ufunc reductions for trace(), sum() and max(), whose overhead exceeds the
+    # sums at these sizes; a is C-ordered, so its flat diagonal is a view
+    mu = np.add.reduce(m.reshape(-1)[:: n + 1]) / n
+    a = m.astype(complex, order="C")
+    a.reshape(-1)[:: n + 1] -= mu
     a *= -1j * t
-    theta = float(np.abs(a).sum(axis=0).max())
+    theta = float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=0)))
     # the least s >= 0 with theta / 2^s <= 1
     mant, e = math.frexp(theta)
     s = 0 if theta <= 1.0 else e - 1 if mant == 0.5 else e
@@ -77,25 +91,23 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     q = -(-k // p)
     k = p * q
     # powers[i] = b^i for i <= p
-    powers = np.empty((p + 1, n, n), dtype=complex)
-    powers[0] = np.eye(n)
+    powers = np.zeros((p + 1, n, n), dtype=complex)
+    powers.reshape(p + 1, -1)[0, :: n + 1] = 1.0
     np.multiply(a, 2.0**-s, out=powers[1])
     for i in range(2, p + 1):
         # ndarray.dot runs the same BLAS product as @ with less dispatch
         np.dot(powers[i - 1], powers[1], out=powers[i])
     # block j = sum over i < p of b^i / (jp + i)!, the last one with b^p / k! too
-    coef = np.zeros((q, p + 1))
-    coef[:, :p] = _INV_FACTORIAL[:k].reshape(q, p)
-    coef[-1, p] = _INV_FACTORIAL[k]
-    blocks = coef.dot(powers.reshape(p + 1, n * n)).reshape(q, n, n)
+    blocks = _ps_table(p, q).dot(powers.reshape(p + 1, n * n)).reshape(q, n, n)
+    top = powers[p]
     f = blocks[-1]
     for block in blocks[-2::-1]:
-        f = f.dot(powers[p])
+        f = f.dot(top)
         f += block
-    term = powers[p] * _INV_FACTORIAL[k]
+    term = top * _INV_FACTORIAL[k]
     for _ in range(q - 1):
-        term = term.dot(powers[p])
-    while bound >= _TAYLOR_RTOL or not (abs(term) <= _TAYLOR_RTOL * abs(f)).all():
+        term = term.dot(top)
+    while bound >= _TAYLOR_RTOL or np.count_nonzero(abs(term) <= _TAYLOR_RTOL * abs(f)) < f.size:
         if k >= max_terms:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(term == 0, 0.0, abs(term) / abs(f))
@@ -108,7 +120,7 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
         f += term
     for _ in range(s):
         f = f.dot(f)
-    if not np.isfinite(f).all():
+    if np.count_nonzero(np.isfinite(f)) < f.size:
         raise Unresolved("exp(-i t m)", f"|t| = {abs(t):.3e} squares past the float range")
     f *= np.exp(-1j * mu * t)
     return f

@@ -157,10 +157,11 @@ def inverse_fourier_check(
     of the time-dependent Green operator evaluated at E +- i*eps, and must
     reproduce ``dyson_partial`` at the matched query up to quadrature error.
     An eps that is not positive leaves no damping (Unresolved); inf is refused,
-    and so is an E whose phases e^{iE tau} over (0, T) keep no bit.
-    The nodes are ``_panel_rule``'s with the whole domain (0, T) as its
-    bound: ``quad.npoints`` nodes on equal panels, one ``timedep_green`` call
-    each, the call the benchmark counts per node.  The factors
+    and so is an E whose phases e^{iE tau} over (0, T) keep no bit, before any
+    node, unless a node's own level rule refuses.  The nodes are
+    ``_panel_rule``'s with the whole domain (0, T) as its bound: ``quad.npoints``
+    nodes on equal panels, one ``timedep_green`` call each, whose
+    ``truncated_evolution`` call the benchmark counts per node.  The factors
     w e^{(+-iE - eps) tau} are taken for all nodes at once, and each block of
     _BLOCK_ENTRIES / d^2 evaluations is summed by one fixed-order einsum.
     """
@@ -174,15 +175,20 @@ def inverse_fourier_check(
                          f"{_DAMPING_TOL}: eps*T = {eps * b:.3g} at eps = {eps}, T = {b}")
     _check_eps(eps)
     taus, w = _panel_rule(quad.domain, quad.npoints, a, b, eps)
+    try:
+        _check_phase(b, (E,))  # the factors e^{iE tau}, before they are taken
+    except Unresolved:
+        for tau in taus:  # the first node whose level rule refuses speaks first
+            _check_phase(tau, model.energies.tolist())
+        raise
     factors = w * np.exp((1j * sgn * E - eps) * taus)
     d, step = model.dim, _block(model.dim)
     total = np.zeros((d, d), dtype=complex)
     for s in range(0, len(taus), step):
         # sign '-' integrates over tau < 0; mirror the node onto (0, T)
         g = np.array([timedep_green(model, spec, sgn * tau, 0.0, sgn).entries
-                      for tau in taus[s:s + step]])
+                      for tau in taus[s:s + step].tolist()])
         total += np.einsum("n,nij->ij", factors[s:s + step], g)
-    _check_phase(b, (E,))  # the factors e^{iE tau}, after each node's own phase rule
     return OperatorMatrix(total)
 
 

@@ -238,7 +238,9 @@ def linear_solve(a, b) -> np.ndarray:
     update.  The rows of X are then the right-hand blocks in pivot order.
     B is n x k; a 1-D B is refused, so its axes have one meaning.  A pivot
     below 1e-14 of the largest |entry| of A raises Unresolved, whose message
-    gives a lower bound on the condition number.
+    gives a lower bound on the condition number.  A is scaled by the power of
+    two that puts that entry in [1/2, 1), and X back by the same power: no step
+    overflows, and away from the float range's ends every pivot and bit is kept.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -248,18 +250,22 @@ def linear_solve(a, b) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != n:
         raise ValueError(f"B must be an n x k array conformable with A (n = {n}), "
                          f"got shape {b.shape}")
-    peak = max(float(np.abs(a).max()), 1e-300)
+    peak = float(np.abs(a).max())
     if not peak < np.inf:  # NaN too: an entry, or its modulus, is not finite
         _finite(np.abs(a), "matrix entry moduli")
-    aug = np.concatenate((a, b), axis=1)
+    shift = math.frexp(peak)[1]
+    peak = max(peak, 1e-300)
+    tol = math.ldexp(1e-14 * peak, -shift)
+    scaled = np.ldexp(np.ascontiguousarray(a).view(float), -shift).view(complex)
+    aug = np.concatenate((scaled, b), axis=1)
     free = np.ones(n)  # 1.0 for rows not yet used as pivots
     order = []
     for k in range(n):
         mags = np.abs(aug[:, k]) * free
         p = int(mags.argmax())
         piv = mags[p]
-        if piv <= 1e-14 * peak:
-            cond = peak / max(piv, 1e-300)
+        if piv <= tol:
+            cond = peak / max(math.ldexp(piv, shift), 1e-300)
             raise Unresolved("linear solve", "matrix singular to working precision "
                              f"(condition >= {cond:.3e})")
         free[p] = 0.0
@@ -267,4 +273,4 @@ def linear_solve(a, b) -> np.ndarray:
         row = aug[p] / aug[p, k]
         aug -= aug[:, k, np.newaxis] * row
         aug[p] = row
-    return aug[order, n:]
+    return np.ldexp(aug[order, n:].view(float), -shift).view(complex)

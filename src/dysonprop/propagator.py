@@ -30,6 +30,8 @@ import numpy as np
 from .divdiff import _phase_exp, dd_phase
 from .model import OperatorMatrix, SpectralModel, Unresolved, _check_eps, _check_phase, _count
 
+_EPS_MACH = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class TruncationSpec:
@@ -111,26 +113,28 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     l = _count(l, 0, "order must be a nonnegative integer")
     d, e = model.dim, model.energies
     _check_phase(t, e.tolist())
-    if l == 0:
-        return OperatorMatrix(np.diag(np.exp(-1j * e * t)))
     if l == 1:
         half = 0.5 * t
         phase = -1j * t * np.exp(-1j * half * (e[:, None] + e))
-        return OperatorMatrix(model.h1 * phase * np.sinc(half / np.pi * (e[:, None] - e)))
+        # np.sinc's own steps: sin(y) / y at y = pi x, with eps_mach where y = 0
+        y = np.pi * (half / np.pi * (e[:, None] - e))
+        y = np.where(y, y, _EPS_MACH)
+        return OperatorMatrix(model.h1 * phase * (np.sin(y) / y))
     n = (l + 1) * d
     m = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(m, e)  # repeats e down all l + 1 blocks
+    if l == 0:
+        m.flat[:: n + 1] = np.exp(-1j * e * t)
+        return OperatorMatrix(m)
+    m.flat[:: n + 1] = e  # a flat assignment repeats e down all l + 1 blocks
     for k in range(l):
         m[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = model.h1
     return OperatorMatrix(_phase_exp(m, t)[:d, l * d :].copy())
 
 
 def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float) -> OperatorMatrix:
-    """Partial sum of the series through order spec.N (a TruncationSpec or an int)."""
-    total = np.zeros((model.dim, model.dim), dtype=complex)
-    for l in range(_order(spec) + 1):
-        total += a_matrix(model, l, t).entries
-    return OperatorMatrix(total)
+    """Partial sum of the series through order spec.N (a TruncationSpec or an
+    int); ``sum`` starts from 0, so a signed zero sums as from a zero matrix."""
+    return OperatorMatrix(sum(a_matrix(model, l, t).entries for l in range(_order(spec) + 1)))
 
 
 def _graded_chains(model: SpectralModel, spec: TruncationSpec, eps, sgn: int):

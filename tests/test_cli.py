@@ -460,6 +460,10 @@ _REFUSALS = {
     "inverse-phases-of-E-at-1e300": (["green-ft", "--E", "1e300"],
                                      "exp(-i t E) cannot be resolved: |t| = 2.000e+02 times "
                                      "max|E| = 1.000e+300"),
+    # E tau past the float range: refused before the factors overflow
+    "inverse-phases-of-E-at-1.7e308": (["green-ft", "--E", "1.7e308"],
+                                       "exp(-i t E) cannot be resolved: |t| = 2.000e+02 times "
+                                       "max|E| = 1.700e+308"),
     "series-phases-at-1e308": (["converge", "--t", "1e308"],
                                "exp(-i t E) cannot be resolved: |t| = 1.000e+308"),
     "panels-past-the-float-range": (["green-ft", "--window", "1e308"],

@@ -182,6 +182,21 @@ def test_inverse_fourier_domain_guards():
         inverse_fourier_check(m, spec, 0.0, "+", np.inf, QuadratureSpec((0.0, 200.0), 100))
 
 
+@pytest.mark.parametrize("E", [1e300, 1.7e308])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_inverse_fourier_refuses_E_before_any_node(E, sign, monkeypatch):
+    # the factors e^{iE tau} over (0, 200) keep no bit; at 1.7e308 E tau
+    # overflowed in their product (RuntimeWarning is an error here)
+    def unreachable(*args):
+        raise AssertionError("a node was evaluated before the E phase rule")
+
+    monkeypatch.setattr(green, "timedep_green", unreachable)
+    with pytest.raises(Unresolved, match=r"^exp\(-i t E\) cannot be resolved: \|t\| = 2\.000e\+02 "
+                                         r"times max\|E\| = " + re.escape(f"{E:.3e}")):
+        inverse_fourier_check(two_level_model(), TruncationSpec(2), E, sign, 0.1,
+                              QuadratureSpec((0.0, 200.0), 100))
+
+
 def test_forward_fourier_causality():
     m = two_level_model(1.0, 0.3)
     quad = QuadratureSpec((-40.0, 41.0), 2000)

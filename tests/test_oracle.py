@@ -1,6 +1,7 @@
 import ast
 import itertools
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -413,6 +414,16 @@ def reference_linear_solve(a, b):
 def _same_bits(x, y):
     return x.shape == y.shape and np.array_equal(np.ascontiguousarray(x).view(float),
                                                  np.ascontiguousarray(y).view(float))
+
+
+def test_linear_solve_scales_entries_near_the_float_range():
+    # |a| = 1.41e308: unscaled, the pivot row's division overflowed
+    z = 1e308
+    a = np.array([[0, z * (1 + 1j)], [z * (1 - 1j), 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = linear_solve(a, np.eye(2))
+    assert np.abs(a @ x - np.eye(2)).max() <= 2e-16
 
 
 def test_linear_solve_matches_reference_bitwise():

@@ -235,6 +235,50 @@ def test_every_order_refuses_phases_that_keep_no_bit(l, t):
     assert np.isfinite(a_matrix(m, l, 0.1 / np.finfo(float).eps / 3.0).entries).all()
 
 
+def _plain_a_matrix(m, l, t):
+    """a_matrix built the plain way: np.diag for a_0, np.sinc for a_1 and
+    np.fill_diagonal for the block matrix of l >= 2."""
+    d, e = m.dim, m.energies
+    if l == 0:
+        return np.diag(np.exp(-1j * e * t))
+    if l == 1:
+        half = 0.5 * t
+        phase = -1j * t * np.exp(-1j * half * (e[:, None] + e))
+        return m.h1 * phase * np.sinc(half / np.pi * (e[:, None] - e))
+    block = np.zeros(((l + 1) * d,) * 2, dtype=complex)
+    np.fill_diagonal(block, e)
+    for k in range(l):
+        block[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = m.h1
+    return _phase_exp(block, t)[:d, l * d:]
+
+
+def _level_variants(d):
+    # spaced random levels, and for d >= 2 the first two made to coincide or
+    # to lie 1e-12 apart
+    m = random_model(d, d, lam=0.5)
+    out = [m]
+    for gap in ((0.0, 1e-12) if d >= 2 else ()):
+        e = m.energies.copy()
+        e[1] = e[0] + gap
+        out.append(SpectralModel(e, m.h1))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_a_matrix_and_partial_sum_keep_the_bits_of_the_plain_construction(d):
+    # every term and the N = 3 sum from a zero matrix, bit for bit (signed
+    # zeros included) beyond the goldens' models: coincident, 1e-12 apart and
+    # spaced levels, from t = 0 to |t| = 1e3 of both signs
+    for m in _level_variants(d):
+        for t in (0.0, 1e-8, -1e-8, 37.3, -37.3, 1e3, -1e3):
+            total = np.zeros((d, d), dtype=complex)
+            for l in range(4):
+                want = _plain_a_matrix(m, l, t)
+                assert a_matrix(m, l, t).entries.tobytes() == want.tobytes(), (l, t)
+                total += want
+            assert truncated_evolution(m, 3, t).entries.tobytes() == total.tobytes(), t
+
+
 def _compressed_model(dim, seed, lam):
     # random levels rescaled into [-1, 1], so a 32-point rule resolves the
     # phases of the quadrature oracle over t = 1
