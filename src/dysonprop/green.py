@@ -12,6 +12,7 @@ expansion and transforms them exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -157,8 +158,9 @@ def inverse_fourier_check(
     of the time-dependent Green operator evaluated at E +- i*eps, and must
     reproduce ``dyson_partial`` at the matched query up to quadrature error.
     An eps that is not positive leaves no damping (Unresolved); inf is refused,
-    and so is an E whose phases e^{iE tau} over (0, T) keep no bit, before any
-    node, unless a node's own level rule refuses.  The nodes are
+    and so are an eps*T that overflows and an E whose phases e^{iE tau} over
+    (0, T) keep no bit, before any node, unless a node's own level rule
+    refuses.  The nodes are
     ``_panel_rule``'s with the whole domain (0, T) as its bound: ``quad.npoints``
     nodes on equal panels, one ``timedep_green`` call each, whose
     ``truncated_evolution`` call the benchmark counts per node.  The factors
@@ -175,6 +177,8 @@ def inverse_fourier_check(
                          f"{_DAMPING_TOL}: eps*T = {eps * b:.3g} at eps = {eps}, T = {b}")
     _check_eps(eps)
     taus, w = _panel_rule(quad.domain, quad.npoints, a, b, eps)
+    if eps * b == math.inf:  # the damping falls, but the factors' exponents overflow
+        raise Unresolved("inverse Fourier check", f"eps*T overflows at eps = {eps}, T = {b}")
     try:
         _check_phase(b, (E,))  # the factors e^{iE tau}, before they are taken
     except Unresolved:
@@ -190,6 +194,14 @@ def inverse_fourier_check(
                       for tau in taus[s:s + step].tolist()])
         total += np.einsum("n,nij->ij", factors[s:s + step], g)
     return OperatorMatrix(total)
+
+
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int):
+    """numpy's n-point Gauss-Legendre nodes and weights; read-only, once per n."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _panel_rule(domain, n: int, s_lo: float, s_hi: float, eps: float):
@@ -221,7 +233,7 @@ def _panel_rule(domain, n: int, s_lo: float, s_hi: float, eps: float):
     m, extra = divmod(n, len(cuts) - 1)
     nodes, weights = [], []
     for k, ends in ((m + 1, cuts[:extra + 1]), (m, cuts[extra:])):
-        x, w = leggauss(k)
+        x, w = _leggauss(k)
         half = np.diff(ends)[:, None] / 2
         nodes.append(((ends[1:] + ends[:-1])[:, None] / 2 + half * x).ravel())
         weights.append((half * w).ravel())

@@ -238,9 +238,12 @@ def linear_solve(a, b) -> np.ndarray:
     update.  The rows of X are then the right-hand blocks in pivot order.
     B is n x k; a 1-D B is refused, so its axes have one meaning.  A pivot
     below 1e-14 of the largest |entry| of A raises Unresolved, whose message
-    gives a lower bound on the condition number.  A is scaled by the power of
-    two that puts that entry in [1/2, 1), and X back by the same power: no step
-    overflows, and away from the float range's ends every pivot and bit is kept.
+    gives a lower bound on the condition number.  A largest |entry| in
+    [2^-500, 2^500] is 2^500 or more from the float range's ends, more than an
+    accepted pivot (>= 1e-14 > 2^-47 of it) and partial pivoting's growth
+    (<= 2^(n-1)) take at the sizes solved here: A is eliminated as it stands.
+    Outside, A is scaled by the power of two that puts it in [1/2, 1), and X
+    back by the same power, which changes no pivot and no bit that stays normal.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -250,14 +253,15 @@ def linear_solve(a, b) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != n:
         raise ValueError(f"B must be an n x k array conformable with A (n = {n}), "
                          f"got shape {b.shape}")
-    peak = float(np.abs(a).max())
+    peak = float(np.maximum.reduce(np.abs(a), axis=None))
     if not peak < np.inf:  # NaN too: an entry, or its modulus, is not finite
         _finite(np.abs(a), "matrix entry moduli")
-    shift = math.frexp(peak)[1]
+    shift = 0 if 2.0**-500 <= peak <= 2.0**500 else math.frexp(peak)[1]
     peak = max(peak, 1e-300)
     tol = math.ldexp(1e-14 * peak, -shift)
-    scaled = np.ldexp(np.ascontiguousarray(a).view(float), -shift).view(complex)
-    aug = np.concatenate((scaled, b), axis=1)
+    if shift:
+        a = np.ldexp(np.ascontiguousarray(a).view(float), -shift).view(complex)
+    aug = np.concatenate((a, b), axis=1)
     free = np.ones(n)  # 1.0 for rows not yet used as pivots
     order = []
     for k in range(n):
@@ -273,4 +277,5 @@ def linear_solve(a, b) -> np.ndarray:
         row = aug[p] / aug[p, k]
         aug -= aug[:, k, np.newaxis] * row
         aug[p] = row
-    return np.ldexp(aug[order, n:].view(float), -shift).view(complex)
+    x = aug[:, n:].take(order, axis=0)
+    return np.ldexp(x.view(float), -shift).view(complex) if shift else x

@@ -155,6 +155,8 @@ def test_inverse_rule_has_npoints_nodes_on_tables_of_at_most_32(monkeypatch):
         return leggauss(n)
 
     monkeypatch.setattr(green, "leggauss", counting)
+    # every table built anew, so leggauss is asked for each size the rule reads
+    monkeypatch.setattr(green, "_leggauss", green._leggauss.__wrapped__)
     for T in (1.0, 200.0):
         for n in [*range(2, 301), 2000]:
             # the inverse check's rule: the whole domain (0, T) as the bound
@@ -195,6 +197,20 @@ def test_inverse_fourier_refuses_E_before_any_node(E, sign, monkeypatch):
                                          r"times max\|E\| = " + re.escape(f"{E:.3e}")):
         inverse_fourier_check(two_level_model(), TruncationSpec(2), E, sign, 0.1,
                               QuadratureSpec((0.0, 200.0), 100))
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_inverse_fourier_refuses_an_eps_T_past_the_float_range(sign, monkeypatch):
+    # the damping falls, but eps*T = inf overflowed the factors' exponents
+    # (RuntimeWarning is an error here)
+    def unreachable(*args):
+        raise AssertionError("a node was evaluated before the eps*T rule")
+
+    monkeypatch.setattr(green, "timedep_green", unreachable)
+    with pytest.raises(Unresolved, match=r"^inverse Fourier check cannot be resolved: eps\*T "
+                                         r"overflows at eps = 1e\+300, T = 10000000000\.0$"):
+        inverse_fourier_check(two_level_model(), TruncationSpec(2), 0.37, sign, 1e300,
+                              QuadratureSpec((0.0, 1e10), 40))
 
 
 def test_forward_fourier_causality():
@@ -286,6 +302,19 @@ def test_panel_rule_keeps_geometric_panels_near_the_float_range(n):
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
 
 
+def test_panel_rule_from_a_warm_cache_equals_an_uncached_build_bitwise(monkeypatch):
+    # the inverse and forward rules at the fourier flags, a small count whose
+    # first loop reads a table for no panel, and geometric panels near the float range
+    for args in (((0.0, 80.0), 250, 0.0, 80.0, 0.3), ((-40.0, 41.0), 800, -0.3, 1.3, 0.3),
+                 ((0.0, 1.0), 7, 0.0, 1.0, 0.1), ((-1e308, 1e308), 2000, -0.3, 1.3, 10.0)):
+        got = [green._panel_rule(*args) for _ in range(2)]  # the second reads cached tables
+        with monkeypatch.context() as patch:  # the tables built anew on every call
+            patch.setattr(green, "_leggauss", green._leggauss.__wrapped__)
+            want = green._panel_rule(*args)
+        for x, w in got:
+            assert x.tobytes() == want[0].tobytes() and w.tobytes() == want[1].tobytes(), args
+
+
 def test_forward_fourier_never_reads_the_spec_rule_or_an_eigensolver(monkeypatch):
     sizes = []
     # numpy builds its tables with eigvalsh, so they are made before it is blocked
@@ -299,6 +328,8 @@ def test_forward_fourier_never_reads_the_spec_rule_or_an_eigensolver(monkeypatch
         raise AssertionError("forward_fourier reached an eigensolver")
 
     monkeypatch.setattr(green, "leggauss", counting)
+    # every table built anew, so leggauss is asked for each size the call reads
+    monkeypatch.setattr(green, "_leggauss", green._leggauss.__wrapped__)
     monkeypatch.setattr(oracle, "hermitian_eigendecomposition", unreachable)
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, unreachable)
@@ -443,6 +474,7 @@ def test_quadrature_spec_computes_nothing(monkeypatch):
         raise AssertionError("a QuadratureSpec built a rule")
 
     monkeypatch.setattr(green, "leggauss", unreachable)
+    monkeypatch.setattr(green, "_leggauss", unreachable)
     spec = QuadratureSpec((-1.0, 3.0), 40)
     # a validated record: eq, hash and repr follow from its two fields
     assert spec == QuadratureSpec((-1.0, 3.0), 40)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from dysonprop import oracle
+from dysonprop import green, oracle
 from dysonprop.model import SpectralModel, Unresolved, hamiltonian, random_model, two_level_model
 from dysonprop.oracle import (
     dyson_term_quadrature,
@@ -426,6 +426,53 @@ def test_linear_solve_scales_entries_near_the_float_range():
     assert np.abs(a @ x - np.eye(2)).max() <= 2e-16
 
 
+def _peaked_at_one(d, seed):
+    # diagonally heavy, and its largest |entry| is the real a[0, 0] = 1 exactly
+    rng = np.random.default_rng(seed)
+    a = 0.25 * (rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))) + 0.5 * np.eye(d)
+    a[0, 0] = 1.0
+    return a
+
+
+def _right_hand_sides(d):
+    rng = np.random.default_rng(d)
+    return np.eye(d, dtype=complex), rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+
+
+def _times_power_of_two(a, k):
+    return np.ldexp(np.ascontiguousarray(a, dtype=complex).view(float), k).view(complex)
+
+
+@pytest.mark.parametrize("k", [500, -500])
+@pytest.mark.parametrize("d", [1, 2, 7, 24])
+def test_linear_solve_eliminates_peaks_inside_the_range_unscaled(k, d, monkeypatch):
+    # a peak of exactly 2^500 or 2^-500 is inside [2^-500, 2^500]: no ldexp
+    # pass runs, and the elimination is the unscaled reference's, bit for bit
+    a = _times_power_of_two(_peaked_at_one(d, d), k)
+    assert float(np.abs(a).max()) == 2.0**k
+    for b in _right_hand_sides(d):
+        with warnings.catch_warnings(), monkeypatch.context() as patch:
+            patch.setattr(np, "ldexp", None)  # a scaling pass would raise TypeError
+            warnings.simplefilter("error", RuntimeWarning)
+            x = linear_solve(a, b)
+        assert _same_bits(x, reference_linear_solve(a, b)), (k, d)
+
+
+@pytest.mark.parametrize("k", [500, -500])
+@pytest.mark.parametrize("d", [1, 2, 7, 24])
+def test_linear_solve_scales_peaks_outside_the_range_by_powers_of_two(k, d):
+    # a peak one ulp past 2^500, or half an ulp short of 2^-500, is outside the
+    # range: X for 2^k A is 2^-k times X for the in-range A, bit for bit
+    a = _peaked_at_one(d, d) * np.nextafter(1.0, np.sign(k) * 2.0)
+    scaled = _times_power_of_two(a, k)
+    assert not 2.0**-500 <= float(np.abs(scaled).max()) <= 2.0**500
+    for b in _right_hand_sides(d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x, want = linear_solve(scaled, b), linear_solve(a, b)
+        assert _same_bits(x, _times_power_of_two(want, -k)), (k, d)
+
+
 def test_linear_solve_matches_reference_bitwise():
     rng = np.random.default_rng(21)
     for d in range(1, 49):
@@ -671,10 +718,10 @@ def test_dyson_terms_match_an_uncached_table_build_bitwise(d, t, npoints, monkey
 
 def test_per_size_tables_are_read_only_and_bounded():
     x, table = oracle._spectral_tables(16)
-    for arr in (x, table, *oracle._round_robin(5)):
+    for arr in (x, table, *oracle._round_robin(5), *green._leggauss(17)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
-    for cached in (oracle._spectral_tables, oracle._round_robin):
+    for cached in (oracle._spectral_tables, oracle._round_robin, green._leggauss):
         assert isinstance(cached.cache_info().maxsize, int)
 
 
