@@ -22,6 +22,7 @@ times them is the secular t * e^{-iEt} contribution.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,17 +79,20 @@ def load_lattice(text: str) -> LatticeSpec:
 
 @dataclass(frozen=True)
 class LatticeSystem:
-    """Lattice spec, its compiled spectral model and two eigenbases psi[n, g]
-    (eigenstate g at grid point n, normalized under the lattice inner product
-    sum_n h * psi* phi): ``basis`` of H0, whose energies are ``model.energies``,
-    and ``full_basis`` of H = H0 + diag(v1), whose energies are ``full_energies``.
-    """
+    """Lattice spec, its compiled spectral model and the eigenbasis psi[n, g]
+    of H0 (eigenstate g at grid point n, normalized under the lattice inner
+    product sum_n h * psi* phi), whose energies are ``model.energies``."""
 
     spec: LatticeSpec
     model: SpectralModel
     basis: np.ndarray
-    full_energies: np.ndarray
-    full_basis: np.ndarray
+
+    @functools.cached_property
+    def full(self):
+        """psi[n, g] and the energies of H = H0 + diag(v1), from the oracle's
+        decomposition, taken once, on the first ``k_exact``."""
+        dec = hermitian_eigendecomposition(base_hamiltonian(self.spec) + np.diag(self.spec.v1))
+        return dec.vectors / np.sqrt(self.spec.h), dec.values
 
 
 def base_hamiltonian(spec: LatticeSpec) -> np.ndarray:
@@ -100,7 +104,7 @@ def base_hamiltonian(spec: LatticeSpec) -> np.ndarray:
 
 def build_lattice(spec: LatticeSpec) -> LatticeSystem:
     """Diagonalize the base Hamiltonian (``eigh``) and rotate the perturbing
-    potential into its eigenbasis; the oracle decomposes the full one.  A
+    potential into its eigenbasis; ``LatticeSystem.full`` decomposes the full one.  A
     v1 whose rotation could leave the float range raises ModelError first:
     no partial sum of the rotation passes M max|v1| max(1, 1/h).  A level
     past the float range raises Unresolved; eigh's basis is orthonormal."""
@@ -113,9 +117,7 @@ def build_lattice(spec: LatticeSpec) -> LatticeSystem:
         raise Unresolved("lattice eigenbasis", "a level of H0 is past the float range")
     basis = vectors / np.sqrt(spec.h)
     h1 = basis.conj().T @ (spec.v1[:, np.newaxis] * basis) * spec.h
-    model = SpectralModel(values, h1, label="lattice")
-    full = hermitian_eigendecomposition(h0 + np.diag(spec.v1))
-    return LatticeSystem(spec, model, basis, full.values, full.vectors / np.sqrt(spec.h))
+    return LatticeSystem(spec, SpectralModel(values, h1, label="lattice"), basis)
 
 
 def _endpoint(x, M: int):
@@ -150,7 +152,7 @@ def k0_amplitude(sys: LatticeSystem, xb, tb: float, xa, ta: float):
 
 def k_exact(sys: LatticeSystem, xb, tb: float, xa, ta: float):
     """Exact amplitude of the full lattice Hamiltonian (oracle eigensolve)."""
-    return _at(_evolve(sys.full_basis, sys.full_energies, tb - ta), xb, xa)
+    return _at(_evolve(*sys.full, tb - ta), xb, xa)
 
 
 def k_truncated_direct(sys: LatticeSystem, spec: TruncationSpec, xb, tb: float, xa, ta: float):

@@ -29,6 +29,10 @@ _TAYLOR_RTOL = 1e-18
 _TAYLOR_MAX_TERMS = 64
 # 1/k! for k <= _TAYLOR_MAX_TERMS, each correctly rounded
 _INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(_TAYLOR_MAX_TERMS + 1)])
+# a ``_phase_powers`` table's degree, the first k with 1/k! < _TAYLOR_RTOL, and (-i)^k / k!
+_TABLE_DEGREE = 20
+_DEGREES = np.arange(_TABLE_DEGREE + 1.0)
+_TAYLOR_ROW = np.resize([1, -1j, -1, 1j], _TABLE_DEGREE + 1) * _INV_FACTORIAL[: _TABLE_DEGREE + 1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -43,8 +47,25 @@ def _ps_table(p: int, q: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t m) for a square matrix m.
+def _phase_powers(m: np.ndarray):
+    """The table ``_phase_exp`` reads for every t of one m: its mean diagonal entry
+    mu, nu = ||m - mu||_1 and, read-only, B^0..B^20 of B = (m - mu) / nu (or 0)."""
+    n = m.shape[0]
+    mu = np.add.reduce(m.reshape(-1)[:: n + 1]) / n
+    b = m - mu * np.eye(n)
+    nu = float(np.abs(b).sum(axis=0).max())
+    table = np.empty((_TABLE_DEGREE + 1, n, n), dtype=complex)
+    table[0], table[1] = np.eye(n), b / (nu or 1.0)
+    for i in range(2, _TABLE_DEGREE + 1):
+        np.dot(table[i - 1], table[1], out=table[i])
+    table.flags.writeable = False
+    return mu, nu, table
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _phase_exp(m: np.ndarray, t: float, powers=None) -> np.ndarray:
+    """exp(-i t m) for a square matrix m, or for the m of the ``_phase_powers``
+    table ``powers``, which it reads in place of m.
 
     The mean diagonal entry is factored out first so the shifted matrix is
     small; the remainder b is scaled to 1-norm theta <= 1, its Taylor
@@ -56,57 +77,72 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
     coefficients from a 1/k! table in one product with them, and q - 1
     Horner steps in b^p.  With the last term (b^p)^q / (pq)! that is
     p + 2q - 3 products, 11 at k = 20, where a term-by-term sum takes k.
-    The sum is accepted when every entry of that last term is below
+    From a table, b = x B for a scalar x, and the sum of degree 20 is one
+    contraction of the row x^k / k! with the table's powers: no product.
+    The sum is accepted when every entry of the last term is below
     _TAYLOR_RTOL of the same entry of the sum, not of the largest entry:
     the entries wanted here, divided differences over many nodes and
     high-order series terms, can lie many orders below it.  When the test
     fails, as for the bidiagonal J of spaced nodes, whose corner starts at
-    term n - 1, the sum goes on term by term until it passes.  Raises
+    term n - 1, the sum goes on term by term in b until it passes.  Raises
     Unresolved once k reaches _TAYLOR_MAX_TERMS + max(0, n - 48), when theta
     is not finite or needs a scale 2^s, s >= 1024, and when the squarings
     overflow, which one finiteness test sees silently.
     """
-    n = m.shape[0]
+    if powers is None:
+        n = m.shape[0]
+        # ufunc reductions for trace(), sum() and max(), whose overhead exceeds the
+        # sums at these sizes; a is C-ordered, so its flat diagonal is a view
+        mu = np.add.reduce(m.reshape(-1)[:: n + 1]) / n
+        a = m.astype(complex, order="C")
+        a.reshape(-1)[:: n + 1] -= mu
+        a *= -1j * t
+        theta = float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=0)))
+    else:
+        mu, nu, table = powers
+        n, theta = table.shape[1], abs(t) * nu  # Python floats: inf with no warning
     max_terms = _TAYLOR_MAX_TERMS + max(0, n - 48)
-    # ufunc reductions for trace(), sum() and max(), whose overhead exceeds the
-    # sums at these sizes; a is C-ordered, so its flat diagonal is a view
-    mu = np.add.reduce(m.reshape(-1)[:: n + 1]) / n
-    a = m.astype(complex, order="C")
-    a.reshape(-1)[:: n + 1] -= mu
-    a *= -1j * t
-    theta = float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=0)))
     # the least s >= 0 with theta / 2^s <= 1
     mant, e = math.frexp(theta)
     s = 0 if theta <= 1.0 else e - 1 if mant == 0.5 else e
     if not math.isfinite(theta) or s >= 1024:
-        norm = float(np.abs(m - mu * np.eye(n)).sum(axis=0).max())
-        raise Unresolved("exp(-i t m)", f"|t| = {abs(t):.3e} times ||m - mu||_1 = {norm:.3e} "
+        if powers is None:
+            nu = float(np.abs(m - mu * np.eye(n)).sum(axis=0).max())
+        raise Unresolved("exp(-i t m)", f"|t| = {abs(t):.3e} times ||m - mu||_1 = {nu:.3e} "
                          "needs a scale 2^s with s >= 1024, past the float range")
     theta = math.ldexp(theta, -s)
-    bound, k = theta, 1
-    while bound >= _TAYLOR_RTOL and k < max_terms:
-        k += 1
-        bound *= theta / k
-    p = math.isqrt(k)
-    q = -(-k // p)
-    k = p * q
-    # powers[i] = b^i for i <= p
-    powers = np.zeros((p + 1, n, n), dtype=complex)
-    powers.reshape(p + 1, -1)[0, :: n + 1] = 1.0
-    np.multiply(a, 2.0**-s, out=powers[1])
-    for i in range(2, p + 1):
-        # ndarray.dot runs the same BLAS product as @ with less dispatch
-        np.dot(powers[i - 1], powers[1], out=powers[i])
-    # block j = sum over i < p of b^i / (jp + i)!, the last one with b^p / k! too
-    blocks = _ps_table(p, q).dot(powers.reshape(p + 1, n * n)).reshape(q, n, n)
-    top = powers[p]
-    f = blocks[-1]
-    for block in blocks[-2::-1]:
-        f = f.dot(top)
-        f += block
-    term = top * _INV_FACTORIAL[k]
-    for _ in range(q - 1):
-        term = term.dot(top)
+    if powers is None:
+        bound, k = theta, 1
+        while bound >= _TAYLOR_RTOL and k < max_terms:
+            k += 1
+            bound *= theta / k
+        p = math.isqrt(k)
+        q = -(-k // p)
+        k = p * q
+        # stack[i] = b^i for i <= p
+        stack = np.zeros((p + 1, n, n), dtype=complex)
+        stack.reshape(p + 1, -1)[0, :: n + 1] = 1.0
+        b = np.multiply(a, 2.0**-s, out=stack[1])
+        for i in range(2, p + 1):
+            # ndarray.dot runs the same BLAS product as @ with less dispatch
+            np.dot(stack[i - 1], b, out=stack[i])
+        # block j = sum over i < p of b^i / (jp + i)!, the last one with b^p / k! too
+        blocks = _ps_table(p, q).dot(stack.reshape(p + 1, n * n)).reshape(q, n, n)
+        top = stack[p]
+        f = blocks[-1]
+        for block in blocks[-2::-1]:
+            f = f.dot(top)
+            f += block
+        term = top * _INV_FACTORIAL[k]
+        for _ in range(q - 1):
+            term = term.dot(top)
+    else:
+        # x^k / k! for x = -i theta sign(t), a real power times an exact phase;
+        # the norm bound theta^20 / 20! is below _TAYLOR_RTOL at theta <= 1
+        k, bound = _TABLE_DEGREE, 0.0
+        coef = math.copysign(theta, t) ** _DEGREES * _TAYLOR_ROW
+        f = coef.dot(table.reshape(k + 1, n * n)).reshape(n, n)
+        term, b = table[k] * coef[k], table[1] * coef[1]
     while bound >= _TAYLOR_RTOL or np.count_nonzero(abs(term) <= _TAYLOR_RTOL * abs(f)) < f.size:
         if k >= max_terms:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -116,7 +152,7 @@ def _phase_exp(m: np.ndarray, t: float) -> np.ndarray:
                 f"worst entry ratio |term| / |sum| = {ratio.max():.3e} > {_TAYLOR_RTOL:.0e}"
             )
         k += 1
-        term = term.dot(powers[1]) / k
+        term = term.dot(b) / k
         f += term
     for _ in range(s):
         f = f.dot(f)

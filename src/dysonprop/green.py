@@ -22,8 +22,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .model import (_MAX_ENTRIES, OperatorMatrix, SpectralModel, Unresolved, _check_eps,
                     _check_phase, _count, hamiltonian)
+from .divdiff import _TABLE_DEGREE, _phase_powers
 from .oracle import linear_solve
-from .propagator import TruncationSpec, _order, normalize_sign, truncated_evolution
+from .propagator import TruncationSpec, _block_matrix, _order, normalize_sign, truncated_evolution
 
 _RESIDUAL_TOL = 1e-10
 _DAMPING_TOL = 1e-8
@@ -132,14 +133,14 @@ def _gated_on(tau: float, sgn: int) -> bool:
 
 
 def timedep_green(
-    model: SpectralModel, spec: TruncationSpec, t: float, tp: float, sign
+    model: SpectralModel, spec: TruncationSpec, t: float, tp: float, sign, *, powers=None
 ) -> OperatorMatrix:
     """Step-function-gated truncated evolution: -+ i * theta(+-(t-t')) U_N(t-t')."""
     sgn = normalize_sign(sign)
     tau = t - tp
     if not _gated_on(tau, sgn):
         return OperatorMatrix(np.zeros((model.dim, model.dim), dtype=complex))
-    g = truncated_evolution(model, spec, tau)
+    g = truncated_evolution(model, spec, tau, powers=powers)
     g.entries *= -1j * sgn  # in place: g is this call's own, already checked
     return g
 
@@ -163,7 +164,9 @@ def inverse_fourier_check(
     refuses.  The nodes are
     ``_panel_rule``'s with the whole domain (0, T) as its bound: ``quad.npoints``
     nodes on equal panels, one ``timedep_green`` call each, whose
-    ``truncated_evolution`` call the benchmark counts per node.  The factors
+    ``truncated_evolution`` call the benchmark counts per node, all from one
+    Taylor power table per order l = 2..N (``divdiff._phase_powers``); an N
+    whose tables pass _MAX_ENTRIES is refused before any is built.  The factors
     w e^{(+-iE - eps) tau} are taken for all nodes at once, and each block of
     _BLOCK_ENTRIES / d^2 evaluations is summed by one fixed-order einsum.
     """
@@ -186,11 +189,16 @@ def inverse_fourier_check(
             _check_phase(tau, model.energies.tolist())
         raise
     factors = w * np.exp((1j * sgn * E - eps) * taus)
-    d, step = model.dim, _block(model.dim)
+    d, step, N = model.dim, _block(model.dim), _order(spec)
+    # in ints, the tables' sum over l = 2..N of (K + 1) ((l + 1) d)^2 entries
+    if (_TABLE_DEGREE + 1) * d * d * ((N + 1) * (N + 2) * (2 * N + 3) // 6 - 5) > _MAX_ENTRIES:
+        raise Unresolved("inverse Fourier check", f"order N = {N} puts its Taylor power "
+                         f"tables past {_MAX_ENTRIES} entries")
+    powers = [None, None, *(_phase_powers(_block_matrix(model, l)) for l in range(2, N + 1))]
     total = np.zeros((d, d), dtype=complex)
     for s in range(0, len(taus), step):
         # sign '-' integrates over tau < 0; mirror the node onto (0, T)
-        g = np.array([timedep_green(model, spec, sgn * tau, 0.0, sgn).entries
+        g = np.array([timedep_green(model, spec, sgn * tau, 0.0, sgn, powers=powers).entries
                       for tau in taus[s:s + step].tolist()])
         total += np.einsum("n,nij->ij", factors[s:s + step], g)
     return OperatorMatrix(total)

@@ -89,14 +89,25 @@ def a_coefficient(model: SpectralModel, l: int, g: int, gp: int, t: float) -> co
     return complex(total)
 
 
-def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
+def _block_matrix(model: SpectralModel, l: int) -> np.ndarray:
+    """The (l+1)d x (l+1)d block matrix M of ``a_matrix``."""
+    d = model.dim
+    n = (l + 1) * d
+    m = np.zeros((n, n), dtype=complex)
+    m.flat[:: n + 1] = model.energies  # a flat assignment repeats E down all l + 1 blocks
+    for k in range(l):
+        m[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = model.h1
+    return m
+
+
+def a_matrix(model: SpectralModel, l: int, t: float, *, powers=None) -> OperatorMatrix:
     """Order-l series term as a matrix in the unperturbed eigenbasis.
 
     a_0 = diag(e^{-iEt}).  a_1 = H1 * F entrywise, F[a, b] = f[E_a, E_b] =
     -it e^{-i(E_a+E_b)t/2} sin(delta)/delta with delta = (E_a - E_b)t/2: the
     2 x 2 case of the exponential below in closed form, with no difference of
     phases to cancel where levels coincide.  For l >= 2, block (0, l) of
-    e^{-iMt} for the (l+1)d x (l+1)d block matrix
+    e^{-iMt} for the (l+1)d x (l+1)d block matrix (``_block_matrix``)
 
         M = | H0  H1          |
             |     H0  ...     |
@@ -106,8 +117,10 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     Every path from block 0 to block l through M crosses the H1 blocks of
     one index tuple and picks up the divided difference of its energies, so
     one scaling-and-squaring exponential replaces the d^(l+1) tuples of the
-    sum, at O(((l+1)d)^3) cost per Taylor term or squaring.  At every order,
-    |t| max|E| >= 1/eps_mach (eps_mach = 2^-52) raises Unresolved, by
+    sum, at O(((l+1)d)^3) cost per Taylor term or squaring; a sequence
+    ``powers`` gives at l the ``divdiff._phase_powers`` table of M to read
+    instead.  At every order, |t| max|E| >= 1/eps_mach (eps_mach = 2^-52)
+    raises Unresolved, by
     ``model._check_phase``: the phases e^{-iEt} then keep no correct bit.
     """
     l = _count(l, 0, "order must be a nonnegative integer")
@@ -120,21 +133,22 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
         y = np.pi * (half / np.pi * (e[:, None] - e))
         y = np.where(y, y, _EPS_MACH)
         return OperatorMatrix(model.h1 * phase * (np.sin(y) / y))
-    n = (l + 1) * d
-    m = np.zeros((n, n), dtype=complex)
     if l == 0:
-        m.flat[:: n + 1] = np.exp(-1j * e * t)
+        m = np.zeros((d, d), dtype=complex)
+        m.flat[:: d + 1] = np.exp(-1j * e * t)
         return OperatorMatrix(m)
-    m.flat[:: n + 1] = e  # a flat assignment repeats e down all l + 1 blocks
-    for k in range(l):
-        m[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = model.h1
-    return OperatorMatrix(_phase_exp(m, t)[:d, l * d :].copy())
+    if powers is None:
+        return OperatorMatrix(_phase_exp(_block_matrix(model, l), t)[:d, l * d :].copy())
+    return OperatorMatrix(_phase_exp(None, t, powers[l])[:d, l * d :].copy())
 
 
-def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float) -> OperatorMatrix:
+def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float, *,
+                        powers=None) -> OperatorMatrix:
     """Partial sum of the series through order spec.N (a TruncationSpec or an
-    int); ``sum`` starts from 0, so a signed zero sums as from a zero matrix."""
-    return OperatorMatrix(sum(a_matrix(model, l, t).entries for l in range(_order(spec) + 1)))
+    int), each term from ``powers`` as in ``a_matrix``; ``sum`` starts from 0,
+    so a signed zero sums as from a zero matrix."""
+    return OperatorMatrix(sum(a_matrix(model, l, t, powers=powers).entries
+                              for l in range(_order(spec) + 1)))
 
 
 def _graded_chains(model: SpectralModel, spec: TruncationSpec, eps, sgn: int):

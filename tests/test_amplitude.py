@@ -406,23 +406,32 @@ def test_relation_for_all_pairs_forms_no_kernel_array():
 
 
 def test_lattice_system_is_frozen():
+    # its fields and the oracle's decomposition, before and after it is taken
     sys_ = build_lattice(well_spec(0.2))
-    with pytest.raises(AttributeError):
-        sys_.full_energies = sys_.model.energies
+    for _ in range(2):
+        for name in ("model", "basis", "full"):
+            with pytest.raises(AttributeError):
+                setattr(sys_, name, None)
+        k_exact(sys_, 0, 1.0, 0, 0.0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.2])
-def test_build_lattice_decomposes_h0_plus_v1_once_with_the_oracle(monkeypatch, lam):
+def test_k_exact_decomposes_h0_plus_v1_once_with_the_oracle(monkeypatch, lam):
     # H0's basis comes from eigh; the oracle decomposes H = H0 + diag(v1)
-    # itself, also for a free lattice, and never H0 alone
+    # itself, also for a free lattice, and never H0 alone: on the first
+    # k_exact, not in build_lattice, and once for all later calls
     calls = []
     real = amplitude.hermitian_eigendecomposition
     monkeypatch.setattr(amplitude, "hermitian_eigendecomposition",
                         lambda a: calls.append(a) or real(a))
     spec = well_spec(lam)
-    build_lattice(spec)
+    sys_ = build_lattice(spec)
+    assert not calls
+    first = k_exact(sys_, EVERY, 1.0, EVERY, 0.0)
     assert len(calls) == 1
     assert np.array_equal(calls[0], amplitude.base_hamiltonian(spec) + np.diag(spec.v1))
+    assert np.array_equal(k_exact(sys_, EVERY, 1.0, EVERY, 0.0), first)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("m", [6, 12, 48])
@@ -438,8 +447,8 @@ def test_eigh_levels_match_the_jacobi_levels(m):
 
 def test_free_lattice_full_basis_equals_a_second_solve():
     spec = well_spec(0.0)
-    sys_ = build_lattice(spec)
+    basis, energies = build_lattice(spec).full
     full = amplitude.hermitian_eigendecomposition(
         amplitude.base_hamiltonian(spec) + np.diag(spec.v1))
-    assert np.array_equal(sys_.full_energies, full.values)
-    assert np.array_equal(sys_.full_basis, full.vectors / np.sqrt(spec.h))
+    assert np.array_equal(energies, full.values)
+    assert np.array_equal(basis, full.vectors / np.sqrt(spec.h))

@@ -295,11 +295,34 @@ def test_phase_exp_bitwise_equals_every_term_stop_test(name):
     # exactly where the loop's entry is 0 (the worst on this grid is 5.5e-12,
     # block-d7).  A sum accepted on the norm bound alone misses the corner
     # terms of spaced and paired nodes from n = 6 on, by 1e-9 of the entry
-    # up to all of it
+    # up to all of it.  The sum read off a ``_phase_powers`` table, of degree
+    # 20, keeps the same test and the same bound
     m = _STOP_RULE_MATRICES[name]
+    table = divdiff._phase_powers(m)
     for t in _STOP_RULE_TIMES:
-        got, want = _phase_exp(m, t), reference_phase_exp(m, t)
+        want = reference_phase_exp(m, t)
+        for got in (_phase_exp(m, t), _phase_exp(None, t, table)):
+            assert (abs(got - want) <= 1e-10 * abs(want)).all(), t
+
+
+@pytest.mark.parametrize("pair", [1, 2])
+def test_phase_exp_from_a_table_sums_on_past_its_degree(pair):
+    # the corners of 24 spaced or paired nodes start at term 23, past the
+    # table's degree 20, so the entrywise test fails there and the sum goes on
+    # term by term, to within 1e-10 of the loop's every entry.  Up to |t| = 20:
+    # at 40 and 80 the squarings of these sorted nodes take their corners up
+    # to 3e-7 off the loop's on either path (the table's or the products')
+    m = _node_bidiagonal([0.11 * (k // pair) for k in range(24)])
+    table = divdiff._phase_powers(m)
+    for t in [t for t in _STOP_RULE_TIMES if abs(t) <= 20.0]:
+        got, want = _phase_exp(None, t, table), reference_phase_exp(m, t)
         assert (abs(got - want) <= 1e-10 * abs(want)).all(), t
+
+
+def _refusal(m, t, table):
+    with pytest.raises(Unresolved) as err:
+        _phase_exp(m, t, table)
+    return str(err.value)
 
 
 def test_phase_exp_raises_at_the_term_cap(monkeypatch):
@@ -320,6 +343,8 @@ def test_phase_exp_refuses_an_unrepresentable_scale(nodes, t):
     with pytest.raises(Unresolved, match=r"^exp\(-i t m\) cannot be resolved: \|t\| = \S+ "
                                          r"times \|\|m - mu\|\|_1 = \S+ needs a scale 2\^s"):
         _phase_exp(j, t)
+    # from a table of j, with no j to read, in the same words
+    assert _refusal(None, t, divdiff._phase_powers(j)) == _refusal(j, t, None)
 
 
 def test_phase_exp_refuses_squarings_past_the_float_range():
@@ -329,6 +354,8 @@ def test_phase_exp_refuses_squarings_past_the_float_range():
     with pytest.raises(Unresolved, match=r"^exp\(-i t m\) cannot be resolved: \|t\| = 1\.000e\+300 "
                                          r"squares past the float range"):
         dd_phase([0.0, 0.0, 0.0], 1e300)
+    j = _node_bidiagonal([0.0, 0.0, 0.0])
+    assert _refusal(None, 1e300, divdiff._phase_powers(j)) == _refusal(j, 1e300, None)
 
 
 def _spread_nodes(kind, n, seed):

@@ -147,6 +147,59 @@ def test_inverse_fourier_matches_dyson_partial():
             assert np.max(np.abs(lhs - ref)) <= 1e-12, (model.dim, T, sign)
 
 
+def test_inverse_check_builds_one_table_per_order_for_every_node(monkeypatch):
+    # orders 2 and 3 of N = 3 each get one Taylor power table, of their own
+    # block matrix, per call; every node still makes one truncated_evolution
+    # call, and all of them read those same tables
+    tables, seen = [], []
+    real_build, real_evolution = green._phase_powers, green.truncated_evolution
+
+    def build(m):
+        tables.append((m, real_build(m)))
+        return tables[-1][1]
+
+    def evolution(model, spec, t, *, powers=None):
+        seen.append(powers)
+        return real_evolution(model, spec, t, powers=powers)
+
+    monkeypatch.setattr(green, "_phase_powers", build)
+    monkeypatch.setattr(green, "truncated_evolution", evolution)
+    m = random_model(3, 2, 0.3)
+    for sign in (+1, -1):
+        tables.clear()
+        seen.clear()
+        inverse_fourier_check(m, TruncationSpec(3), 0.37, sign, 0.3,
+                              QuadratureSpec((0.0, 80.0), 90))
+        assert len(seen) == 90 and len(tables) == 2
+        for l, (block, _) in enumerate(tables, start=2):
+            assert block.shape == ((l + 1) * 3,) * 2
+            assert np.array_equal(block[:3, 3:6], m.h1)
+        built = [table for _, table in tables]
+        assert all(len(p) == 4 and p[:2] == [None, None] and p[2] is built[0]
+                   and p[3] is built[1] for p in seen)
+
+
+@pytest.mark.parametrize("N, refused", [(82, False), (83, True), (4000, True)])
+def test_inverse_check_refuses_tables_past_the_entry_bound(N, refused, monkeypatch):
+    # sum over l = 2..N of 21 ((l + 1) d)^2 at d = 2 is 16 300 116 entries at
+    # N = 82 and 16 892 820 at N = 83, past 2^24: refused, naming the order,
+    # before any table or node
+    class Built(Exception):
+        pass
+
+    def build(m):
+        raise Built
+
+    monkeypatch.setattr(green, "_phase_powers", build)
+    args = (two_level_model(1.0, 0.3), TruncationSpec(N), 0.37, "+", 0.3,
+            QuadratureSpec((0.0, 80.0), 250))
+    with pytest.raises(Unresolved if refused else Built) as err:
+        inverse_fourier_check(*args)
+    if refused:
+        assert str(err.value) == (f"inverse Fourier check cannot be resolved: order N = {N} puts "
+                                  "its Taylor power tables past 16777216 entries")
+
+
 def test_inverse_rule_has_npoints_nodes_on_tables_of_at_most_32(monkeypatch):
     sizes = []
 

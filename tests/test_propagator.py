@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dysonprop import propagator
+from dysonprop import divdiff, propagator
 from dysonprop.cli import _EPS_LADDER
 from dysonprop.divdiff import _phase_exp
 from dysonprop.green import ResolventQuery, dyson_partial
@@ -177,6 +177,50 @@ def test_a_matrix_against_mpmath(d, seed, l, half_phase, sign, lam, kind):
     want = mp_a_matrix(m, l, t)
     err = np.max(np.abs(a_matrix(m, l, t).entries - want)) / np.max(np.abs(want))
     assert err <= A_MATRIX_C * max(1.0, abs(t) * norm) * np.finfo(float).eps / 2
+
+
+def _table(m, l):
+    # the inverse check's table: None at orders 0 and 1, then one per order
+    return [None, None, *(divdiff._phase_powers(propagator._block_matrix(m, k))
+                          for k in range(2, l + 1))]
+
+
+_TABLE_CASES = {
+    # the inverse check's node times on its two-level and d = 6 models
+    **{f"two-level-{t}": (two_level_model(1.0, 0.3), 2, t) for t in (50.3, 177.4, 199.9)},
+    "d6-161.2": (random_model(6, 5, 0.3), 2, 161.2),
+    # levels 0 and 1 coincide
+    "coincident": (SpectralModel([0.2, 0.2, 0.9], random_model(3, 4, 0.5).h1), 3, 77.7),
+    # a free model, whose terms vanish
+    "h1-zero": (SpectralModel([0.2, 0.5, 0.9], np.zeros((3, 3))), 2, 123.4),
+    # one level: block (0, 24) starts at power 24, past the table's degree
+    # 20, so the sum goes on term by term to it
+    "one-level-l24": (SpectralModel([0.7], [[0.3]]), 24, 50.3),
+}
+
+
+@pytest.mark.parametrize("case", _TABLE_CASES)
+def test_a_matrix_from_a_table_against_mpmath(case):
+    m, l, t = _TABLE_CASES[case]
+    _, norm = _block_matrix(m, l)
+    for tt in (t, -t):
+        got = a_matrix(m, l, tt, powers=_table(m, l)).entries
+        want = mp_a_matrix(m, l, tt)
+        if not want.any():
+            assert not got.any()
+            continue
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= A_MATRIX_C * max(1.0, abs(tt) * norm) * np.finfo(float).eps / 2
+
+
+def test_table_sum_runs_on_term_by_term_past_its_degree(monkeypatch):
+    # capped at the table's 20 terms, the one-level l = 24 term refuses with
+    # the cap's text, which only a failed entrywise test at k = 20 reaches:
+    # uncapped, the sum goes on term by term from there
+    m, l, t = _TABLE_CASES["one-level-l24"]
+    monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 20)
+    with pytest.raises(Unresolved, match=r"did not converge in 20 terms: worst entry ratio"):
+        a_matrix(m, l, t, powers=_table(m, l))
 
 
 def _no_exponential(*args):
