@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -175,6 +176,7 @@ def _print_summary(report: Report):
 # commands
 
 _IDENTITY_POOL = (-10, -7, -5, -4, -3, -2, -1, 1, 2, 4, 6, 10)
+_IDENTITY_CASES = 500  # the cases identity-check's case_count requires
 
 
 def cmd_identity_check(opts) -> Report:
@@ -187,7 +189,8 @@ def cmd_identity_check(opts) -> Report:
         _at_most("exact_identities", sum(not ok for _, ok, _ in cases), 0.5),
         # distinct pool integers: every combination's nodes are >= 1 apart
         _at_most("float_dev_min_gap_1", max(dev for _, _, dev in cases), opts.tol),
-        SummaryItem("case_count", float(len(cases)), 500.0, len(cases) >= 500),
+        SummaryItem("case_count", float(len(cases)), float(_IDENTITY_CASES),
+                    len(cases) >= _IDENTITY_CASES),
     ]
     params = {"max_nodes": opts.max_nodes, "tol": opts.tol,
               "pool": " ".join(str(x) for x in _IDENTITY_POOL)}
@@ -441,12 +444,22 @@ _finite_float = _checked("_finite_float", float, _FINITE)
 _positive_float = _checked("_positive_float", float, _FINITE, (lambda v: v > 0, "> 0"))
 
 
+def _max_nodes(text: str) -> int:
+    """identity-check's --max-nodes: a positive int whose identity cases reach _IDENTITY_CASES."""
+    v = _positive_int(text)
+    cases = sum(math.comb(len(_IDENTITY_POOL), n) for n in range(1, v + 1))
+    if cases < _IDENTITY_CASES:
+        raise argparse.ArgumentTypeError(f"{v} gives {cases} identity cases, "
+                                         f"{_IDENTITY_CASES - cases} short of {_IDENTITY_CASES}")
+    return v
+
+
 #: command -> (handler, help line, flags); a flag is (name, type or a tuple
 #: of choices, default).  Every command also takes --format and --out.
 _COMMANDS = {
     "identity-check": (
         cmd_identity_check, "exact divided-difference identities over integer nodes",
-        [("--max-nodes", _positive_int, 6), ("--tol", _positive_float, 1e-12)]),
+        [("--max-nodes", _max_nodes, 6), ("--tol", _positive_float, 1e-12)]),
     "propagate": (cmd_propagate, "series terms vs quadrature oracle; resolvent-form check", [
         ("--model", None, None), ("--dim", _nonnegative_int, 3),
         ("--seed", _nonnegative_int, 7), ("--lambda", _positive_float, 0.2),

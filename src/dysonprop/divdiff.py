@@ -17,7 +17,6 @@ cancels catastrophically, and it is the same routine the series terms of
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -29,37 +28,41 @@ _TAYLOR_RTOL = 1e-18
 _TAYLOR_MAX_TERMS = 64
 # 1/k! for k <= _TAYLOR_MAX_TERMS, each correctly rounded
 _INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(_TAYLOR_MAX_TERMS + 1)])
-# a ``_phase_powers`` table's degree, the first k with 1/k! < _TAYLOR_RTOL, and (-i)^k / k!
-_TABLE_DEGREE = 20
-_DEGREES = np.arange(_TABLE_DEGREE + 1.0)
-_TAYLOR_ROW = np.resize([1, -1j, -1, 1j], _TABLE_DEGREE + 1) * _INV_FACTORIAL[: _TABLE_DEGREE + 1]
+# the Taylor degree, the first k with 1/k! < _TAYLOR_RTOL, so that the norm bound
+# theta^k / k! holds at every theta <= 1, as p q for Paterson-Stockmeyer, and its
+# coefficients, complex as the powers: 1/(jp + i)! at (j, i < p), 1/(pq)! at (q - 1, p)
+_DEGREE, _P, _Q = 20, 4, 5
+_PS_COEF = np.zeros((_Q, _P + 1), dtype=complex)
+_PS_COEF[:, :_P] = _INV_FACTORIAL[:_DEGREE].reshape(_Q, _P)
+_PS_COEF[-1, _P] = _INV_FACTORIAL[_DEGREE]
+# k and (-i)^k / k! for k <= _DEGREE, the row a ``_phase_powers`` table is read with
+_DEGREES = np.arange(_DEGREE + 1.0)
+_TAYLOR_ROW = np.resize([1, -1j, -1, 1j], _DEGREE + 1) * _INV_FACTORIAL[: _DEGREE + 1]
 
 
-@functools.lru_cache(maxsize=64)
-def _ps_table(p: int, q: int) -> np.ndarray:
-    """Row j holds 1/(jp + i)! at column i < p, the last row 1/(pq)! at column p
-    too: read-only, complex as the product with the powers casts it, once per (p, q)."""
-    coef = np.zeros((q, p + 1), dtype=complex)
-    coef[:, :p] = _INV_FACTORIAL[: p * q].reshape(q, p)
-    coef[-1, p] = _INV_FACTORIAL[p * q]
-    coef.flags.writeable = False
-    return coef
+def _shifted(m: np.ndarray):
+    """mu, the mean diagonal entry of the square m; m - mu, a C-ordered complex
+    copy; and nu = ||m - mu||_1."""
+    n = m.shape[0]
+    # ufunc reductions for trace(), sum() and max(), whose overhead exceeds the
+    # sums at these sizes; a is C-ordered, so its flat diagonal is a view
+    mu = np.add.reduce(m.reshape(-1)[:: n + 1]) / n
+    a = m.astype(complex, order="C")
+    a.reshape(-1)[:: n + 1] -= mu
+    return mu, a, float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=0)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _phase_powers(m: np.ndarray):
-    """The table ``_phase_exp`` reads for every t of one m: its mean diagonal entry
-    mu, nu = ||m - mu||_1 and, read-only, B^0..B^20 of B = (m - mu) / nu (or 0)."""
-    n = m.shape[0]
-    mu = np.add.reduce(m.reshape(-1)[:: n + 1]) / n
-    b = m - mu * np.eye(n)
-    nu = float(np.abs(b).sum(axis=0).max())
-    table = np.empty((_TABLE_DEGREE + 1, n, n), dtype=complex)
-    table[0], table[1] = np.eye(n), b / (nu or 1.0)
-    for i in range(2, _TABLE_DEGREE + 1):
+    """``_shifted(m)`` with m - mu replaced by B^0..B^20 of B = (m - mu) / nu (or 0),
+    read-only: the table ``_phase_exp`` reads for every t of one m."""
+    mu, b, nu = _shifted(m)
+    table = np.empty((_DEGREE + 1, *b.shape), dtype=complex)
+    table[0], table[1] = np.eye(len(b)), b / (nu or 1.0)
+    for i in range(2, _DEGREE + 1):
         np.dot(table[i - 1], table[1], out=table[i])
     table.flags.writeable = False
-    return mu, nu, table
+    return mu, table, nu
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -67,84 +70,58 @@ def _phase_exp(m: np.ndarray, t: float, powers=None) -> np.ndarray:
     """exp(-i t m) for a square matrix m, or for the m of the ``_phase_powers``
     table ``powers``, which it reads in place of m.
 
-    The mean diagonal entry is factored out first so the shifted matrix is
-    small; the remainder b is scaled to 1-norm theta <= 1, its Taylor
-    polynomial summed and squared back up.  The degree is the first k at
-    which the norm bound theta^k / k! of term k is below _TAYLOR_RTOL (at
-    most 20), rounded up to p q with p = isqrt(k), q = ceil(k / p).  The
-    polynomial is evaluated in Paterson-Stockmeyer form (SIAM J. Comput. 2
-    (1973) 60): the powers I, b, ..., b^p once, the q blocks of p
-    coefficients from a 1/k! table in one product with them, and q - 1
-    Horner steps in b^p.  With the last term (b^p)^q / (pq)! that is
-    p + 2q - 3 products, 11 at k = 20, where a term-by-term sum takes k.
-    From a table, b = x B for a scalar x, and the sum of degree 20 is one
-    contraction of the row x^k / k! with the table's powers: no product.
-    The sum is accepted when every entry of the last term is below
-    _TAYLOR_RTOL of the same entry of the sum, not of the largest entry:
-    the entries wanted here, divided differences over many nodes and
-    high-order series terms, can lie many orders below it.  When the test
-    fails, as for the bidiagonal J of spaced nodes, whose corner starts at
-    term n - 1, the sum goes on term by term in b until it passes.  Raises
+    With mu and nu = ||m - mu||_1 from ``_shifted``, b = -i t (m - mu) is
+    scaled to 1-norm theta = |t| nu / 2^s <= 1, its Taylor polynomial of
+    degree _DEGREE summed and squared back up s times.  Without a table the
+    sum takes Paterson-Stockmeyer form (SIAM J. Comput. 2 (1973) 60): the
+    powers b^0..b^p once, q blocks of p coefficients in one product with
+    them and q - 1 Horner steps in b^p, 11 products with the last term
+    (b^p)^q / 20!, where a term-by-term sum takes 20.  From a table, b = x B
+    for a scalar x, and the sum is one contraction of the row x^k / k! with
+    the table.  The sum is accepted when every entry of the last term is
+    below _TAYLOR_RTOL of the same entry of the sum, not of the largest
+    entry: divided differences over many nodes and high-order series terms
+    can lie many orders below it.  Otherwise, as for the J of spaced nodes,
+    whose corner starts at term n - 1, it goes on term by term in b.  Raises
     Unresolved once k reaches _TAYLOR_MAX_TERMS + max(0, n - 48), when theta
     is not finite or needs a scale 2^s, s >= 1024, and when the squarings
     overflow, which one finiteness test sees silently.
     """
-    if powers is None:
-        n = m.shape[0]
-        # ufunc reductions for trace(), sum() and max(), whose overhead exceeds the
-        # sums at these sizes; a is C-ordered, so its flat diagonal is a view
-        mu = np.add.reduce(m.reshape(-1)[:: n + 1]) / n
-        a = m.astype(complex, order="C")
-        a.reshape(-1)[:: n + 1] -= mu
-        a *= -1j * t
-        theta = float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=0)))
-    else:
-        mu, nu, table = powers
-        n, theta = table.shape[1], abs(t) * nu  # Python floats: inf with no warning
-    max_terms = _TAYLOR_MAX_TERMS + max(0, n - 48)
+    mu, a, nu = powers or _shifted(m)  # a: m - mu, or a table's B^0..B^20
+    n, theta = a.shape[-1], abs(t) * nu  # Python floats: inf with no warning
     # the least s >= 0 with theta / 2^s <= 1
     mant, e = math.frexp(theta)
     s = 0 if theta <= 1.0 else e - 1 if mant == 0.5 else e
     if not math.isfinite(theta) or s >= 1024:
-        if powers is None:
-            nu = float(np.abs(m - mu * np.eye(n)).sum(axis=0).max())
         raise Unresolved("exp(-i t m)", f"|t| = {abs(t):.3e} times ||m - mu||_1 = {nu:.3e} "
                          "needs a scale 2^s with s >= 1024, past the float range")
-    theta = math.ldexp(theta, -s)
+    k = _DEGREE
     if powers is None:
-        bound, k = theta, 1
-        while bound >= _TAYLOR_RTOL and k < max_terms:
-            k += 1
-            bound *= theta / k
-        p = math.isqrt(k)
-        q = -(-k // p)
-        k = p * q
         # stack[i] = b^i for i <= p
-        stack = np.zeros((p + 1, n, n), dtype=complex)
-        stack.reshape(p + 1, -1)[0, :: n + 1] = 1.0
+        stack = np.zeros((_P + 1, n, n), dtype=complex)
+        stack.reshape(_P + 1, -1)[0, :: n + 1] = 1.0
+        a *= -1j * t
         b = np.multiply(a, 2.0**-s, out=stack[1])
-        for i in range(2, p + 1):
+        for i in range(2, _P + 1):
             # ndarray.dot runs the same BLAS product as @ with less dispatch
             np.dot(stack[i - 1], b, out=stack[i])
-        # block j = sum over i < p of b^i / (jp + i)!, the last one with b^p / k! too
-        blocks = _ps_table(p, q).dot(stack.reshape(p + 1, n * n)).reshape(q, n, n)
-        top = stack[p]
+        # block j = sum over i < p of b^i / (jp + i)!, the last one with b^p / 20! too
+        blocks = _PS_COEF.dot(stack.reshape(_P + 1, n * n)).reshape(_Q, n, n)
+        top = stack[_P]
         f = blocks[-1]
         for block in blocks[-2::-1]:
             f = f.dot(top)
             f += block
         term = top * _INV_FACTORIAL[k]
-        for _ in range(q - 1):
+        for _ in range(_Q - 1):
             term = term.dot(top)
     else:
-        # x^k / k! for x = -i theta sign(t), a real power times an exact phase;
-        # the norm bound theta^20 / 20! is below _TAYLOR_RTOL at theta <= 1
-        k, bound = _TABLE_DEGREE, 0.0
-        coef = math.copysign(theta, t) ** _DEGREES * _TAYLOR_ROW
-        f = coef.dot(table.reshape(k + 1, n * n)).reshape(n, n)
-        term, b = table[k] * coef[k], table[1] * coef[1]
-    while bound >= _TAYLOR_RTOL or np.count_nonzero(abs(term) <= _TAYLOR_RTOL * abs(f)) < f.size:
-        if k >= max_terms:
+        # x^k / k! for x = -i sign(t) theta / 2^s, a real power times an exact phase
+        coef = math.copysign(math.ldexp(theta, -s), t) ** _DEGREES * _TAYLOR_ROW
+        f = coef.dot(a.reshape(k + 1, n * n)).reshape(n, n)
+        term, b = a[k] * coef[k], a[1] * coef[1]
+    while np.count_nonzero(abs(term) <= _TAYLOR_RTOL * abs(f)) < f.size:
+        if k >= _TAYLOR_MAX_TERMS + max(0, n - 48):
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(term == 0, 0.0, abs(term) / abs(f))
             raise Unresolved(

@@ -22,9 +22,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .model import (_MAX_ENTRIES, OperatorMatrix, SpectralModel, Unresolved, _check_eps,
                     _check_phase, _count, hamiltonian)
-from .divdiff import _TABLE_DEGREE, _phase_powers
 from .oracle import linear_solve
-from .propagator import TruncationSpec, _block_matrix, _order, normalize_sign, truncated_evolution
+from .propagator import TruncationSpec, _order, _power_tables, normalize_sign, truncated_evolution
 
 _RESIDUAL_TOL = 1e-10
 _DAMPING_TOL = 1e-8
@@ -161,14 +160,14 @@ def inverse_fourier_check(
     An eps that is not positive leaves no damping (Unresolved); inf is refused,
     and so are an eps*T that overflows and an E whose phases e^{iE tau} over
     (0, T) keep no bit, before any node, unless a node's own level rule
-    refuses.  The nodes are
-    ``_panel_rule``'s with the whole domain (0, T) as its bound: ``quad.npoints``
-    nodes on equal panels, one ``timedep_green`` call each, whose
-    ``truncated_evolution`` call the benchmark counts per node, all from one
-    Taylor power table per order l = 2..N (``divdiff._phase_powers``); an N
-    whose tables pass _MAX_ENTRIES is refused before any is built.  The factors
-    w e^{(+-iE - eps) tau} are taken for all nodes at once, and each block of
-    _BLOCK_ENTRIES / d^2 evaluations is summed by one fixed-order einsum.
+    refuses.  The nodes are ``_panel_rule``'s with the whole domain (0, T) as
+    its bound: ``quad.npoints`` nodes on equal panels, one ``timedep_green``
+    call each, whose ``truncated_evolution`` call the benchmark counts per
+    node, all from one Taylor power table per order l = 2..N
+    (``propagator._power_tables``, which refuses an N whose tables pass
+    _MAX_ENTRIES before any is built).  The factors w e^{(+-iE - eps) tau}
+    are taken for all nodes at once, and each block of _BLOCK_ENTRIES / d^2
+    evaluations is summed by one fixed-order einsum.
     """
     sgn = normalize_sign(sign)
     a, b = quad.domain
@@ -189,12 +188,8 @@ def inverse_fourier_check(
             _check_phase(tau, model.energies.tolist())
         raise
     factors = w * np.exp((1j * sgn * E - eps) * taus)
-    d, step, N = model.dim, _block(model.dim), _order(spec)
-    # in ints, the tables' sum over l = 2..N of (K + 1) ((l + 1) d)^2 entries
-    if (_TABLE_DEGREE + 1) * d * d * ((N + 1) * (N + 2) * (2 * N + 3) // 6 - 5) > _MAX_ENTRIES:
-        raise Unresolved("inverse Fourier check", f"order N = {N} puts its Taylor power "
-                         f"tables past {_MAX_ENTRIES} entries")
-    powers = [None, None, *(_phase_powers(_block_matrix(model, l)) for l in range(2, N + 1))]
+    d, step = model.dim, _block(model.dim)
+    powers = _power_tables(model, _order(spec))
     total = np.zeros((d, d), dtype=complex)
     for s in range(0, len(taus), step):
         # sign '-' integrates over tau < 0; mirror the node onto (0, T)

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import _phase_exp, dd_phase
-from .model import OperatorMatrix, SpectralModel, Unresolved, _check_eps, _check_phase, _count
+from .divdiff import _DEGREE, _phase_exp, _phase_powers, dd_phase
+from .model import (_MAX_ENTRIES, OperatorMatrix, SpectralModel, Unresolved, _check_eps,
+                    _check_phase, _count)
 
 _EPS_MACH = float(np.finfo(float).eps)
 
@@ -100,6 +101,17 @@ def _block_matrix(model: SpectralModel, l: int) -> np.ndarray:
     return m
 
 
+def _power_tables(model: SpectralModel, N: int) -> list:
+    """The inverse Fourier check's ``powers`` for ``a_matrix`` at orders <= N: None at
+    0 and 1, then the ``divdiff._phase_powers`` table of each order's block matrix.
+    Tables whose sum over l = 2..N of 21 ((l + 1) d)^2 entries passes _MAX_ENTRIES
+    raise Unresolved, in ints, before any is built."""
+    if (_DEGREE + 1) * model.dim**2 * ((N + 1) * (N + 2) * (2 * N + 3) // 6 - 5) > _MAX_ENTRIES:
+        raise Unresolved("inverse Fourier check", f"order N = {N} puts its Taylor power "
+                         f"tables past {_MAX_ENTRIES} entries")
+    return [None, None, *(_phase_powers(_block_matrix(model, l)) for l in range(2, N + 1))]
+
+
 def a_matrix(model: SpectralModel, l: int, t: float, *, powers=None) -> OperatorMatrix:
     """Order-l series term as a matrix in the unperturbed eigenbasis.
 
@@ -117,11 +129,11 @@ def a_matrix(model: SpectralModel, l: int, t: float, *, powers=None) -> Operator
     Every path from block 0 to block l through M crosses the H1 blocks of
     one index tuple and picks up the divided difference of its energies, so
     one scaling-and-squaring exponential replaces the d^(l+1) tuples of the
-    sum, at O(((l+1)d)^3) cost per Taylor term or squaring; a sequence
-    ``powers`` gives at l the ``divdiff._phase_powers`` table of M to read
-    instead.  At every order, |t| max|E| >= 1/eps_mach (eps_mach = 2^-52)
-    raises Unresolved, by
-    ``model._check_phase``: the phases e^{-iEt} then keep no correct bit.
+    sum, at O(((l+1)d)^3) cost per Taylor term or squaring; a ``powers``
+    list (``_power_tables``) gives at l the table of M to read instead.  At
+    every order, |t| max|E| >= 1/eps_mach (eps_mach = 2^-52) raises
+    Unresolved, by ``model._check_phase``: the phases e^{-iEt} then keep no
+    correct bit.
     """
     l = _count(l, 0, "order must be a nonnegative integer")
     d, e = model.dim, model.energies

@@ -71,11 +71,16 @@ def test_non_finite_floats_rejected(argv, capsys):
 
 
 def test_max_nodes_zero_rejected(capsys):
-    # zero nodes would run no identity at all and report a failed case count
-    with pytest.raises(SystemExit) as exc:
-        main(["identity-check", "--max-nodes", "0"])
-    assert exc.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    # zero nodes would run no identity at all, and up to 3 give too few cases
+    # for case_count: each would report a failed count
+    for n, text in ((0, "must be >= 1, got 0"),
+                    (1, "1 gives 12 identity cases, 488 short of 500"),
+                    (2, "2 gives 78 identity cases, 422 short of 500"),
+                    (3, "3 gives 298 identity cases, 202 short of 500")):
+        with pytest.raises(SystemExit) as exc:
+            main(["identity-check", "--max-nodes", str(n)])
+        assert exc.value.code == 2
+        assert f"argument --max-nodes: {text}" in capsys.readouterr().err
 
 
 #: vars(parse_args([command])): every flag's destination and default
@@ -401,9 +406,10 @@ def test_green_ft_rejects_removed_flags(capsys):
 
 
 def test_taylor_term_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
+    # capped at the degree, a selftest sum that goes on past it is refused
+    monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", divdiff._DEGREE)
     assert main(["selftest"]) == 2
-    assert "did not converge in 3 terms: worst entry ratio" in capsys.readouterr().err
+    assert "did not converge in 20 terms: worst entry ratio" in capsys.readouterr().err
 
 
 def _lattice(h) -> str:
@@ -501,7 +507,7 @@ _REFUSALS = {
         ["amplitude", "--lambda", "1.7e308"],
         "coupling potential v1 (largest |v1| = 1.500e+308) puts the perturbation's"),
     "taylor-term-cap": (["selftest"], "cannot be resolved: its Taylor series did not converge "
-                                      "in 3 terms: worst entry ratio"),
+                                      "in 20 terms: worst entry ratio"),
     "model-file-energy": (["propagate", "--model",
                            '{"dim": 1, "energies": ["zero"], "h1": [[[0, 0]]]}'],
                           "energies entries must be numbers"),
@@ -523,7 +529,7 @@ def test_every_refusal_path_gives_one_verdict(case, monkeypatch, capsys, tmp_pat
     # error under pytest, so a case that warns ends on the warning's text
     argv, text = list(_REFUSALS[case][0]), _REFUSALS[case][1]
     if case == "taylor-term-cap":
-        monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
+        monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", divdiff._DEGREE)
     for i, arg in enumerate(argv):
         if arg.startswith("{"):
             argv[i] = str(tmp_path / "input.json")

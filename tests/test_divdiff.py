@@ -275,8 +275,8 @@ def _node_bidiagonal(nodes):
 
 _STOP_RULE_MATRICES = {
     **{f"block-d{d}-l{l}": _block_bidiagonal(d, l) for d in range(2, 11) for l in range(1, 4)},
-    # on this grid the sum goes on term by term past the Paterson-Stockmeyer
-    # degree by up to 10 terms (spaced nodes), 9 (paired) and 3 (blocks)
+    # on this grid the sum goes on term by term past the degree, 20, by up to
+    # 2 terms for spaced nodes, on either path, and passes at 20 for the rest
     **{f"spaced-n{n}": _node_bidiagonal([0.11 * k for k in range(n)]) for n in range(2, 13)},
     **{f"paired-n{n}": _node_bidiagonal([0.11 * (k // 2) for k in range(n)]) for n in range(2, 13)},
     # ||m - mu||_1 = 1: at t = 0.5, 1 and 2 theta sits on the boundary of a scale 2^s
@@ -326,9 +326,11 @@ def _refusal(m, t, table):
 
 
 def test_phase_exp_raises_at_the_term_cap(monkeypatch):
-    monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 3)
-    with pytest.raises(Unresolved, match=r"in 3 terms: worst entry ratio .* > 1e-18"):
-        dd_phase([0.0, 0.11, 0.22], 1.0)
+    # capped at the degree, 20 terms: the corner of 24 spaced nodes starts at
+    # term 23, so the entrywise test fails at the cap, which refuses
+    monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", divdiff._DEGREE)
+    with pytest.raises(Unresolved, match=r"in 20 terms: worst entry ratio .* > 1e-18"):
+        dd_phase([0.11 * k for k in range(24)], 1.0)
 
 
 @pytest.mark.parametrize("nodes, t", [([1e300, -1e300], 1e300), ([2.0, 1.0], 1e308),

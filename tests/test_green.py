@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from dysonprop import green, oracle
+from dysonprop import green, oracle, propagator
 from dysonprop.green import (
     QuadratureSpec,
     ResolventQuery,
@@ -152,7 +152,7 @@ def test_inverse_check_builds_one_table_per_order_for_every_node(monkeypatch):
     # block matrix, per call; every node still makes one truncated_evolution
     # call, and all of them read those same tables
     tables, seen = [], []
-    real_build, real_evolution = green._phase_powers, green.truncated_evolution
+    real_build, real_evolution = propagator._phase_powers, green.truncated_evolution
 
     def build(m):
         tables.append((m, real_build(m)))
@@ -162,7 +162,7 @@ def test_inverse_check_builds_one_table_per_order_for_every_node(monkeypatch):
         seen.append(powers)
         return real_evolution(model, spec, t, powers=powers)
 
-    monkeypatch.setattr(green, "_phase_powers", build)
+    monkeypatch.setattr(propagator, "_phase_powers", build)
     monkeypatch.setattr(green, "truncated_evolution", evolution)
     m = random_model(3, 2, 0.3)
     for sign in (+1, -1):
@@ -190,7 +190,7 @@ def test_inverse_check_refuses_tables_past_the_entry_bound(N, refused, monkeypat
     def build(m):
         raise Built
 
-    monkeypatch.setattr(green, "_phase_powers", build)
+    monkeypatch.setattr(propagator, "_phase_powers", build)
     args = (two_level_model(1.0, 0.3), TruncationSpec(N), 0.37, "+", 0.3,
             QuadratureSpec((0.0, 80.0), 250))
     with pytest.raises(Unresolved if refused else Built) as err:

@@ -125,6 +125,19 @@ def test_no_production_module_imports_the_oracles():
             assert names <= allowed, f"{module} imports {sorted(names - allowed)}; {item}"
 
 
+def test_green_reads_its_taylor_tables_through_propagator():
+    # propagator owns the inverse check's tables and their entry bound: green
+    # imports nothing from divdiff, nor the block matrix or the table builder
+    imported = set()
+    for node in ast.walk(ast.parse(Path(green.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[-1] != "divdiff"
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("divdiff") for alias in node.names)
+    assert "divdiff" not in imported and not {"_block_matrix", "_phase_powers"} & imported
+
+
 def test_sweep_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(oracle, "JACOBI_SWEEP_BUDGET", 1)
     with pytest.raises(Unresolved, match=r"^Jacobi eigendecomposition cannot be resolved: "
