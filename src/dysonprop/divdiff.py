@@ -116,8 +116,8 @@ def _phase_exp(m: np.ndarray, t: float, powers=None) -> np.ndarray:
         for _ in range(_Q - 1):
             term = term.dot(top)
     else:
-        # x^k / k! for x = -i sign(t) theta / 2^s, a real power times an exact phase
-        coef = math.copysign(math.ldexp(theta, -s), t) ** _DEGREES * _TAYLOR_ROW
+        # x^k / k!, x = -i sign(t) theta / 2^s: |x|^k times the exact phase, conjugate at -t
+        coef = math.ldexp(theta, -s) ** _DEGREES * (_TAYLOR_ROW if t >= 0 else _TAYLOR_ROW.conj())
         f = coef.dot(a.reshape(k + 1, n * n)).reshape(n, n)
         term, b = a[k] * coef[k], a[1] * coef[1]
     while np.count_nonzero(abs(term) <= _TAYLOR_RTOL * abs(f)) < f.size:

@@ -163,11 +163,11 @@ def inverse_fourier_check(
     refuses.  The nodes are ``_panel_rule``'s with the whole domain (0, T) as
     its bound: ``quad.npoints`` nodes on equal panels, one ``timedep_green``
     call each, whose ``truncated_evolution`` call the benchmark counts per
-    node, all from one Taylor power table per order l = 2..N
-    (``propagator._power_tables``, which refuses an N whose tables pass
-    _MAX_ENTRIES before any is built).  The factors w e^{(+-iE - eps) tau}
-    are taken for all nodes at once, and each block of _BLOCK_ENTRIES / d^2
-    evaluations is summed by one fixed-order einsum.
+    node: the first block row of one e^{-iM_N tau} off one Taylor table of M_N
+    (``propagator._power_tables``, refused past _MAX_ENTRIES before it is
+    built), a_1 in closed form for G^-(E) = G^+(E)^dagger bit for bit on real
+    models.  The factors w e^{(+-iE - eps) tau} are taken for all nodes at
+    once; each block of _BLOCK_ENTRIES / d^2 evaluations is one fixed-order einsum.
     """
     sgn = normalize_sign(sign)
     a, b = quad.domain

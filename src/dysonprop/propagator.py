@@ -101,18 +101,17 @@ def _block_matrix(model: SpectralModel, l: int) -> np.ndarray:
     return m
 
 
-def _power_tables(model: SpectralModel, N: int) -> list:
-    """The inverse Fourier check's ``powers`` for ``a_matrix`` at orders <= N: None at
-    0 and 1, then the ``divdiff._phase_powers`` table of each order's block matrix.
-    Tables whose sum over l = 2..N of 21 ((l + 1) d)^2 entries passes _MAX_ENTRIES
-    raise Unresolved, in ints, before any is built."""
-    if (_DEGREE + 1) * model.dim**2 * ((N + 1) * (N + 2) * (2 * N + 3) // 6 - 5) > _MAX_ENTRIES:
+def _power_tables(model: SpectralModel, N: int):
+    """The inverse Fourier check's ``powers`` for ``truncated_evolution``: None at
+    N <= 1, else ``divdiff._phase_powers`` of the order-N block matrix, whose 21
+    ((N + 1) d)^2 entries past _MAX_ENTRIES raise Unresolved, in ints, before it is built."""
+    if N >= 2 and (_DEGREE + 1) * ((N + 1) * model.dim) ** 2 > _MAX_ENTRIES:
         raise Unresolved("inverse Fourier check", f"order N = {N} puts its Taylor power "
-                         f"tables past {_MAX_ENTRIES} entries")
-    return [None, None, *(_phase_powers(_block_matrix(model, l)) for l in range(2, N + 1))]
+                         f"table past {_MAX_ENTRIES} entries")
+    return _phase_powers(_block_matrix(model, N)) if N >= 2 else None
 
 
-def a_matrix(model: SpectralModel, l: int, t: float, *, powers=None) -> OperatorMatrix:
+def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     """Order-l series term as a matrix in the unperturbed eigenbasis.
 
     a_0 = diag(e^{-iEt}).  a_1 = H1 * F entrywise, F[a, b] = f[E_a, E_b] =
@@ -129,11 +128,9 @@ def a_matrix(model: SpectralModel, l: int, t: float, *, powers=None) -> Operator
     Every path from block 0 to block l through M crosses the H1 blocks of
     one index tuple and picks up the divided difference of its energies, so
     one scaling-and-squaring exponential replaces the d^(l+1) tuples of the
-    sum, at O(((l+1)d)^3) cost per Taylor term or squaring; a ``powers``
-    list (``_power_tables``) gives at l the table of M to read instead.  At
-    every order, |t| max|E| >= 1/eps_mach (eps_mach = 2^-52) raises
-    Unresolved, by ``model._check_phase``: the phases e^{-iEt} then keep no
-    correct bit.
+    sum, at O(((l+1)d)^3) cost per Taylor term or squaring.  At every order,
+    |t| max|E| >= 1/eps_mach (eps_mach = 2^-52) raises Unresolved, by
+    ``model._check_phase``: the phases e^{-iEt} then keep no correct bit.
     """
     l = _count(l, 0, "order must be a nonnegative integer")
     d, e = model.dim, model.energies
@@ -149,18 +146,21 @@ def a_matrix(model: SpectralModel, l: int, t: float, *, powers=None) -> Operator
         m = np.zeros((d, d), dtype=complex)
         m.flat[:: d + 1] = np.exp(-1j * e * t)
         return OperatorMatrix(m)
-    if powers is None:
-        return OperatorMatrix(_phase_exp(_block_matrix(model, l), t)[:d, l * d :].copy())
-    return OperatorMatrix(_phase_exp(None, t, powers[l])[:d, l * d :].copy())
+    return OperatorMatrix(_phase_exp(_block_matrix(model, l), t)[:d, l * d :].copy())
 
 
 def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float, *,
                         powers=None) -> OperatorMatrix:
-    """Partial sum of the series through order spec.N (a TruncationSpec or an
-    int), each term from ``powers`` as in ``a_matrix``; ``sum`` starts from 0,
-    so a signed zero sums as from a zero matrix."""
-    return OperatorMatrix(sum(a_matrix(model, l, t, powers=powers).entries
-                              for l in range(_order(spec) + 1)))
+    """Partial sum of the series through order spec.N (a TruncationSpec or an int):
+    one ``a_matrix`` per order, summed from 0 as from a zero matrix; or the first
+    block row (a_0, ..., a_N) of one e^{-iM_N t} off the table ``powers`` of M_N,
+    with a_1 in closed form, bitwise symmetric for a symmetric H1 as block (0, 1) is not."""
+    if powers is None:
+        return OperatorMatrix(sum(a_matrix(model, l, t).entries for l in range(_order(spec) + 1)))
+    a_1, d = a_matrix(model, 1, t).entries, model.dim  # refuses what a_matrix refuses
+    row = _phase_exp(None, t, powers)[:d].reshape(d, _order(spec) + 1, d)
+    row[:, 1] = a_1
+    return OperatorMatrix(row.sum(axis=1))
 
 
 def _graded_chains(model: SpectralModel, spec: TruncationSpec, eps, sgn: int):

@@ -484,12 +484,12 @@ _REFUSALS = {
         "quadrature panels cannot be resolved: domain (0, 1.7e+308) at eps = 10 "),
     "forward-phases-at-1e300": (["green-ft", "--t", "1e300"],
                                 "exp(-i t E) cannot be resolved: |t| = 1.000e+300"),
-    # the inverse check's Taylor power tables, 21 ((l + 1) d)^2 entries for
-    # l = 2..N, past the 2^24-entry bound: refused before any is built
+    # the inverse check's Taylor power table, 21 ((N + 1) d)^2 entries, past
+    # the 2^24-entry bound: refused before it is built
     "inverse-order-past-the-table-bound": (
         ["green-ft", "--order", "4000"],
         "inverse Fourier check cannot be resolved: order N = 4000 puts its Taylor power "
-        "tables past 16777216 entries"),
+        "table past 16777216 entries"),
     # d x d arrays past the 2^24-entry bound, refused before any is built
     "dim-past-the-entry-bound": (["dyson-check", "--dim", "4097"],
                                  "dim 4097 puts the model's 4097 x 4097 arrays past 16777216"),

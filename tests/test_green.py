@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 
@@ -147,10 +148,10 @@ def test_inverse_fourier_matches_dyson_partial():
             assert np.max(np.abs(lhs - ref)) <= 1e-12, (model.dim, T, sign)
 
 
-def test_inverse_check_builds_one_table_per_order_for_every_node(monkeypatch):
-    # orders 2 and 3 of N = 3 each get one Taylor power table, of their own
-    # block matrix, per call; every node still makes one truncated_evolution
-    # call, and all of them read those same tables
+def test_inverse_check_builds_one_table_for_every_node(monkeypatch):
+    # N = 3 gets one Taylor power table, of the order-3 block matrix, per
+    # call; every node still makes one truncated_evolution call, and all of
+    # them read that same table
     tables, seen = [], []
     real_build, real_evolution = propagator._phase_powers, green.truncated_evolution
 
@@ -170,20 +171,19 @@ def test_inverse_check_builds_one_table_per_order_for_every_node(monkeypatch):
         seen.clear()
         inverse_fourier_check(m, TruncationSpec(3), 0.37, sign, 0.3,
                               QuadratureSpec((0.0, 80.0), 90))
-        assert len(seen) == 90 and len(tables) == 2
-        for l, (block, _) in enumerate(tables, start=2):
-            assert block.shape == ((l + 1) * 3,) * 2
-            assert np.array_equal(block[:3, 3:6], m.h1)
-        built = [table for _, table in tables]
-        assert all(len(p) == 4 and p[:2] == [None, None] and p[2] is built[0]
-                   and p[3] is built[1] for p in seen)
+        assert len(seen) == 90 and len(tables) == 1
+        block, built = tables[0]
+        assert block.shape == (12, 12)
+        assert all(np.array_equal(block[3 * k:3 * k + 3, 3 * k + 3:3 * k + 6], m.h1)
+                   for k in range(3))
+        assert all(p is built for p in seen)
 
 
-@pytest.mark.parametrize("N, refused", [(82, False), (83, True), (4000, True)])
+@pytest.mark.parametrize("N, refused", [(445, False), (446, True), (4000, True)])
 def test_inverse_check_refuses_tables_past_the_entry_bound(N, refused, monkeypatch):
-    # sum over l = 2..N of 21 ((l + 1) d)^2 at d = 2 is 16 300 116 entries at
-    # N = 82 and 16 892 820 at N = 83, past 2^24: refused, naming the order,
-    # before any table or node
+    # the table of M_N holds 21 ((N + 1) d)^2 entries: at d = 2, 16 708 944 at
+    # N = 445 and 16 783 956 at N = 446, past 2^24: refused, naming the order,
+    # before the table or any node
     class Built(Exception):
         pass
 
@@ -197,7 +197,32 @@ def test_inverse_check_refuses_tables_past_the_entry_bound(N, refused, monkeypat
         inverse_fourier_check(*args)
     if refused:
         assert str(err.value) == (f"inverse Fourier check cannot be resolved: order N = {N} puts "
-                                  "its Taylor power tables past 16777216 entries")
+                                  "its Taylor power table past 16777216 entries")
+
+
+def test_inverse_check_at_order_8_guards_its_damping():
+    # a second check that an inverse damping off by a factor 1 + 1e-9 fails:
+    # at N = 8 on (0, 400) with 4000 nodes the check is 7.8e-13 off
+    # dyson_partial, and with eps (1 + 1e-9) in the quadrature, 4.5e-10
+    m, eps, quad = two_level_model(1.0, 0.3), 0.1, QuadratureSpec((0.0, 400.0), 4000)
+    want = dyson_partial(m, ResolventQuery(0.37, "+", eps), 8).entries
+    for damping, off in ((eps, False), (eps * (1 + 1e-9), True)):
+        dev = np.max(np.abs(inverse_fourier_check(m, 8, 0.37, "+", damping, quad).entries - want))
+        assert dev > 1e-10 if off else dev <= 1e-11
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_inverse_check_time_reversal_is_exact_on_two_level_models(seed):
+    # G^-(E) = G^+(E)^dagger bit for bit at green-ft's defaults (N = 2,
+    # E = 0.37) with eps 0.3 and 250 nodes on (0, 80), on two-level models
+    # drawn as the benchmark's fourier workload draws them: a_0 and a_2 are
+    # diagonal, a_1 is the symmetric closed form, and the table's Taylor rows
+    # at -tau are the exact conjugates of those at tau
+    rng = random.Random(f"fourier:{seed}")
+    omega, v = rng.uniform(0.9, 1.1), rng.uniform(0.25, 0.35)
+    m, quad = SpectralModel([0.0, omega], [[0.0, v], [v, 0.0]]), QuadratureSpec((0.0, 80.0), 250)
+    plus, minus = (inverse_fourier_check(m, 2, 0.37, sgn, 0.3, quad).entries for sgn in (1, -1))
+    assert np.array_equal(minus, plus.conj().T)
 
 
 def test_inverse_rule_has_npoints_nodes_on_tables_of_at_most_32(monkeypatch):

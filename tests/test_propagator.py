@@ -84,26 +84,30 @@ def test_block_route_matches_tuple_sum(degenerate):
 
 
 def mp_a_matrix(model, l, t):
-    """Order-l series term by the tuple sum at 40 digits.
+    """Order-l series term by the tuple sum at 40 + l digits.
 
     The divided difference of e^{-iEt} over a tuple's energies comes from a
     Hermite table over the sorted nodes, in which a run of k + 1 equal nodes
     takes the derivative entry (-it)^k e^{-iEt} / k!; it depends only on the
-    node multiset, so each multiset is evaluated once.
+    node multiset, so the tuples' H1 chain weights are summed per endpoint
+    and multiset, one step at a time, and each multiset is evaluated once:
+    the d^(l-1) tuples of high orders at small d in a few hundred terms.
+    The l digits more keep a_l's digits where the table's differences of
+    phases of size 1 cancel down to about |t|^l / l!, at |t| >= 1.
     """
     d = model.dim
-    with mpmath.workdps(40):
+    with mpmath.workdps(40 + l):
         e = [mpmath.mpf(float(x)) for x in model.energies]
         h1 = [[mpmath.mpc(complex(v)) for v in row] for row in model.h1]
         tt = mpmath.mpf(float(t))
         dd = {}
 
-        def phase_dd(tup):
-            key = tuple(sorted(e[g] for g in tup))
+        def phase_dd(counts):
+            key = tuple(sorted(e[g] for g, c in enumerate(counts) for _ in range(c)))
             if key not in dd:
-                col = [mpmath.exp(-1j * x * tt) for x in key]
+                col = phases = [mpmath.exp(-1j * x * tt) for x in key]
                 for k in range(1, len(key)):
-                    col = [(-1j * tt) ** k * mpmath.exp(-1j * key[i] * tt) / mpmath.factorial(k)
+                    col = [(-1j * tt) ** k * phases[i] / mpmath.factorial(k)
                            if key[i] == key[i + k]
                            else (col[i + 1] - col[i]) / (key[i + k] - key[i])
                            for i in range(len(key) - k)]
@@ -111,15 +115,20 @@ def mp_a_matrix(model, l, t):
             return dd[key]
 
         out = np.zeros((d, d), dtype=complex)
-        for g, gp in itertools.product(range(d), repeat=2):
-            if l == 0:
-                out[g, gp] = complex(phase_dd((g,))) if g == gp else 0j
-                continue
-            total = mpmath.mpc(0)
-            for mid in itertools.product(range(d), repeat=l - 1):
-                tup = (g, *mid, gp)
-                total += mpmath.fprod(h1[a][b] for a, b in zip(tup, tup[1:])) * phase_dd(tup)
-            out[g, gp] = complex(total)
+        for g in range(d):
+            # the summed chain weights of the tuples from g, by last index and multiset
+            chains = {(g, tuple(int(k == g) for k in range(d))): mpmath.mpc(1)}
+            for _ in range(l):
+                step = {}
+                for (a, counts), w in chains.items():
+                    for b in range(d):
+                        key = (b, tuple(c + (k == b) for k, c in enumerate(counts)))
+                        step[key] = step.get(key, 0) + w * h1[a][b]
+                chains = step
+            total = [mpmath.mpc(0)] * d
+            for (gp, counts), w in chains.items():
+                total[gp] += w * phase_dd(counts)
+            out[g] = [complex(x) for x in total]
         return out
 
 
@@ -179,10 +188,11 @@ def test_a_matrix_against_mpmath(d, seed, l, half_phase, sign, lam, kind):
     assert err <= A_MATRIX_C * max(1.0, abs(t) * norm) * np.finfo(float).eps / 2
 
 
-def _table(m, l):
-    # the inverse check's table: None at orders 0 and 1, then one per order
-    return [None, None, *(divdiff._phase_powers(propagator._block_matrix(m, k))
-                          for k in range(2, l + 1))]
+def _table_row(m, N, t):
+    # the blocks (0, 0), ..., (0, N) of e^{-iM_N t}, read off the inverse
+    # check's one table of M_N, before truncated_evolution puts a_1 in place
+    row = _phase_exp(None, t, propagator._power_tables(m, N))[:m.dim]
+    return row.reshape(m.dim, N + 1, m.dim).swapaxes(0, 1)
 
 
 _TABLE_CASES = {
@@ -199,28 +209,76 @@ _TABLE_CASES = {
 }
 
 
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("case", _TABLE_CASES)
 def test_a_matrix_from_a_table_against_mpmath(case):
-    m, l, t = _TABLE_CASES[case]
-    _, norm = _block_matrix(m, l)
+    # every block a_0, ..., a_N of the row off the table of M_N, and the
+    # partial sum truncated_evolution makes of it, within a_matrix's bound
+    m, N, t = _TABLE_CASES[case]
+    _, norm = _block_matrix(m, N)
     for tt in (t, -t):
-        got = a_matrix(m, l, tt, powers=_table(m, l)).entries
-        want = mp_a_matrix(m, l, tt)
-        if not want.any():
-            assert not got.any()
-            continue
-        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-        assert err <= A_MATRIX_C * max(1.0, abs(tt) * norm) * np.finfo(float).eps / 2
+        want = [mp_a_matrix(m, l, tt) for l in range(N + 1)]
+        bound = A_MATRIX_C * max(1.0, abs(tt) * norm) * np.finfo(float).eps / 2
+        for l, got in enumerate(_table_row(m, N, tt)):
+            if not want[l].any():
+                assert not got.any()
+            else:
+                assert _rel_err(got, want[l]) <= bound, (l, tt)
+        got = truncated_evolution(m, N, tt, powers=propagator._power_tables(m, N)).entries
+        assert _rel_err(got, sum(want)) <= bound
 
 
 def test_table_sum_runs_on_term_by_term_past_its_degree(monkeypatch):
-    # capped at the table's 20 terms, the one-level l = 24 term refuses with
+    # capped at the table's 20 terms, the one-level N = 24 row refuses with
     # the cap's text, which only a failed entrywise test at k = 20 reaches:
     # uncapped, the sum goes on term by term from there
-    m, l, t = _TABLE_CASES["one-level-l24"]
+    m, N, t = _TABLE_CASES["one-level-l24"]
+    table = propagator._power_tables(m, N)
     monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", 20)
     with pytest.raises(Unresolved, match=r"did not converge in 20 terms: worst entry ratio"):
-        a_matrix(m, l, t, powers=_table(m, l))
+        truncated_evolution(m, N, t, powers=table)
+
+
+@pytest.mark.parametrize("l", [21, 22, 23, 24])
+def test_products_path_runs_on_term_by_term_past_its_degree(l):
+    # block (0, l) of a block matrix starts at power l, past the degree 20 of
+    # the Paterson-Stockmeyer sum, so a_matrix gets it from the term-by-term
+    # continuation alone: at theta <= 1 (t = 1 on the two-level model) and
+    # s >= 1, of both signs, and on a d = 2 model with every H1 entry nonzero
+    for m in (two_level_model(1.0, 0.3), random_model(2, 7, 0.5)):
+        _, norm = _block_matrix(m, l)
+        for t in (1.0, -5.3, 37.3):
+            err = _rel_err(a_matrix(m, l, t).entries, mp_a_matrix(m, l, t))
+            assert err <= A_MATRIX_C * max(1.0, abs(t) * norm) * np.finfo(float).eps / 2, (m.dim, t)
+
+
+def test_table_row_at_order_24_against_the_per_order_route():
+    # U_24 as the first block row of one exponential, against the sum of 25
+    # a_matrix calls, 23 of them exponentials of their own M_l: the two
+    # routes share only the closed forms of a_0 and a_1
+    m = two_level_model(1.0, 0.3)
+    _, norm = _block_matrix(m, 24)
+    table = propagator._power_tables(m, 24)
+    for t in (1.0, -1.0, 5.3, -5.3, 37.3, -37.3, 177.4):
+        got = truncated_evolution(m, 24, t, powers=table).entries
+        err = _rel_err(got, truncated_evolution(m, 24, t).entries)
+        assert err <= A_MATRIX_C * max(1.0, abs(t) * norm) * np.finfo(float).eps, t
+
+
+@pytest.mark.parametrize("N", [2, 5])
+def test_table_route_at_minus_t_is_the_exact_conjugate(N):
+    # for a real model, U_N(-t) = conj U_N(t) bit for bit on the table route:
+    # the Taylor row at -t is the exact conjugate of the row at t, and so are
+    # the sum, its squarings, the phase e^{-i mu t} and a_1's closed form.
+    # Over theta <= 1 (s = 0) and up to s = 10
+    for m in (two_level_model(1.0, 0.3), SpectralModel([0.1, 0.4, 1.3], random_model(3, 4).h1.real)):
+        table = propagator._power_tables(m, N)
+        for t in np.geomspace(1e-3, 400.0, 61):
+            u = truncated_evolution(m, N, t, powers=table).entries
+            assert np.array_equal(truncated_evolution(m, N, -t, powers=table).entries, u.conj()), t
 
 
 def _no_exponential(*args):
