@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelError, SpectralModel, Unresolved, _check_coupling, _check_phase, _count,
-                    _finite, _json_object, _real, _reals)
+from .model import (_MAX_ENTRIES, ModelError, SpectralModel, Unresolved, _check_coupling,
+                    _check_phase, _count, _finite, _json_object, _real, _reals)
 from .oracle import hermitian_eigendecomposition
 from .propagator import (
     TruncationSpec,
@@ -40,7 +40,8 @@ from .propagator import (
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """1D grid geometry (M stored as an int) plus base and perturbing potentials."""
+    """1D grid geometry (M stored as an int) plus base and perturbing potentials;
+    an M whose M x M arrays pass _MAX_ENTRIES raises ModelError before any is built."""
 
     M: int
     h: float
@@ -50,6 +51,9 @@ class LatticeSpec:
 
     def __post_init__(self):
         M = _count(self.M, 2, "need a whole number of at least 2 grid points", ModelError)
+        if M * M > _MAX_ENTRIES:
+            raise ModelError(f"lattice M = {M} puts its {M} x {M} arrays past "
+                             f"{_MAX_ENTRIES} entries")
         # Python floats: 2 mass h^2 and its inverse over- or underflow silently
         denom = 2.0 * float(self.mass) * float(self.h) * float(self.h)
         if not (self.h > 0 and denom > 0 and 0 < 1.0 / denom < np.inf):

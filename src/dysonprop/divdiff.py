@@ -29,38 +29,38 @@ _TAYLOR_MAX_TERMS = 64
 # 1/k! for k <= _TAYLOR_MAX_TERMS, each correctly rounded
 _INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(_TAYLOR_MAX_TERMS + 1)])
 # the Taylor degree, the first k with 1/k! < _TAYLOR_RTOL, so that the norm bound
-# theta^k / k! holds at every theta <= 1, as p q for Paterson-Stockmeyer, and its
-# coefficients, complex as the powers: 1/(jp + i)! at (j, i < p), 1/(pq)! at (q - 1, p)
-_DEGREE, _P, _Q = 20, 4, 5
-_PS_COEF = np.zeros((_Q, _P + 1), dtype=complex)
-_PS_COEF[:, :_P] = _INV_FACTORIAL[:_DEGREE].reshape(_Q, _P)
-_PS_COEF[-1, _P] = _INV_FACTORIAL[_DEGREE]
-# k and (-i)^k / k! for k <= _DEGREE, the row a ``_phase_powers`` table is read with
-_DEGREES = np.arange(_DEGREE + 1.0)
-_TAYLOR_ROW = np.resize([1, -1j, -1, 1j], _DEGREE + 1) * _INV_FACTORIAL[: _DEGREE + 1]
-
-
-def _shifted(m: np.ndarray):
-    """mu, the mean diagonal entry of the square m; m - mu, a C-ordered complex
-    copy; and nu = ||m - mu||_1."""
-    n = m.shape[0]
-    # ufunc reductions for trace(), sum() and max(), whose overhead exceeds the
-    # sums at these sizes; a is C-ordered, so its flat diagonal is a view
-    mu = np.add.reduce(m.reshape(-1)[:: n + 1]) / n
-    a = m.astype(complex, order="C")
-    a.reshape(-1)[:: n + 1] -= mu
-    return mu, a, float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=0)))
+# theta^k / k! holds at every theta <= 1, and the Paterson-Stockmeyer block size p
+# of a one-off exponential; a table shared by many t has p = _DEGREE
+_DEGREE, _P = 20, 4
+# k and (-i)^k / k! for k <= _DEGREE, then a 0 that fills the empty slots below
+_DEGREES = np.arange(_DEGREE + 2.0)
+_TAYLOR_ROW = np.append(np.resize([1, -1j, -1, 1j], _DEGREE + 1) * _INV_FACTORIAL[: _DEGREE + 1], 0)
+# per block size p, where block j of the Paterson-Stockmeyer sum reads that row:
+# the (q, p + 1) indices jp + i at i < p, _DEGREE at (q - 1, p) and the 0 elsewhere
+_SLOTS = {p: np.column_stack([np.arange(_DEGREE).reshape(-1, p),
+                              [_DEGREE + 1] * (_DEGREE // p - 1) + [_DEGREE]])
+          for p in (_P, _DEGREE)}
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _phase_powers(m: np.ndarray):
-    """``_shifted(m)`` with m - mu replaced by B^0..B^20 of B = (m - mu) / nu (or 0),
-    read-only: the table ``_phase_exp`` reads for every t of one m."""
-    mu, b, nu = _shifted(m)
-    table = np.empty((_DEGREE + 1, *b.shape), dtype=complex)
-    table[0], table[1] = np.eye(len(b)), b / (nu or 1.0)
-    for i in range(2, _DEGREE + 1):
-        np.dot(table[i - 1], table[1], out=table[i])
+def _phase_powers(m: np.ndarray, p: int):
+    """mu, the mean diagonal entry of the square m; B^0..B^p of B = (m - mu) / nu
+    (or 0), read-only; and nu = ||m - mu||_1: the table ``_phase_exp`` reads."""
+    n = m.shape[0]
+    table = np.empty((p + 1, n, n), dtype=complex)
+    table[0] = 0
+    table.reshape(p + 1, -1)[0, :: n + 1] = 1.0
+    b = table[1]
+    b[...] = m
+    # ufunc reductions for trace(), sum() and max(), whose overhead exceeds the
+    # sums at these sizes; b is C-ordered, so its flat diagonal is a view
+    mu = np.add.reduce(m.reshape(-1)[:: n + 1]) / n
+    b.reshape(-1)[:: n + 1] -= mu
+    nu = float(np.maximum.reduce(np.add.reduce(np.abs(b), axis=0)))
+    b /= nu or 1.0
+    for i in range(2, p + 1):
+        # ndarray.dot runs the same BLAS product as @ with less dispatch
+        np.dot(table[i - 1], b, out=table[i])
     table.flags.writeable = False
     return mu, table, nu
 
@@ -68,58 +68,43 @@ def _phase_powers(m: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")
 def _phase_exp(m: np.ndarray, t: float, powers=None) -> np.ndarray:
     """exp(-i t m) for a square matrix m, or for the m of the ``_phase_powers``
-    table ``powers``, which it reads in place of m.
+    table ``powers``, read in place of m; without one it builds one at p = _P.
 
-    With mu and nu = ||m - mu||_1 from ``_shifted``, b = -i t (m - mu) is
-    scaled to 1-norm theta = |t| nu / 2^s <= 1, its Taylor polynomial of
-    degree _DEGREE summed and squared back up s times.  Without a table the
-    sum takes Paterson-Stockmeyer form (SIAM J. Comput. 2 (1973) 60): the
-    powers b^0..b^p once, q blocks of p coefficients in one product with
-    them and q - 1 Horner steps in b^p, 11 products with the last term
-    (b^p)^q / 20!, where a term-by-term sum takes 20.  From a table, b = x B
-    for a scalar x, and the sum is one contraction of the row x^k / k! with
-    the table.  The sum is accepted when every entry of the last term is
-    below _TAYLOR_RTOL of the same entry of the sum, not of the largest
-    entry: divided differences over many nodes and high-order series terms
-    can lie many orders below it.  Otherwise, as for the J of spaced nodes,
-    whose corner starts at term n - 1, it goes on term by term in b.  Raises
-    Unresolved once k reaches _TAYLOR_MAX_TERMS + max(0, n - 48), when theta
-    is not finite or needs a scale 2^s, s >= 1024, and when the squarings
-    overflow, which one finiteness test sees silently.
+    With B = (m - mu) / nu from the table, -i t (m - mu) = x B at 1-norm theta
+    = |t| nu / 2^s <= 1, x = -i sign(t) theta / 2^s; its Taylor polynomial of
+    degree _DEGREE is summed and squared back up s times.  The sum takes
+    Paterson-Stockmeyer form (SIAM J. Comput. 2 (1973) 60): the row x^k / k!,
+    the exact conjugate at -t, in q = _DEGREE / p blocks of p coefficients,
+    one product of the blocks with B^0..B^p, q - 1 Horner steps in B^p and
+    q - 1 products for the last term x^20 B^20 / 20!.  It is accepted when
+    every entry of that term is below _TAYLOR_RTOL of the same entry of the
+    sum, not of the largest entry: divided differences over many nodes and
+    high-order series terms can lie many orders below it.  Otherwise, as for
+    the J of spaced nodes, whose corner starts at term n - 1, it goes on term
+    by term in x B.  Raises Unresolved once k reaches _TAYLOR_MAX_TERMS +
+    max(0, n - 48), when theta is not finite or needs a scale 2^s, s >= 1024,
+    and when the squarings overflow, which one finiteness test sees silently.
     """
-    mu, a, nu = powers or _shifted(m)  # a: m - mu, or a table's B^0..B^20
-    n, theta = a.shape[-1], abs(t) * nu  # Python floats: inf with no warning
+    mu, table, nu = powers or _phase_powers(m, _P)
+    p, n, theta = len(table) - 1, table.shape[-1], abs(t) * nu  # Python floats: inf with no warning
     # the least s >= 0 with theta / 2^s <= 1
     mant, e = math.frexp(theta)
     s = 0 if theta <= 1.0 else e - 1 if mant == 0.5 else e
     if not math.isfinite(theta) or s >= 1024:
         raise Unresolved("exp(-i t m)", f"|t| = {abs(t):.3e} times ||m - mu||_1 = {nu:.3e} "
                          "needs a scale 2^s with s >= 1024, past the float range")
-    k = _DEGREE
-    if powers is None:
-        # stack[i] = b^i for i <= p
-        stack = np.zeros((_P + 1, n, n), dtype=complex)
-        stack.reshape(_P + 1, -1)[0, :: n + 1] = 1.0
-        a *= -1j * t
-        b = np.multiply(a, 2.0**-s, out=stack[1])
-        for i in range(2, _P + 1):
-            # ndarray.dot runs the same BLAS product as @ with less dispatch
-            np.dot(stack[i - 1], b, out=stack[i])
-        # block j = sum over i < p of b^i / (jp + i)!, the last one with b^p / 20! too
-        blocks = _PS_COEF.dot(stack.reshape(_P + 1, n * n)).reshape(_Q, n, n)
-        top = stack[_P]
-        f = blocks[-1]
-        for block in blocks[-2::-1]:
-            f = f.dot(top)
-            f += block
-        term = top * _INV_FACTORIAL[k]
-        for _ in range(_Q - 1):
-            term = term.dot(top)
-    else:
-        # x^k / k!, x = -i sign(t) theta / 2^s: |x|^k times the exact phase, conjugate at -t
-        coef = math.ldexp(theta, -s) ** _DEGREES * (_TAYLOR_ROW if t >= 0 else _TAYLOR_ROW.conj())
-        f = coef.dot(a.reshape(k + 1, n * n)).reshape(n, n)
-        term, b = a[k] * coef[k], a[1] * coef[1]
+    # x^k / k!: |x|^k times the exact phase, conjugate at -t
+    coef = math.ldexp(theta, -s) ** _DEGREES * (_TAYLOR_ROW if t >= 0 else _TAYLOR_ROW.conj())
+    # block j = sum over i < p of x^(jp + i) B^i / (jp + i)!, the last with x^20 B^p / 20! too
+    blocks = coef[_SLOTS[p]].dot(table.reshape(p + 1, n * n)).reshape(-1, n, n)
+    top, f = table[p], blocks[-1]
+    for block in blocks[-2::-1]:
+        f = f.dot(top)
+        f += block
+    term = top * coef[_DEGREE]
+    for _ in range(len(blocks) - 1):
+        term = term.dot(top)
+    b, k = table[1] * coef[1], _DEGREE
     while np.count_nonzero(abs(term) <= _TAYLOR_RTOL * abs(f)) < f.size:
         if k >= _TAYLOR_MAX_TERMS + max(0, n - 48):
             with np.errstate(divide="ignore", invalid="ignore"):

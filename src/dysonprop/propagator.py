@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import _DEGREE, _phase_exp, _phase_powers, dd_phase
+from .divdiff import _DEGREE, _P, _phase_exp, _phase_powers, dd_phase
 from .model import (_MAX_ENTRIES, OperatorMatrix, SpectralModel, Unresolved, _check_eps,
                     _check_phase, _count)
 
@@ -101,14 +101,20 @@ def _block_matrix(model: SpectralModel, l: int) -> np.ndarray:
     return m
 
 
+def _check_table(model: SpectralModel, l: int, p: int, what: str, order: str) -> None:
+    """Refuse, as ``what``, the Taylor power table B^0..B^p of the order-l block
+    matrix at l >= 2 when its (p + 1) ((l + 1) d)^2 entries pass _MAX_ENTRIES:
+    counted in Python ints, before the matrix is built."""
+    if l >= 2 and (p + 1) * ((l + 1) * model.dim) ** 2 > _MAX_ENTRIES:
+        raise Unresolved(what, f"order {order} = {l} puts its Taylor power table past "
+                         f"{_MAX_ENTRIES} entries")
+
+
 def _power_tables(model: SpectralModel, N: int):
     """The inverse Fourier check's ``powers`` for ``truncated_evolution``: None at
-    N <= 1, else ``divdiff._phase_powers`` of the order-N block matrix, whose 21
-    ((N + 1) d)^2 entries past _MAX_ENTRIES raise Unresolved, in ints, before it is built."""
-    if N >= 2 and (_DEGREE + 1) * ((N + 1) * model.dim) ** 2 > _MAX_ENTRIES:
-        raise Unresolved("inverse Fourier check", f"order N = {N} puts its Taylor power "
-                         f"table past {_MAX_ENTRIES} entries")
-    return _phase_powers(_block_matrix(model, N)) if N >= 2 else None
+    N <= 1, else ``divdiff._phase_powers`` of the order-N block matrix at p = 20."""
+    _check_table(model, N, _DEGREE, "inverse Fourier check", "N")
+    return _phase_powers(_block_matrix(model, N), _DEGREE) if N >= 2 else None
 
 
 def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
@@ -131,6 +137,7 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     sum, at O(((l+1)d)^3) cost per Taylor term or squaring.  At every order,
     |t| max|E| >= 1/eps_mach (eps_mach = 2^-52) raises Unresolved, by
     ``model._check_phase``: the phases e^{-iEt} then keep no correct bit.
+    So do the 5 Taylor powers of an M past _MAX_ENTRIES entries (``_check_table``).
     """
     l = _count(l, 0, "order must be a nonnegative integer")
     d, e = model.dim, model.energies
@@ -146,6 +153,7 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
         m = np.zeros((d, d), dtype=complex)
         m.flat[:: d + 1] = np.exp(-1j * e * t)
         return OperatorMatrix(m)
+    _check_table(model, l, _P, "series term", "l")
     return OperatorMatrix(_phase_exp(_block_matrix(model, l), t)[:d, l * d :].copy())
 
 
@@ -154,8 +162,10 @@ def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float, *,
     """Partial sum of the series through order spec.N (a TruncationSpec or an int):
     one ``a_matrix`` per order, summed from 0 as from a zero matrix; or the first
     block row (a_0, ..., a_N) of one e^{-iM_N t} off the table ``powers`` of M_N,
-    with a_1 in closed form, bitwise symmetric for a symmetric H1 as block (0, 1) is not."""
+    with a_1 in closed form, bitwise symmetric for a symmetric H1 as block (0, 1) is not.
+    Without a table, a_N's table rule refuses before any order is summed."""
     if powers is None:
+        _check_table(model, _order(spec), _P, "series term", "l")
         return OperatorMatrix(sum(a_matrix(model, l, t).entries for l in range(_order(spec) + 1)))
     a_1, d = a_matrix(model, 1, t).entries, model.dim  # refuses what a_matrix refuses
     row = _phase_exp(None, t, powers)[:d].reshape(d, _order(spec) + 1, d)

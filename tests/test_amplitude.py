@@ -51,6 +51,15 @@ def test_spec_refuses_a_grid_it_cannot_build(h, mass):
         LatticeSpec(4, h, mass, np.zeros(4), np.zeros(4))
 
 
+def test_spec_refuses_a_grid_past_the_entry_bound():
+    # M = 4097 puts the M x M arrays of build_lattice past 2^24 entries: refused
+    # by the spec, before any of them is built; M = 4096 is kept
+    with pytest.raises(ModelError, match=r"^lattice M = 4097 puts its 4097 x 4097 arrays past "
+                                         r"16777216 entries$"):
+        LatticeSpec(4097, 0.5, 1.0, np.zeros(4097), np.zeros(4097))
+    assert LatticeSpec(4096, 0.5, 1.0, np.zeros(4096), np.zeros(4096)).M == 4096
+
+
 def test_spec_refuses_non_finite_potentials():
     for v0, v1, first in (([0, np.nan, 0, 0], np.zeros(4), 1), (np.zeros(4), [0, 0, np.inf, 0], 2)):
         with pytest.raises(ModelError, match=rf"^potentials must be finite; 1 non-finite, "

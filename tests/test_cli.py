@@ -490,6 +490,12 @@ _REFUSALS = {
         ["green-ft", "--order", "4000"],
         "inverse Fourier check cannot be resolved: order N = 4000 puts its Taylor power "
         "table past 16777216 entries"),
+    # a_400's one-off table, 5 ((400 + 1) 6)^2 entries on the d = 6 lattice,
+    # past the 2^24-entry bound: refused before the direct route's first term
+    "amplitude-order-past-the-table-bound": (
+        ["amplitude", "--order", "400"],
+        "series term cannot be resolved: order l = 400 puts its Taylor power table past "
+        "16777216 entries"),
     # d x d arrays past the 2^24-entry bound, refused before any is built
     "dim-past-the-entry-bound": (["dyson-check", "--dim", "4097"],
                                  "dim 4097 puts the model's 4097 x 4097 arrays past 16777216"),
@@ -511,6 +517,11 @@ _REFUSALS = {
     "model-file-energy": (["propagate", "--model",
                            '{"dim": 1, "energies": ["zero"], "h1": [[[0, 0]]]}'],
                           "energies entries must be numbers"),
+    # M x M arrays past the 2^24-entry bound, refused before any is built
+    "lattice-file-past-the-entry-bound": (
+        ["amplitude", "--lattice", json.dumps({"M": 4097, "h": 0.5, "mass": 1.0,
+                                               "v0": [0] * 4097, "v1": [0] * 4097})],
+        "lattice M = 4097 puts its 4097 x 4097 arrays past 16777216 entries"),
     "lattice-file-h": (["amplitude", "--lattice", _lattice("half")],
                        "h must be a number, got 'half'"),
     "lattice-file-hopping": (["amplitude", "--lattice", _lattice(1e-200)],

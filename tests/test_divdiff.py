@@ -298,7 +298,7 @@ def test_phase_exp_bitwise_equals_every_term_stop_test(name):
     # up to all of it.  The sum read off a ``_phase_powers`` table, of degree
     # 20, keeps the same test and the same bound
     m = _STOP_RULE_MATRICES[name]
-    table = divdiff._phase_powers(m)
+    table = divdiff._phase_powers(m, divdiff._DEGREE)
     for t in _STOP_RULE_TIMES:
         want = reference_phase_exp(m, t)
         for got in (_phase_exp(m, t), _phase_exp(None, t, table)):
@@ -313,7 +313,7 @@ def test_phase_exp_from_a_table_sums_on_past_its_degree(pair):
     # at 40 and 80 the squarings of these sorted nodes take their corners up
     # to 3e-7 off the loop's on either path (the table's or the products')
     m = _node_bidiagonal([0.11 * (k // pair) for k in range(24)])
-    table = divdiff._phase_powers(m)
+    table = divdiff._phase_powers(m, divdiff._DEGREE)
     for t in [t for t in _STOP_RULE_TIMES if abs(t) <= 20.0]:
         got, want = _phase_exp(None, t, table), reference_phase_exp(m, t)
         assert (abs(got - want) <= 1e-10 * abs(want)).all(), t
@@ -346,7 +346,7 @@ def test_phase_exp_refuses_an_unrepresentable_scale(nodes, t):
                                          r"times \|\|m - mu\|\|_1 = \S+ needs a scale 2\^s"):
         _phase_exp(j, t)
     # from a table of j, with no j to read, in the same words
-    assert _refusal(None, t, divdiff._phase_powers(j)) == _refusal(j, t, None)
+    assert _refusal(None, t, divdiff._phase_powers(j, divdiff._DEGREE)) == _refusal(j, t, None)
 
 
 def test_phase_exp_refuses_squarings_past_the_float_range():
@@ -357,7 +357,8 @@ def test_phase_exp_refuses_squarings_past_the_float_range():
                                          r"squares past the float range"):
         dd_phase([0.0, 0.0, 0.0], 1e300)
     j = _node_bidiagonal([0.0, 0.0, 0.0])
-    assert _refusal(None, 1e300, divdiff._phase_powers(j)) == _refusal(j, 1e300, None)
+    table = divdiff._phase_powers(j, divdiff._DEGREE)
+    assert _refusal(None, 1e300, table) == _refusal(j, 1e300, None)
 
 
 def _spread_nodes(kind, n, seed):

@@ -155,8 +155,8 @@ def test_inverse_check_builds_one_table_for_every_node(monkeypatch):
     tables, seen = [], []
     real_build, real_evolution = propagator._phase_powers, green.truncated_evolution
 
-    def build(m):
-        tables.append((m, real_build(m)))
+    def build(m, p):
+        tables.append((m, real_build(m, p)))
         return tables[-1][1]
 
     def evolution(model, spec, t, *, powers=None):
@@ -187,7 +187,7 @@ def test_inverse_check_refuses_tables_past_the_entry_bound(N, refused, monkeypat
     class Built(Exception):
         pass
 
-    def build(m):
+    def build(m, p):
         raise Built
 
     monkeypatch.setattr(propagator, "_phase_powers", build)

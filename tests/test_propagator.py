@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -84,7 +85,7 @@ def test_block_route_matches_tuple_sum(degenerate):
 
 
 def mp_a_matrix(model, l, t):
-    """Order-l series term by the tuple sum at 40 + l digits.
+    """Order-l series term by the tuple sum at 40 + max(l, log10(l! / |t|^l)) digits.
 
     The divided difference of e^{-iEt} over a tuple's energies comes from a
     Hermite table over the sorted nodes, in which a run of k + 1 equal nodes
@@ -92,11 +93,13 @@ def mp_a_matrix(model, l, t):
     node multiset, so the tuples' H1 chain weights are summed per endpoint
     and multiset, one step at a time, and each multiset is evaluated once:
     the d^(l-1) tuples of high orders at small d in a few hundred terms.
-    The l digits more keep a_l's digits where the table's differences of
-    phases of size 1 cancel down to about |t|^l / l!, at |t| >= 1.
+    The table's differences of phases of size 1 cancel down to about
+    |t|^l / l!, so log10(l! / |t|^l) digits more keep a_l's 40 at short
+    times (a_21 at t = 0.03 is 2.1e-63), and l more at |t| >= 1.
     """
     d = model.dim
-    with mpmath.workdps(40 + l):
+    short = math.log10(math.factorial(l)) - l * math.log10(abs(t)) if t else 0.0
+    with mpmath.workdps(40 + max(l, math.ceil(short))):
         e = [mpmath.mpf(float(x)) for x in model.energies]
         h1 = [[mpmath.mpc(complex(v)) for v in row] for row in model.h1]
         tt = mpmath.mpf(float(t))
@@ -246,11 +249,12 @@ def test_table_sum_runs_on_term_by_term_past_its_degree(monkeypatch):
 def test_products_path_runs_on_term_by_term_past_its_degree(l):
     # block (0, l) of a block matrix starts at power l, past the degree 20 of
     # the Paterson-Stockmeyer sum, so a_matrix gets it from the term-by-term
-    # continuation alone: at theta <= 1 (t = 1 on the two-level model) and
-    # s >= 1, of both signs, and on a d = 2 model with every H1 entry nonzero
+    # continuation alone: at theta <= 1 (t = 0.03 and 1 on the two-level
+    # model, where a_21 is 2.1e-63 at 0.03) and s >= 1, of both signs, and on
+    # a d = 2 model with every H1 entry nonzero
     for m in (two_level_model(1.0, 0.3), random_model(2, 7, 0.5)):
         _, norm = _block_matrix(m, l)
-        for t in (1.0, -5.3, 37.3):
+        for t in (0.03, 1.0, -5.3, 37.3):
             err = _rel_err(a_matrix(m, l, t).entries, mp_a_matrix(m, l, t))
             assert err <= A_MATRIX_C * max(1.0, abs(t) * norm) * np.finfo(float).eps / 2, (m.dim, t)
 
@@ -268,17 +272,51 @@ def test_table_row_at_order_24_against_the_per_order_route():
         assert err <= A_MATRIX_C * max(1.0, abs(t) * norm) * np.finfo(float).eps, t
 
 
-@pytest.mark.parametrize("N", [2, 5])
-def test_table_route_at_minus_t_is_the_exact_conjugate(N):
-    # for a real model, U_N(-t) = conj U_N(t) bit for bit on the table route:
+@pytest.mark.parametrize("N, route", [pytest.param(2, "table", id="2"),
+                                      pytest.param(5, "table", id="5"),
+                                      pytest.param(2, "per-order", id="per-order-2"),
+                                      pytest.param(5, "per-order", id="per-order-5")])
+def test_table_route_at_minus_t_is_the_exact_conjugate(N, route):
+    # for a real model, U_N(-t) = conj U_N(t) bit for bit on the table route
+    # and on the per-order route, whose a_matrix calls build their own tables:
     # the Taylor row at -t is the exact conjugate of the row at t, and so are
     # the sum, its squarings, the phase e^{-i mu t} and a_1's closed form.
     # Over theta <= 1 (s = 0) and up to s = 10
     for m in (two_level_model(1.0, 0.3), SpectralModel([0.1, 0.4, 1.3], random_model(3, 4).h1.real)):
-        table = propagator._power_tables(m, N)
+        table = propagator._power_tables(m, N) if route == "table" else None
         for t in np.geomspace(1e-3, 400.0, 61):
             u = truncated_evolution(m, N, t, powers=table).entries
             assert np.array_equal(truncated_evolution(m, N, -t, powers=table).entries, u.conj()), t
+
+
+@pytest.mark.parametrize("l, refused", [(914, False), (915, True), (3000, True)])
+def test_a_matrix_refuses_tables_past_the_entry_bound(l, refused, monkeypatch):
+    # a one-off table of M_l holds 5 ((l + 1) d)^2 entries: at d = 2,
+    # 16 744 500 at l = 914 and 16 781 120 at l = 915, past 2^24: refused,
+    # naming the order, before M_l is built
+    class Built(Exception):
+        pass
+
+    def build(model, l):
+        raise Built
+
+    monkeypatch.setattr(propagator, "_block_matrix", build)
+    with pytest.raises(Unresolved if refused else Built) as err:
+        a_matrix(two_level_model(), l, 1.0)
+    if refused:
+        assert str(err.value) == (f"series term cannot be resolved: order l = {l} puts its "
+                                  "Taylor power table past 16777216 entries")
+
+
+def test_partial_sum_refuses_its_last_order_before_the_first(monkeypatch):
+    # at d = 6, a_400's table is past the bound: the per-order sum refuses
+    # with a_400's words before it takes any term
+    def unreachable(*args):
+        raise AssertionError("a term was taken before the refusal")
+
+    monkeypatch.setattr(propagator, "a_matrix", unreachable)
+    with pytest.raises(Unresolved, match=r"^series term cannot be resolved: order l = 400 "):
+        truncated_evolution(random_model(6, 1, 0.1), 400, 1.0)
 
 
 def _no_exponential(*args):
