@@ -26,15 +26,14 @@ from .model import Unresolved, _check_phase, _finite
 
 _TAYLOR_RTOL = 1e-18
 _TAYLOR_MAX_TERMS = 64
-# 1/k! for k <= _TAYLOR_MAX_TERMS, each correctly rounded
-_INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(_TAYLOR_MAX_TERMS + 1)])
 # the Taylor degree, the first k with 1/k! < _TAYLOR_RTOL, so that the norm bound
 # theta^k / k! holds at every theta <= 1, and the Paterson-Stockmeyer block size p
 # of a one-off exponential; a table shared by many t has p = _DEGREE
 _DEGREE, _P = 20, 4
 # k and (-i)^k / k! for k <= _DEGREE, then a 0 that fills the empty slots below
 _DEGREES = np.arange(_DEGREE + 2.0)
-_TAYLOR_ROW = np.append(np.resize([1, -1j, -1, 1j], _DEGREE + 1) * _INV_FACTORIAL[: _DEGREE + 1], 0)
+_TAYLOR_ROW = np.append(np.resize([1, -1j, -1, 1j], _DEGREE + 1)
+                        * [1 / math.factorial(k) for k in range(_DEGREE + 1)], 0)
 # per block size p, where block j of the Paterson-Stockmeyer sum reads that row:
 # the (q, p + 1) indices jp + i at i < p, _DEGREE at (q - 1, p) and the 0 elsewhere
 _SLOTS = {p: np.column_stack([np.arange(_DEGREE).reshape(-1, p),

@@ -157,39 +157,36 @@ def inverse_fourier_check(
     With the e^{-eps|tau|} damping folded in, this is the Fourier transform
     of the time-dependent Green operator evaluated at E +- i*eps, and must
     reproduce ``dyson_partial`` at the matched query up to quadrature error.
-    An eps that is not positive leaves no damping (Unresolved); inf is refused,
-    and so are an eps*T that overflows and an E whose phases e^{iE tau} over
-    (0, T) keep no bit, before any node, unless a node's own level rule
-    refuses.  The nodes are ``_panel_rule``'s with the whole domain (0, T) as
-    its bound: ``quad.npoints`` nodes on equal panels, one ``timedep_green``
+    Before any node it refuses, each rule once and in this order: a domain
+    that is not (0, T) and a non-finite E (ValueError); an eps*T outside
+    [-ln _DAMPING_TOL, inf), whose damping does not fall (eps <= 0 or NaN)
+    or whose factors' exponents overflow (inf); ``_panel_rule``'s rules; a T
+    at which a phase of the integrand, e^{-iE_g tau} or e^{iE tau}, keeps no
+    bit; and a Taylor table of M_N past _MAX_ENTRIES (``_power_tables``).
+    The nodes are ``_panel_rule``'s with the whole domain (0, T) as its
+    bound: ``quad.npoints`` nodes on equal panels, one ``timedep_green``
     call each, whose ``truncated_evolution`` call the benchmark counts per
-    node: the first block row of one e^{-iM_N tau} off one Taylor table of M_N
-    (``propagator._power_tables``, refused past _MAX_ENTRIES before it is
-    built), a_1 in closed form for G^-(E) = G^+(E)^dagger bit for bit on real
-    models.  The factors w e^{(+-iE - eps) tau} are taken for all nodes at
-    once; each block of _BLOCK_ENTRIES / d^2 evaluations is one fixed-order einsum.
+    node: the first block row of one e^{-iM_N tau} off that one table, a_1
+    in closed form for G^-(E) = G^+(E)^dagger bit for bit on real models.
+    The factors w e^{(+-iE - eps) tau} are taken for all nodes at once; each
+    block of _BLOCK_ENTRIES / d^2 evaluations is one fixed-order einsum.
     """
     sgn = normalize_sign(sign)
     a, b = quad.domain
     if a != 0:
         raise ValueError("quadrature domain must be (0, T)")
-    # in the exponent, so no eps overflows exp and a NaN fails the test too
-    if not eps * b >= -np.log(_DAMPING_TOL):
-        raise Unresolved("inverse Fourier check", f"the damping exp(-eps*T) does not fall to "
-                         f"{_DAMPING_TOL}: eps*T = {eps * b:.3g} at eps = {eps}, T = {b}")
-    _check_eps(eps)
+    if not math.isfinite(E):
+        raise ValueError(f"E must be finite, got {E}")
+    eps_t = float(eps) * float(b)  # Python floats: numpy's would warn as they overflow
+    if not -math.log(_DAMPING_TOL) <= eps_t < math.inf:
+        raise Unresolved("inverse Fourier check", f"the damping exp(-eps*T) needs "
+                         f"{-math.log(_DAMPING_TOL):.3g} <= eps*T < inf to fall to {_DAMPING_TOL}"
+                         f" with finite factors: eps*T = {eps_t:.3g} at eps = {eps}, T = {b}")
     taus, w = _panel_rule(quad.domain, quad.npoints, a, b, eps)
-    if eps * b == math.inf:  # the damping falls, but the factors' exponents overflow
-        raise Unresolved("inverse Fourier check", f"eps*T overflows at eps = {eps}, T = {b}")
-    try:
-        _check_phase(b, (E,))  # the factors e^{iE tau}, before they are taken
-    except Unresolved:
-        for tau in taus:  # the first node whose level rule refuses speaks first
-            _check_phase(tau, model.energies.tolist())
-        raise
+    _check_phase(b, (*model.energies.tolist(), E))  # every phase of the integrand on (0, T)
+    powers = _power_tables(model, _order(spec))
     factors = w * np.exp((1j * sgn * E - eps) * taus)
     d, step = model.dim, _block(model.dim)
-    powers = _power_tables(model, _order(spec))
     total = np.zeros((d, d), dtype=complex)
     for s in range(0, len(taus), step):
         # sign '-' integrates over tau < 0; mirror the node onto (0, T)

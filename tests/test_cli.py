@@ -458,10 +458,14 @@ _REFUSALS = {
                         "inverse Fourier check cannot be resolved: the damping"),
     "forward-window": (["green-ft", "--window", "1"],
                        "forward Fourier transform cannot be resolved: energy window"),
+    # the levels' phases at T, before any node; E T = 3.7e15 passes at T = 1e16
+    "inverse-phases-at-1e16": (["green-ft", "--quad-domain", "1e16"],
+                               "exp(-i t E) cannot be resolved: |t| = 1.000e+16 times "
+                               "max|E| = 1.000e+00"),
     "inverse-phases-at-1e17": (["green-ft", "--quad-domain", "1e17"],
-                               "exp(-i t E) cannot be resolved: |t| = 4.513e+15"),
+                               "exp(-i t E) cannot be resolved: |t| = 1.000e+17"),
     "inverse-phases-at-1e300": (["green-ft", "--quad-domain", "1e300"],
-                                "exp(-i t E) cannot be resolved: |t| = 4.240e+295"),
+                                "exp(-i t E) cannot be resolved: |t| = 1.000e+300"),
     # the inverse check's factors e^{iE tau} over (0, T), T = 200
     "inverse-phases-of-E-at-1e300": (["green-ft", "--E", "1e300"],
                                      "exp(-i t E) cannot be resolved: |t| = 2.000e+02 times "
@@ -477,11 +481,14 @@ _REFUSALS = {
     "inverse-panels-past-the-float-range": (
         ["green-ft", "--quad-domain", "1.7e308"],
         "quadrature panels cannot be resolved: domain (0, 1.7e+308) at eps = 0.1 "),
-    # only the last inverse panel's end sum overflows; the window is wide
-    # enough for the forward transform, which runs first, at eps = 10
+    # the last inverse panel's end sum would overflow, but eps*T = 10 x 1.7e308
+    # = inf is refused before the panels; the window is wide enough for the
+    # forward transform, which runs first, at eps = 10
     "inverse-panel-end-sum-past-the-float-range": (
         ["green-ft", "--quad-domain", "1.7e308", "--eps", "10", "--window", "600"],
-        "quadrature panels cannot be resolved: domain (0, 1.7e+308) at eps = 10 "),
+        "inverse Fourier check cannot be resolved: the damping exp(-eps*T) needs 18.4 <= "
+        "eps*T < inf to fall to 1e-08 with finite factors: eps*T = inf at eps = 10.0, "
+        "T = 1.7e+308"),
     "forward-phases-at-1e300": (["green-ft", "--t", "1e300"],
                                 "exp(-i t E) cannot be resolved: |t| = 1.000e+300"),
     # the inverse check's Taylor power table, 21 ((N + 1) d)^2 entries, past

@@ -246,49 +246,58 @@ def test_inverse_rule_has_npoints_nodes_on_tables_of_at_most_32(monkeypatch):
     assert max(sizes) == 32
 
 
-def test_inverse_fourier_domain_guards():
-    m = two_level_model()
-    spec = TruncationSpec(1)
-    with pytest.raises(ValueError):
-        inverse_fourier_check(m, spec, 0.0, "+", 0.1, QuadratureSpec((1.0, 200.0), 100))
-    with pytest.raises(Unresolved):
-        # domain too short for the damping to die out
-        inverse_fourier_check(m, spec, 0.0, "+", 0.1, QuadratureSpec((0.0, 10.0), 100))
-    for eps in (0.0, -0.1, -10.0, np.nan):  # no damping at all
-        with pytest.raises(Unresolved, match="damping"):
-            inverse_fourier_check(m, spec, 0.0, "+", eps, QuadratureSpec((0.0, 200.0), 100))
-    # an infinite eps passed the damping test, then warned in the products
-    with pytest.raises(ValueError, match="^eps must be positive and finite, got inf$"):
-        inverse_fourier_check(m, spec, 0.0, "+", np.inf, QuadratureSpec((0.0, 200.0), 100))
+_DAMPING = ("inverse Fourier check cannot be resolved: the damping exp(-eps*T) needs 18.4 <= "
+            "eps*T < inf to fall to 1e-08 with finite factors: eps*T = ")
+_NO_BIT = "is not below 1/eps_mach = 4.504e+15: no phase keeps a bit"
 
 
-@pytest.mark.parametrize("E", [1e300, 1.7e308])
+# each refusal of the inverse check's preamble, in its order: case -> (E, eps,
+# T, npoints, N), the error and its whole text
+@pytest.mark.parametrize("case", {
+    "domain-start": ((0.37, 0.1, None, 100, 2), ValueError, "quadrature domain must be (0, T)"),
+    "E-nan": ((np.nan, 0.1, 200.0, 100, 2), ValueError, "E must be finite, got nan"),
+    "E-inf": ((np.inf, 0.1, 200.0, 100, 2), ValueError, "E must be finite, got inf"),
+    # domain too short for the damping to die out
+    "T-10": ((0.37, 0.1, 10.0, 100, 2), Unresolved, _DAMPING + "1 at eps = 0.1, T = 10.0"),
+    # no damping at all
+    "eps-0": ((0.37, 0.0, 200.0, 100, 2), Unresolved, _DAMPING + "0 at eps = 0.0, T = 200.0"),
+    "eps-minus-0.1": ((0.37, -0.1, 200.0, 100, 2), Unresolved,
+                      _DAMPING + "-20 at eps = -0.1, T = 200.0"),
+    "eps-minus-10": ((0.37, -10.0, 200.0, 100, 2), Unresolved,
+                     _DAMPING + "-2e+03 at eps = -10.0, T = 200.0"),
+    "eps-nan": ((0.37, np.nan, 200.0, 100, 2), Unresolved,
+                _DAMPING + "nan at eps = nan, T = 200.0"),
+    # the damping falls, but the factors' exponents overflow
+    "eps-inf": ((0.37, np.inf, 200.0, 100, 2), Unresolved,
+                _DAMPING + "inf at eps = inf, T = 200.0"),
+    "eps-T-inf": ((0.37, 1e300, 1e10, 40, 2), Unresolved,
+                  _DAMPING + "inf at eps = 1e+300, T = 10000000000.0"),
+    # numpy scalars, whose product would warn as it overflows
+    "eps-T-inf-numpy": ((0.37, np.float64(1e300), np.float64(1e10), 40, 2), Unresolved,
+                        _DAMPING + "inf at eps = 1e+300, T = 10000000000.0"),
+    # the factors e^{iE tau} keep no bit; at 1.7e308 E T is past the float range
+    "E-1e300": ((1e300, 0.1, 200.0, 100, 2), Unresolved, "exp(-i t E) cannot be resolved: "
+                f"|t| = 2.000e+02 times max|E| = 1.000e+300 {_NO_BIT}"),
+    "E-1.7e308": ((1.7e308, 0.1, 200.0, 100, 2), Unresolved, "exp(-i t E) cannot be resolved: "
+                  f"|t| = 2.000e+02 times max|E| = 1.700e+308 {_NO_BIT}"),
+    # E T = 3.7e15 passes, but the level E_2 = 1 fails at T, before its first node
+    "T-1e16": ((0.37, 0.1, 1e16, 100, 2), Unresolved, "exp(-i t E) cannot be resolved: "
+               f"|t| = 1.000e+16 times max|E| = 1.000e+00 {_NO_BIT}"),
+    "N-4000": ((0.37, 0.1, 200.0, 100, 4000), Unresolved, "inverse Fourier check cannot be "
+               "resolved: order N = 4000 puts its Taylor power table past 16777216 entries"),
+}.items(), ids=lambda case: case[0])
 @pytest.mark.parametrize("sign", ["+", "-"])
-def test_inverse_fourier_refuses_E_before_any_node(E, sign, monkeypatch):
-    # the factors e^{iE tau} over (0, 200) keep no bit; at 1.7e308 E tau
-    # overflowed in their product (RuntimeWarning is an error here)
-    def unreachable(*args):
-        raise AssertionError("a node was evaluated before the E phase rule")
+def test_inverse_fourier_refuses_its_inputs_before_any_node(case, sign, monkeypatch):
+    # RuntimeWarning is an error here, so no refusal may come from a warning
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a node was evaluated before a refusal of the preamble")
 
     monkeypatch.setattr(green, "timedep_green", unreachable)
-    with pytest.raises(Unresolved, match=r"^exp\(-i t E\) cannot be resolved: \|t\| = 2\.000e\+02 "
-                                         r"times max\|E\| = " + re.escape(f"{E:.3e}")):
-        inverse_fourier_check(two_level_model(), TruncationSpec(2), E, sign, 0.1,
-                              QuadratureSpec((0.0, 200.0), 100))
-
-
-@pytest.mark.parametrize("sign", ["+", "-"])
-def test_inverse_fourier_refuses_an_eps_T_past_the_float_range(sign, monkeypatch):
-    # the damping falls, but eps*T = inf overflowed the factors' exponents
-    # (RuntimeWarning is an error here)
-    def unreachable(*args):
-        raise AssertionError("a node was evaluated before the eps*T rule")
-
-    monkeypatch.setattr(green, "timedep_green", unreachable)
-    with pytest.raises(Unresolved, match=r"^inverse Fourier check cannot be resolved: eps\*T "
-                                         r"overflows at eps = 1e\+300, T = 10000000000\.0$"):
-        inverse_fourier_check(two_level_model(), TruncationSpec(2), 0.37, sign, 1e300,
-                              QuadratureSpec((0.0, 1e10), 40))
+    (E, eps, T, npoints, N), error, text = case[1]
+    quad = QuadratureSpec((1.0, 200.0) if T is None else (0.0, T), npoints)
+    with pytest.raises(error) as err:
+        inverse_fourier_check(two_level_model(), TruncationSpec(N), E, sign, eps, quad)
+    assert type(err.value) is error and str(err.value) == text
 
 
 def test_forward_fourier_causality():
