@@ -169,21 +169,18 @@ def k_truncated_direct(sys: LatticeSystem, spec: TruncationSpec, xb, tb: float, 
     return _at(sys.basis @ u @ sys.basis.conj().T, xb, xa)
 
 
-def _level_sums(sys: LatticeSystem, t: float) -> np.ndarray:
-    """G[g] = sum_{y_b, y_a} psi*(y_b, g) K0(y_b, t; y_a, 0) psi(y_a, g), t > 0."""
+def _relation(sys: LatticeSystem, spec: TruncationSpec, eps, t: float):
+    """h^2 psi X psi^dagger over the eps ladder and every (x_b, x_a), X the graded
+    sum of the retarded chains weighted by e^{-m*eps*t} G[g] at position m, level g,
+    G[g] = sum_{y_b, y_a} psi*(y_b, g) K0(y_b, t; y_a, 0) psi(y_a, g), t > 0."""
     if not t > 0:
         raise ValueError("tb must be > ta")
     psi = sys.basis
-    return np.sum(np.conj(psi) * (_evolve(psi, sys.model.energies, t) @ psi), axis=0)
-
-
-def _relation(sys: LatticeSystem, spec: TruncationSpec, eps, t: float, level):
-    """h^2 psi X psi^dagger over the eps ladder and every (x_b, x_a), X the graded
-    sum of the retarded chains weighted by e^{-m*eps*t} G[g] at position m, level g."""
+    level = np.sum(np.conj(psi) * (_evolve(psi, sys.model.energies, t) @ psi), axis=0)
     _, left, right = _graded_chains(sys.model, spec, eps, 1)
     rate = -np.asarray(eps)[..., np.newaxis] * t
     damped = np.exp(rate * np.arange(left.shape[-3]))[..., np.newaxis] * level
-    return sys.spec.h**2 * (sys.basis @ _graded_sum(left, damped, right) @ sys.basis.conj().T)
+    return sys.spec.h**2 * (psi @ _graded_sum(left, damped, right) @ psi.conj().T)
 
 
 def k_via_relation(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb, tb: float, xa,
@@ -193,14 +190,14 @@ def k_via_relation(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb, tb:
     C_m(x_b, y_b; x_a, y_a) * K0(y_b, t_b; y_a, t_a).
 
     C_m is a sum over levels g, so the grid sum is taken level by level
-    (``_level_sums``, ``_relation``): no (N+1) M^4 kernel array is formed.
+    (``_relation``): no (N+1) M^4 kernel array is formed.
     """
-    return _at(_relation(sys, spec, eps, tb - ta, _level_sums(sys, tb - ta)), xb, xa)
+    return _at(_relation(sys, spec, eps, tb - ta), xb, xa)
 
 
 def k_via_relation_extrapolated(sys: LatticeSystem, spec: TruncationSpec, eps_values, xb,
                                 tb: float, xa, ta: float):
     """Richardson (Neville) extrapolation of ``k_via_relation`` to eps = 0;
     one ``_relation`` call makes every sample, from one K0 and its level sums G."""
-    samples = _relation(sys, spec, eps_values, tb - ta, _level_sums(sys, tb - ta))
+    samples = _relation(sys, spec, eps_values, tb - ta)
     return _at(richardson_limit(eps_values, samples), xb, xa)

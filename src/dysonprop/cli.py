@@ -517,7 +517,7 @@ def main(argv=None) -> int:
     try:
         report = _DISPATCH[opts.command](opts)
         emit_report(report, opts.format, opts.out)
-    except Exception as exc:  # surface module errors with context, nonzero exit
+    except (ValueError, OSError) as exc:  # a refusal: ModelError and Unresolved are ValueErrors
         print(f"dysonprop {opts.command}: error: {exc}", file=sys.stderr)
         return 2
     _print_summary(report)

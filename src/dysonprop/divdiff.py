@@ -65,9 +65,8 @@ def _phase_powers(m: np.ndarray, p: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _phase_exp(m: np.ndarray, t: float, powers=None) -> np.ndarray:
-    """exp(-i t m) for a square matrix m, or for the m of the ``_phase_powers``
-    table ``powers``, read in place of m; without one it builds one at p = _P.
+def _phase_exp(powers, t: float) -> np.ndarray:
+    """exp(-i t m) for the square matrix m of the ``_phase_powers`` table ``powers``.
 
     With B = (m - mu) / nu from the table, -i t (m - mu) = x B at 1-norm theta
     = |t| nu / 2^s <= 1, x = -i sign(t) theta / 2^s; its Taylor polynomial of
@@ -84,7 +83,7 @@ def _phase_exp(m: np.ndarray, t: float, powers=None) -> np.ndarray:
     max(0, n - 48), when theta is not finite or needs a scale 2^s, s >= 1024,
     and when the squarings overflow, which one finiteness test sees silently.
     """
-    mu, table, nu = powers or _phase_powers(m, _P)
+    mu, table, nu = powers
     p, n, theta = len(table) - 1, table.shape[-1], abs(t) * nu  # Python floats: inf with no warning
     # the least s >= 0 with theta / 2^s <= 1
     mant, e = math.frexp(theta)
@@ -147,7 +146,7 @@ def dd_phase(nodes, t) -> complex:
             order.append(int(np.lexsort((-logdist, equal))[0]))
     j = np.diag(nodes[order])
     j.flat[1 :: n + 1] = 1.0
-    return complex(_phase_exp(j, t)[0, -1])
+    return complex(_phase_exp(_phase_powers(j, _P), t)[0, -1])
 
 
 def denominator_d(nodes, i: int):

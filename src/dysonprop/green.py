@@ -131,15 +131,14 @@ def _gated_on(tau: float, sgn: int) -> bool:
     return not sgn * tau < 0
 
 
-def timedep_green(
-    model: SpectralModel, spec: TruncationSpec, t: float, tp: float, sign, *, powers=None
-) -> OperatorMatrix:
+def timedep_green(model: SpectralModel, spec: TruncationSpec, t: float, tp: float,
+                  sign) -> OperatorMatrix:
     """Step-function-gated truncated evolution: -+ i * theta(+-(t-t')) U_N(t-t')."""
     sgn = normalize_sign(sign)
     tau = t - tp
     if not _gated_on(tau, sgn):
         return OperatorMatrix(np.zeros((model.dim, model.dim), dtype=complex))
-    g = truncated_evolution(model, spec, tau, powers=powers)
+    g = truncated_evolution(model, spec, tau)
     g.entries *= -1j * sgn  # in place: g is this call's own, already checked
     return g
 
@@ -152,7 +151,7 @@ def inverse_fourier_check(
     eps: float,
     quad: QuadratureSpec,
 ) -> OperatorMatrix:
-    """Quadrature of e^{iE tau} e^{-eps|tau|} ``timedep_green`` over the gated axis.
+    """Quadrature of e^{iE tau} e^{-eps|tau|} G(tau) = -+i U_N(+-tau) over the gated axis.
 
     With the e^{-eps|tau|} damping folded in, this is the Fourier transform
     of the time-dependent Green operator evaluated at E +- i*eps, and must
@@ -164,12 +163,12 @@ def inverse_fourier_check(
     at which a phase of the integrand, e^{-iE_g tau} or e^{iE tau}, keeps no
     bit; and a Taylor table of M_N past _MAX_ENTRIES (``_power_tables``).
     The nodes are ``_panel_rule``'s with the whole domain (0, T) as its
-    bound: ``quad.npoints`` nodes on equal panels, one ``timedep_green``
-    call each, whose ``truncated_evolution`` call the benchmark counts per
+    bound: ``quad.npoints`` nodes on equal panels, inside it, where theta = 1;
+    one ``truncated_evolution`` call each, which the benchmark counts per
     node: the first block row of one e^{-iM_N tau} off that one table, a_1
     in closed form for G^-(E) = G^+(E)^dagger bit for bit on real models.
-    The factors w e^{(+-iE - eps) tau} are taken for all nodes at once; each
-    block of _BLOCK_ENTRIES / d^2 evaluations is one fixed-order einsum.
+    The factors -+i w e^{(+-iE - eps) tau} are taken for all nodes at once;
+    each block of _BLOCK_ENTRIES / d^2 evaluations is one fixed-order einsum.
     """
     sgn = normalize_sign(sign)
     a, b = quad.domain
@@ -185,12 +184,12 @@ def inverse_fourier_check(
     taus, w = _panel_rule(quad.domain, quad.npoints, a, b, eps)
     _check_phase(b, (*model.energies.tolist(), E))  # every phase of the integrand on (0, T)
     powers = _power_tables(model, _order(spec))
-    factors = w * np.exp((1j * sgn * E - eps) * taus)
+    factors = w * np.exp((1j * sgn * E - eps) * taus) * (-1j * sgn)
     d, step = model.dim, _block(model.dim)
     total = np.zeros((d, d), dtype=complex)
     for s in range(0, len(taus), step):
         # sign '-' integrates over tau < 0; mirror the node onto (0, T)
-        g = np.array([timedep_green(model, spec, sgn * tau, 0.0, sgn, powers=powers).entries
+        g = np.array([truncated_evolution(model, spec, sgn * tau, powers=powers).entries
                       for tau in taus[s:s + step].tolist()])
         total += np.einsum("n,nij->ij", factors[s:s + step], g)
     return OperatorMatrix(total)

@@ -90,31 +90,26 @@ def a_coefficient(model: SpectralModel, l: int, g: int, gp: int, t: float) -> co
     return complex(total)
 
 
-def _block_matrix(model: SpectralModel, l: int) -> np.ndarray:
-    """The (l+1)d x (l+1)d block matrix M of ``a_matrix``."""
+def _series_table(model: SpectralModel, l: int, p: int, what: str, order: str):
+    """``divdiff._phase_powers`` of the order-l block matrix M_l of ``a_matrix``
+    at block size p.  Its (p + 1) ((l + 1) d)^2 entries past _MAX_ENTRIES are
+    refused as ``what``, naming ``order``: counted in Python ints, before M_l is built."""
     d = model.dim
     n = (l + 1) * d
+    if (p + 1) * n**2 > _MAX_ENTRIES:
+        raise Unresolved(what, f"order {order} = {l} puts its Taylor power table past "
+                         f"{_MAX_ENTRIES} entries")
     m = np.zeros((n, n), dtype=complex)
     m.flat[:: n + 1] = model.energies  # a flat assignment repeats E down all l + 1 blocks
     for k in range(l):
         m[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = model.h1
-    return m
-
-
-def _check_table(model: SpectralModel, l: int, p: int, what: str, order: str) -> None:
-    """Refuse, as ``what``, the Taylor power table B^0..B^p of the order-l block
-    matrix at l >= 2 when its (p + 1) ((l + 1) d)^2 entries pass _MAX_ENTRIES:
-    counted in Python ints, before the matrix is built."""
-    if l >= 2 and (p + 1) * ((l + 1) * model.dim) ** 2 > _MAX_ENTRIES:
-        raise Unresolved(what, f"order {order} = {l} puts its Taylor power table past "
-                         f"{_MAX_ENTRIES} entries")
+    return _phase_powers(m, p)
 
 
 def _power_tables(model: SpectralModel, N: int):
     """The inverse Fourier check's ``powers`` for ``truncated_evolution``: None at
-    N <= 1, else ``divdiff._phase_powers`` of the order-N block matrix at p = 20."""
-    _check_table(model, N, _DEGREE, "inverse Fourier check", "N")
-    return _phase_powers(_block_matrix(model, N), _DEGREE) if N >= 2 else None
+    N <= 1, else the ``_series_table`` of M_N at p = 20."""
+    return _series_table(model, N, _DEGREE, "inverse Fourier check", "N") if N >= 2 else None
 
 
 def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
@@ -124,7 +119,7 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     -it e^{-i(E_a+E_b)t/2} sin(delta)/delta with delta = (E_a - E_b)t/2: the
     2 x 2 case of the exponential below in closed form, with no difference of
     phases to cancel where levels coincide.  For l >= 2, block (0, l) of
-    e^{-iMt} for the (l+1)d x (l+1)d block matrix (``_block_matrix``)
+    e^{-iMt} for the (l+1)d x (l+1)d block matrix (``_series_table``)
 
         M = | H0  H1          |
             |     H0  ...     |
@@ -137,7 +132,7 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
     sum, at O(((l+1)d)^3) cost per Taylor term or squaring.  At every order,
     |t| max|E| >= 1/eps_mach (eps_mach = 2^-52) raises Unresolved, by
     ``model._check_phase``: the phases e^{-iEt} then keep no correct bit.
-    So do the 5 Taylor powers of an M past _MAX_ENTRIES entries (``_check_table``).
+    So do the 5 Taylor powers of an M past _MAX_ENTRIES entries (``_series_table``).
     """
     l = _count(l, 0, "order must be a nonnegative integer")
     d, e = model.dim, model.energies
@@ -153,22 +148,23 @@ def a_matrix(model: SpectralModel, l: int, t: float) -> OperatorMatrix:
         m = np.zeros((d, d), dtype=complex)
         m.flat[:: d + 1] = np.exp(-1j * e * t)
         return OperatorMatrix(m)
-    _check_table(model, l, _P, "series term", "l")
-    return OperatorMatrix(_phase_exp(_block_matrix(model, l), t)[:d, l * d :].copy())
+    table = _series_table(model, l, _P, "series term", "l")
+    return OperatorMatrix(_phase_exp(table, t)[:d, l * d :].copy())
 
 
 def truncated_evolution(model: SpectralModel, spec: TruncationSpec, t: float, *,
                         powers=None) -> OperatorMatrix:
     """Partial sum of the series through order spec.N (a TruncationSpec or an int):
-    one ``a_matrix`` per order, summed from 0 as from a zero matrix; or the first
+    one ``a_matrix`` per order, a_N first, so that its rules refuse before any
+    other order runs, then summed from 0 as from a zero matrix; or the first
     block row (a_0, ..., a_N) of one e^{-iM_N t} off the table ``powers`` of M_N,
-    with a_1 in closed form, bitwise symmetric for a symmetric H1 as block (0, 1) is not.
-    Without a table, a_N's table rule refuses before any order is summed."""
+    with a_1 in closed form, bitwise symmetric for a symmetric H1 as block (0, 1) is not."""
+    N = _order(spec)
     if powers is None:
-        _check_table(model, _order(spec), _P, "series term", "l")
-        return OperatorMatrix(sum(a_matrix(model, l, t).entries for l in range(_order(spec) + 1)))
+        last = a_matrix(model, N, t).entries
+        return OperatorMatrix(sum(a_matrix(model, l, t).entries for l in range(N)) + last)
     a_1, d = a_matrix(model, 1, t).entries, model.dim  # refuses what a_matrix refuses
-    row = _phase_exp(None, t, powers)[:d].reshape(d, _order(spec) + 1, d)
+    row = _phase_exp(powers, t)[:d].reshape(d, N + 1, d)
     row[:, 1] = a_1
     return OperatorMatrix(row.sum(axis=1))
 

@@ -544,7 +544,8 @@ _REFUSALS = {
 @pytest.mark.parametrize("case", _REFUSALS)
 def test_every_refusal_path_gives_one_verdict(case, monkeypatch, capsys, tmp_path):
     # exit 2 with the case's text and no verdict.  A RuntimeWarning is an
-    # error under pytest, so a case that warns ends on the warning's text
+    # error under pytest but no refusal: main does not catch it, so a case
+    # that warns fails here with the warning's traceback
     argv, text = list(_REFUSALS[case][0]), _REFUSALS[case][1]
     if case == "taylor-term-cap":
         monkeypatch.setattr(divdiff, "_TAYLOR_MAX_TERMS", divdiff._DEGREE)
@@ -557,6 +558,17 @@ def test_every_refusal_path_gives_one_verdict(case, monkeypatch, capsys, tmp_pat
     err = capsys.readouterr().err
     assert text in err, err
     assert "[PASS]" not in err and "[FAIL]" not in err and not out.exists()
+
+
+def test_only_refusals_exit_2(monkeypatch):
+    # main turns a ValueError or an OSError into exit 2; any other exception
+    # is a fault of the program and keeps its traceback
+    def faulted(opts):
+        raise KeyError("not a refusal")
+
+    monkeypatch.setitem(cli._DISPATCH, "identity-check", faulted)
+    with pytest.raises(KeyError, match="not a refusal"):
+        main(["identity-check", "--out", os.devnull])
 
 
 @pytest.mark.parametrize("case", ["forward-window", "panels-past-the-float-range",

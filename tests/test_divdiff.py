@@ -295,13 +295,13 @@ def test_phase_exp_bitwise_equals_every_term_stop_test(name):
     # exactly where the loop's entry is 0 (the worst on this grid is 5.5e-12,
     # block-d7).  A sum accepted on the norm bound alone misses the corner
     # terms of spaced and paired nodes from n = 6 on, by 1e-9 of the entry
-    # up to all of it.  The sum read off a ``_phase_powers`` table, of degree
-    # 20, keeps the same test and the same bound
+    # up to all of it.  Both block sizes of a ``_phase_powers`` table, a one-off
+    # call's p = 4 and the shared p = 20, keep the same test and the same bound
     m = _STOP_RULE_MATRICES[name]
-    table = divdiff._phase_powers(m, divdiff._DEGREE)
+    tables = [divdiff._phase_powers(m, p) for p in (divdiff._P, divdiff._DEGREE)]
     for t in _STOP_RULE_TIMES:
         want = reference_phase_exp(m, t)
-        for got in (_phase_exp(m, t), _phase_exp(None, t, table)):
+        for got in (_phase_exp(table, t) for table in tables):
             assert (abs(got - want) <= 1e-10 * abs(want)).all(), t
 
 
@@ -315,13 +315,13 @@ def test_phase_exp_from_a_table_sums_on_past_its_degree(pair):
     m = _node_bidiagonal([0.11 * (k // pair) for k in range(24)])
     table = divdiff._phase_powers(m, divdiff._DEGREE)
     for t in [t for t in _STOP_RULE_TIMES if abs(t) <= 20.0]:
-        got, want = _phase_exp(None, t, table), reference_phase_exp(m, t)
+        got, want = _phase_exp(table, t), reference_phase_exp(m, t)
         assert (abs(got - want) <= 1e-10 * abs(want)).all(), t
 
 
-def _refusal(m, t, table):
+def _refusal(m, t, p):
     with pytest.raises(Unresolved) as err:
-        _phase_exp(m, t, table)
+        _phase_exp(divdiff._phase_powers(m, p), t)
     return str(err.value)
 
 
@@ -342,11 +342,10 @@ def test_phase_exp_refuses_an_unrepresentable_scale(nodes, t):
     # itself refuses these times before it builds J
     j = np.diag(np.array(nodes, dtype=complex))
     j[0, 1] = 1.0
-    with pytest.raises(Unresolved, match=r"^exp\(-i t m\) cannot be resolved: \|t\| = \S+ "
-                                         r"times \|\|m - mu\|\|_1 = \S+ needs a scale 2\^s"):
-        _phase_exp(j, t)
-    # from a table of j, with no j to read, in the same words
-    assert _refusal(None, t, divdiff._phase_powers(j, divdiff._DEGREE)) == _refusal(j, t, None)
+    assert re.match(r"exp\(-i t m\) cannot be resolved: \|t\| = \S+ "
+                    r"times \|\|m - mu\|\|_1 = \S+ needs a scale 2\^s", _refusal(j, t, divdiff._P))
+    # from the shared table's block size, in the same words
+    assert _refusal(j, t, divdiff._DEGREE) == _refusal(j, t, divdiff._P)
 
 
 def test_phase_exp_refuses_squarings_past_the_float_range():
@@ -357,8 +356,7 @@ def test_phase_exp_refuses_squarings_past_the_float_range():
                                          r"squares past the float range"):
         dd_phase([0.0, 0.0, 0.0], 1e300)
     j = _node_bidiagonal([0.0, 0.0, 0.0])
-    table = divdiff._phase_powers(j, divdiff._DEGREE)
-    assert _refusal(None, 1e300, table) == _refusal(j, 1e300, None)
+    assert _refusal(j, 1e300, divdiff._DEGREE) == _refusal(j, 1e300, divdiff._P)
 
 
 def _spread_nodes(kind, n, seed):

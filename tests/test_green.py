@@ -292,7 +292,7 @@ def test_inverse_fourier_refuses_its_inputs_before_any_node(case, sign, monkeypa
     def unreachable(*args, **kwargs):
         raise AssertionError("a node was evaluated before a refusal of the preamble")
 
-    monkeypatch.setattr(green, "timedep_green", unreachable)
+    monkeypatch.setattr(green, "truncated_evolution", unreachable)
     (E, eps, T, npoints, N), error, text = case[1]
     quad = QuadratureSpec((1.0, 200.0) if T is None else (0.0, T), npoints)
     with pytest.raises(error) as err:

@@ -127,7 +127,7 @@ def test_no_production_module_imports_the_oracles():
 
 def test_green_reads_its_taylor_tables_through_propagator():
     # propagator owns the inverse check's tables and their entry bound: green
-    # imports nothing from divdiff, nor the block matrix or the table builder
+    # imports nothing from divdiff, nor the series table builder or the table reader
     imported = set()
     for node in ast.walk(ast.parse(Path(green.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -135,7 +135,8 @@ def test_green_reads_its_taylor_tables_through_propagator():
             imported |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert not any(alias.name.endswith("divdiff") for alias in node.names)
-    assert "divdiff" not in imported and not {"_block_matrix", "_phase_powers"} & imported
+    assert "divdiff" not in imported
+    assert not {"_series_table", "_phase_powers", "_phase_exp"} & imported
 
 
 def test_sweep_budget_exhaustion_raises(monkeypatch):

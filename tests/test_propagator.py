@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -194,7 +195,7 @@ def test_a_matrix_against_mpmath(d, seed, l, half_phase, sign, lam, kind):
 def _table_row(m, N, t):
     # the blocks (0, 0), ..., (0, N) of e^{-iM_N t}, read off the inverse
     # check's one table of M_N, before truncated_evolution puts a_1 in place
-    row = _phase_exp(None, t, propagator._power_tables(m, N))[:m.dim]
+    row = _phase_exp(propagator._power_tables(m, N), t)[:m.dim]
     return row.reshape(m.dim, N + 1, m.dim).swapaxes(0, 1)
 
 
@@ -292,31 +293,49 @@ def test_table_route_at_minus_t_is_the_exact_conjugate(N, route):
 @pytest.mark.parametrize("l, refused", [(914, False), (915, True), (3000, True)])
 def test_a_matrix_refuses_tables_past_the_entry_bound(l, refused, monkeypatch):
     # a one-off table of M_l holds 5 ((l + 1) d)^2 entries: at d = 2,
-    # 16 744 500 at l = 914 and 16 781 120 at l = 915, past 2^24: refused,
-    # naming the order, before M_l is built
+    # 16 744 500 at l = 914 and 16 781 120 at l = 915, past 2^24: refused by
+    # _series_table, naming the order, before M_l is built (at l = 3000 its
+    # 6002^2 complex entries would take 576 MB)
     class Built(Exception):
         pass
 
-    def build(model, l):
+    def build(m, p):
         raise Built
 
-    monkeypatch.setattr(propagator, "_block_matrix", build)
-    with pytest.raises(Unresolved if refused else Built) as err:
-        a_matrix(two_level_model(), l, 1.0)
+    monkeypatch.setattr(propagator, "_phase_powers", build)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Unresolved if refused else Built) as err:
+            a_matrix(two_level_model(), l, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     if refused:
         assert str(err.value) == (f"series term cannot be resolved: order l = {l} puts its "
                                   "Taylor power table past 16777216 entries")
+        assert peak < 2**20
 
 
 def test_partial_sum_refuses_its_last_order_before_the_first(monkeypatch):
-    # at d = 6, a_400's table is past the bound: the per-order sum refuses
-    # with a_400's words before it takes any term
-    def unreachable(*args):
-        raise AssertionError("a term was taken before the refusal")
+    # at d = 6, a_400's table is past the bound: the per-order sum takes a_400
+    # first, whose _series_table refuses with a_400's words, so no other order
+    # builds a table or takes a term
+    real_table, real_term, orders = propagator._series_table, propagator.a_matrix, []
 
-    monkeypatch.setattr(propagator, "a_matrix", unreachable)
+    def table(model, l, *args):
+        orders.append(l)
+        return real_table(model, l, *args)
+
+    def term(model, l, t):
+        if l != 400:
+            raise AssertionError(f"a_{l} was taken before the refusal")
+        return real_term(model, l, t)
+
+    monkeypatch.setattr(propagator, "_series_table", table)
+    monkeypatch.setattr(propagator, "a_matrix", term)
     with pytest.raises(Unresolved, match=r"^series term cannot be resolved: order l = 400 "):
         truncated_evolution(random_model(6, 1, 0.1), 400, 1.0)
+    assert orders == [400]
 
 
 def _no_exponential(*args):
@@ -343,7 +362,7 @@ def test_first_order_term_in_closed_form(levels, phase, monkeypatch):
     monkeypatch.setattr(propagator, "_phase_exp", _no_exponential)
     for tt in (t, -t):
         got = a_matrix(m, 1, tt).entries
-        want = _phase_exp(block, tt)[:4, 4:]
+        want = _phase_exp(divdiff._phase_powers(block, divdiff._P), tt)[:4, 4:]
         err = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert err <= A_MATRIX_C * max(1.0, abs(tt) * norm) * np.finfo(float).eps / 2
     # time reversal holds bit for bit, and the term vanishes at t = 0
@@ -389,7 +408,7 @@ def _plain_a_matrix(m, l, t):
     np.fill_diagonal(block, e)
     for k in range(l):
         block[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = m.h1
-    return _phase_exp(block, t)[:d, l * d:]
+    return _phase_exp(divdiff._phase_powers(block, divdiff._P), t)[:d, l * d:]
 
 
 def _level_variants(d):
