@@ -64,7 +64,11 @@ class QuadratureSpec:
     npoints: int
 
     def __post_init__(self):
-        a, b = self.domain
+        try:
+            a, b = self.domain
+        except (TypeError, ValueError):  # no pair: a number, or more than two ends
+            raise ValueError(f"domain must be a finite interval (a, b), "
+                             f"got {self.domain}") from None
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValueError(f"domain must be a finite interval, got {self.domain}")
         n = _count(self.npoints, 2, "need a whole number of at least 2 quadrature points")

@@ -228,6 +228,8 @@ def epsilon_form_evolution(
     """
     _check_phase(t, model.energies.tolist())
     sgn = normalize_sign(sign)
+    if np.ndim(eps) != 0:
+        raise ValueError(f"eps must be one number, got shape {np.shape(eps)}")
     nodes, left, right = _graded_chains(model, spec, eps, sgn)
     N = len(nodes) - 1
     if -sgn * N * eps * t >= np.log(np.finfo(float).max):

@@ -338,6 +338,9 @@ def test_all_pairs_matrix_equals_per_pair_calls(route):
     call = ROUTES[route]
     matrix = call(sys_, EVERY, EVERY)
     assert matrix.shape == (6, 6)
+    # one grid index and one slice(None) give that row or column of the matrix
+    assert (np.array_equal(call(sys_, EVERY, 2), matrix[:, 2])
+            and np.array_equal(call(sys_, 3, EVERY), matrix[3]))
     for b in range(6):
         for a in range(6):
             got = call(sys_, b, a)

@@ -64,6 +64,8 @@ def test_single_node():
 def test_dd_phase_rejects_bad_nodes_and_time():
     with pytest.raises(ValueError, match="at least one node"):
         dd_phase([], 1.0)
+    with pytest.raises(ValueError, match=r"^nodes must be one-dimensional, got shape \(1, 2\)$"):
+        dd_phase([[1.0, 2.0]], 1.0)
     with pytest.raises(ValueError, match="nodes must be finite"):
         dd_phase([0.5, np.nan], 1.0)
     with pytest.raises(ValueError, match="nodes must be finite"):

@@ -573,6 +573,10 @@ def test_quadrature_spec_refuses_domains_that_are_not_finite_intervals():
     for domain in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (1.0, 1.0), (2.0, 1.0)):
         with pytest.raises(ValueError, match=r"^domain must be a finite interval, got \("):
             QuadratureSpec(domain, 40)
+    # no pair: these ended in Python's unpacking ValueError or a TypeError
+    for domain in ((0.0, 1.0, 2.0), 1.0):
+        with pytest.raises(ValueError, match=r"^domain must be a finite interval \(a, b\), got "):
+            QuadratureSpec(domain, 10)
 
 
 def test_quadrature_spec_stores_an_integral_count():

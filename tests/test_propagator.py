@@ -622,6 +622,10 @@ def test_epsilon_form_rejects_bad_eps():
     for eps in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             epsilon_form_evolution(m, TruncationSpec(1), 1.0, eps, "+")
+    # a ladder is _graded_chains' to take: here it ended in numpy's "truth value
+    # of an array is ambiguous" at the float-range test
+    with pytest.raises(ValueError, match=r"^eps must be one number, got shape \(2,\)$"):
+        epsilon_form_evolution(m, 2, 1.0, np.array([0.1, 0.2]), "+")
 
 
 def test_epsilon_form_refuses_phases_it_cannot_hold():
