@@ -124,57 +124,52 @@ def build_lattice(spec: LatticeSpec) -> LatticeSystem:
     return LatticeSystem(spec, SpectralModel(values, h1, label="lattice"), basis)
 
 
-def _endpoint(x, M: int):
-    """x, when it is slice(None) or a grid index 0 <= x < M (a Python or numpy int)."""
-    if not (isinstance(x, slice) and x == slice(None) or isinstance(x, (int, np.integer))
-            and not isinstance(x, bool) and 0 <= x < M):
-        raise ValueError(f"endpoint {x!r} is not a grid index 0 <= x < {M}")
-    return x
-
-
-def _at(amplitudes: np.ndarray, xb, xa):
-    """Entry (xb, xa) of an M x M amplitude matrix: one Python complex for
-    grid indices, the matrix itself for slice(None) on both."""
-    out = amplitudes[_endpoint(xb, len(amplitudes)), _endpoint(xa, len(amplitudes))]
+def _amplitude(sys: LatticeSystem, xb, tb: float, xa, ta: float, amplitudes):
+    """Entry (xb, xa) of ``amplitudes(tb - ta)``, a route's M x M matrix: one Python complex for
+    grid indices, the matrix itself for slice(None) on both.  Every route's input rules, before
+    its matrix is built: each endpoint is slice(None) or a grid index 0 <= x < M (a Python or
+    numpy int), and tb - ta >= 0, NaN refused."""
+    M = sys.spec.M
+    for x in (xb, xa):
+        if not (isinstance(x, slice) and x == slice(None) or isinstance(x, (int, np.integer))
+                and not isinstance(x, bool) and 0 <= x < M):
+            raise ValueError(f"endpoint {x!r} is not a grid index 0 <= x < {M}")
+    if not tb - ta >= 0:
+        raise ValueError("tb must be >= ta")
+    out = amplitudes(tb - ta)[xb, xa]
     return complex(out) if np.ndim(out) == 0 else out
 
 
 def _evolve(psi: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
-    """<x_b| e^{-iHt} |x_a> over every (x_b, x_a), t >= 0, from the
-    energies of H and its lattice-normalized eigenfunctions psi[n, g]; a NaN
-    t is refused too, and the times ``a_matrix`` refuses raise its Unresolved."""
-    if not t >= 0:
-        raise ValueError("tb must be >= ta")
+    """<x_b| e^{-iHt} |x_a> over every (x_b, x_a) from the energies of H and its
+    lattice-normalized eigenfunctions psi[n, g]; the times ``a_matrix`` refuses
+    raise its Unresolved."""
     _check_phase(t, energies.tolist())
     return (psi * np.exp(-1j * energies * t)) @ psi.conj().T
 
 
 def k0_amplitude(sys: LatticeSystem, xb, tb: float, xa, ta: float):
     """Unperturbed amplitude <x_b| e^{-i H0 (tb-ta)} |x_a> on the lattice."""
-    return _at(_evolve(sys.basis, sys.model.energies, tb - ta), xb, xa)
+    return _amplitude(sys, xb, tb, xa, ta, lambda t: _evolve(sys.basis, sys.model.energies, t))
 
 
 def k_exact(sys: LatticeSystem, xb, tb: float, xa, ta: float):
     """Exact amplitude of the full lattice Hamiltonian (oracle eigensolve)."""
-    return _at(_evolve(*sys.full, tb - ta), xb, xa)
+    return _amplitude(sys, xb, tb, xa, ta, lambda t: _evolve(*sys.full, t))
 
 
 def k_truncated_direct(sys: LatticeSystem, spec: TruncationSpec, xb, tb: float, xa, ta: float):
     """Position sandwich psi U_N psi^dagger of the divided-difference
     truncated evolution; the numerically stable reference for the kernel
     relation."""
-    if not tb > ta:
-        raise ValueError("tb must be > ta")
-    u = truncated_evolution(sys.model, spec, tb - ta).entries
-    return _at(sys.basis @ u @ sys.basis.conj().T, xb, xa)
+    return _amplitude(sys, xb, tb, xa, ta, lambda t: sys.basis @ truncated_evolution(
+        sys.model, spec, t).entries @ sys.basis.conj().T)
 
 
 def _relation(sys: LatticeSystem, spec: TruncationSpec, eps, t: float):
     """h^2 psi X psi^dagger over the eps ladder and every (x_b, x_a), X the graded
     sum of the retarded chains weighted by e^{-m*eps*t} G[g] at position m, level g,
-    G[g] = sum_{y_b, y_a} psi*(y_b, g) K0(y_b, t; y_a, 0) psi(y_a, g), t > 0."""
-    if not t > 0:
-        raise ValueError("tb must be > ta")
+    G[g] = sum_{y_b, y_a} psi*(y_b, g) K0(y_b, t; y_a, 0) psi(y_a, g), t >= 0."""
     psi = sys.basis
     level = np.sum(np.conj(psi) * (_evolve(psi, sys.model.energies, t) @ psi), axis=0)
     _, left, right = _graded_chains(sys.model, spec, eps, 1)
@@ -192,12 +187,12 @@ def k_via_relation(sys: LatticeSystem, spec: TruncationSpec, eps: float, xb, tb:
     C_m is a sum over levels g, so the grid sum is taken level by level
     (``_relation``): no (N+1) M^4 kernel array is formed.
     """
-    return _at(_relation(sys, spec, eps, tb - ta), xb, xa)
+    return _amplitude(sys, xb, tb, xa, ta, lambda t: _relation(sys, spec, eps, t))
 
 
 def k_via_relation_extrapolated(sys: LatticeSystem, spec: TruncationSpec, eps_values, xb,
                                 tb: float, xa, ta: float):
     """Richardson (Neville) extrapolation of ``k_via_relation`` to eps = 0;
     one ``_relation`` call makes every sample, from one K0 and its level sums G."""
-    samples = _relation(sys, spec, eps_values, tb - ta)
-    return _at(richardson_limit(eps_values, samples), xb, xa)
+    return _amplitude(sys, xb, tb, xa, ta, lambda t: richardson_limit(
+        eps_values, _relation(sys, spec, eps_values, t)))

@@ -208,14 +208,15 @@ def cmd_propagate(opts) -> Report:
     """Series terms vs time-ordered quadrature, plus the extrapolated
     resolvent-form consistency check."""
     model = _load_or_random_model(opts)
-    rows = []
-    # the partial sum of the terms, added in truncated_evolution's order
-    direct = np.zeros((model.dim, model.dim), dtype=complex)
     terms = oracle._dyson_terms(model, opts.order, opts.t, opts.quad_points)
-    for l, term in enumerate(terms):
-        computed = a_matrix(model, l, opts.t).entries
-        rows += _entry_rows(({"l": l}, computed, term.entries))
-        direct += computed
+    # the oracle's rules run before its first term; then, as in truncated_evolution,
+    # a_N, so that its rules refuse before any other order runs
+    first = next(terms)
+    last = a_matrix(model, opts.order, opts.t).entries
+    computed = [a_matrix(model, l, opts.t).entries for l in range(opts.order)] + [last]
+    rows = [row for l, term in enumerate([first, *terms])
+            for row in _entry_rows(({"l": l}, computed[l], term.entries))]
+    direct = sum(computed)  # the partial sum, added in truncated_evolution's order
 
     spec, ladder = TruncationSpec(opts.order), _eps_ladder(opts.t)
     samples = [epsilon_form_evolution(model, spec, opts.t, e, opts.sign).entries for e in ladder]

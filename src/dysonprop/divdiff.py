@@ -129,9 +129,9 @@ def dd_phase(nodes, t) -> complex:
     |t| max|E| >= 1/eps_mach raises Unresolved, as in ``propagator.a_matrix``.
     """
     nodes = _finite(np.array(nodes, dtype=complex) + 0.0, "nodes")  # + 0.0 turns -0.0 into 0.0
-    if nodes.ndim > 1:
+    if nodes.ndim != 1:
         raise ValueError(f"nodes must be one-dimensional, got shape {nodes.shape}")
-    if nodes.ndim != 1 or nodes.size < 1:
+    if nodes.size < 1:
         raise ValueError("a node list needs at least one node")
     t = _check_phase(t, nodes.tolist())
     n = nodes.size

@@ -183,12 +183,17 @@ def _graded_chains(model: SpectralModel, spec: TruncationSpec, eps, sgn: int):
               H1[g_0, g_1] ... H1[g_{l-1}, g_l] / prod_{j != m} (z_m - z_j);
 
     ``right[m]`` sums the right chains of length 0..N-m.  Cost O(N d^3).  An eps
-    array (a ladder) puts its axes in front of all three, bit for bit per eps.
+    array (a ladder) puts its axes in front of all three, bit for bit per eps.  Chains
+    whose ladder x (N + 1) x d^2 entries pass _MAX_ENTRIES are refused, naming N:
+    counted in Python ints, before any array is built.
     """
     N = _order(spec)
     eps = np.asarray(eps)
     for x in eps.flat:
         _check_eps(x)
+    if eps.size * (N + 1) * model.dim**2 > _MAX_ENTRIES:
+        raise Unresolved("graded chains", f"order N = {N} puts its chains past {_MAX_ENTRIES} "
+                         "entries")
     e = model.energies
     nodes = e - 1j * sgn * eps[..., np.newaxis, np.newaxis] * np.arange(N + 1)[:, np.newaxis]
     left = np.empty((*eps.shape, N + 1, model.dim, model.dim), dtype=complex)
@@ -224,17 +229,17 @@ def epsilon_form_evolution(
     to ``truncated_evolution`` as eps -> 0; callers are expected to
     extrapolate over a ladder of eps values.  Raises Unresolved at the times
     ``a_matrix`` refuses, and where |e^{-i z_N t}| = e^{-sgn N eps t} is past
-    the float range.
+    the float range: each rule before the chains are built.
     """
     _check_phase(t, model.energies.tolist())
     sgn = normalize_sign(sign)
     if np.ndim(eps) != 0:
         raise ValueError(f"eps must be one number, got shape {np.shape(eps)}")
-    nodes, left, right = _graded_chains(model, spec, eps, sgn)
-    N = len(nodes) - 1
-    if -sgn * N * eps * t >= np.log(np.finfo(float).max):
+    N = _order(spec)
+    if -sgn * N * _check_eps(eps) * t >= np.log(np.finfo(float).max):
         raise Unresolved("e^{-i z t}", f"at t = {t}, eps = {eps} and N = {N} the graded "
                          f"shift grows it to e^{-sgn * N * eps * t:.3e}, past the float range")
+    nodes, left, right = _graded_chains(model, N, eps, sgn)
     return OperatorMatrix(_graded_sum(left, np.exp(-1j * nodes * t), right))
 
 

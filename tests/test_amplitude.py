@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dysonprop import amplitude
+from dysonprop import amplitude, cli
 from dysonprop.amplitude import (
     LatticeSpec,
     build_lattice,
@@ -287,63 +287,76 @@ def test_c_kernel_matches_tuple_sum():
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_time_ordering_guards():
-    sys_ = build_lattice(well_spec(0.2))
-    with pytest.raises(ValueError):
-        k0_amplitude(sys_, 0, 0.0, 1, 1.0)
-    with pytest.raises(ValueError):
-        k_truncated_direct(sys_, TruncationSpec(1), 0, 1.0, 1, 1.0)
-    # every comparison with NaN is False: a guard must not let it through as
-    # nan+nanj, or as a phase refusal
-    routes = [(k0_amplitude, "tb must be >= ta"), (k_exact, "tb must be >= ta"),
-              (lambda s, *a: k_truncated_direct(s, TruncationSpec(1), *a), "tb must be > ta"),
-              (lambda s, *a: k_via_relation(s, TruncationSpec(1), 1e-2, *a), "tb must be > ta")]
-    for route, message in routes:
-        for xb, xa in ((3, 2), (slice(None), slice(None))):
-            for tb, ta in ((np.nan, 0.0), (1.0, np.nan)):
-                with pytest.raises(ValueError, match=f"^{message}$"):
-                    route(sys_, xb, tb, xa, ta)
-
-
 EVERY = slice(None)
 
-#: each lattice route as a function of (system, x_b, x_a), t_b = 1, t_a = 0
+#: each lattice route as a function of (system, x_b, t_b, x_a, t_a)
 ROUTES = {
-    "k0_amplitude": lambda s, b, a: k0_amplitude(s, b, 1.0, a, 0.0),
-    "k_exact": lambda s, b, a: k_exact(s, b, 1.0, a, 0.0),
-    "k_truncated_direct": lambda s, b, a: k_truncated_direct(s, TruncationSpec(2), b, 1.0, a, 0.0),
-    "k_via_relation": lambda s, b, a: k_via_relation(s, TruncationSpec(2), 1e-2, b, 1.0, a, 0.0),
-    "k_via_relation_extrapolated": lambda s, b, a: k_via_relation_extrapolated(
-        s, TruncationSpec(2), [1e-2, 5e-3, 2.5e-3], b, 1.0, a, 0.0),
+    "k0_amplitude": k0_amplitude,
+    "k_exact": k_exact,
+    "k_truncated_direct": lambda s, *x: k_truncated_direct(s, TruncationSpec(2), *x),
+    "k_via_relation": lambda s, *x: k_via_relation(s, TruncationSpec(2), 1e-2, *x),
+    "k_via_relation_extrapolated": lambda s, *x: k_via_relation_extrapolated(
+        s, TruncationSpec(2), [1e-2, 5e-3, 2.5e-3], *x),
 }
 
 
+def test_time_ordering_guards():
+    # one time rule, t_b - t_a >= 0.  At t_b = t_a every route is the identity
+    # kernel I/h, the CLI's four-point ladder too (t_b = t_a was refused on the
+    # direct and relation routes).  An earlier t_b and a NaN time are refused
+    # with one text: every comparison with NaN is False, and the rule must not
+    # let it through as nan+nanj, or as a phase refusal.  On the CLI's built-in well
+    sys_ = build_lattice(well_spec(0.1))
+    routes = {**ROUTES, "cli ladder": lambda s, *x: k_via_relation_extrapolated(
+        s, TruncationSpec(2), cli._eps_ladder(0.0), *x)}
+    most = {"k_via_relation": 1e-12, "k_via_relation_extrapolated": 1e-10, "cli ladder": 1e-10}
+    for name, route in routes.items():
+        got = route(sys_, EVERY, 0.7, EVERY, 0.7)
+        assert np.max(np.abs(got - np.eye(6) / sys_.spec.h)) <= most.get(name, 1e-13), name
+        for xb, xa in ((3, 2), (EVERY, EVERY)):
+            for tb, ta in ((0.0, 1.0), (np.nan, 0.0), (1.0, np.nan)):
+                with pytest.raises(ValueError, match="^tb must be >= ta$"):
+                    route(sys_, xb, tb, xa, ta)
+
+
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_endpoints_must_be_grid_indices(route):
+def test_endpoints_must_be_grid_indices(route, monkeypatch):
     # -1 silently gave the amplitude at x = M - 1, M a bare IndexError, and
     # True or slice(1, 3) returned arrays
-    sys_ = build_lattice(well_spec(0.2))
-    call = ROUTES[route]
-    assert np.array_equal(call(sys_, np.int64(5), np.int64(0)), call(sys_, 5, 0))
+    sys_, call = build_lattice(well_spec(0.2)), ROUTES[route]
+    assert np.array_equal(call(sys_, np.int64(5), 1.0, np.int64(0), 0.0),
+                          call(sys_, 5, 1.0, 0, 0.0))
+
+    # every endpoint and time refusal comes before any work: the oracle's
+    # decomposition behind full, the chains and the series terms all fail here
+    def work(*args):
+        raise AssertionError("a route worked before its refusal")
+
+    for name in ("hermitian_eigendecomposition", "_graded_chains", "truncated_evolution"):
+        monkeypatch.setattr(amplitude, name, work)
+    sys_ = build_lattice(well_spec(0.2))  # full not yet taken
     for bad in [-1, 6, 2.0, True, "1", None, slice(1, 3), [0, 1]]:
         for xb, xa in ((bad, 0), (0, bad)):
             with pytest.raises(ValueError, match=f"^endpoint {re.escape(repr(bad))} is not "
                                                  "a grid index 0 <= x < 6$"):
-                call(sys_, xb, xa)
+                call(sys_, xb, 1.0, xa, 0.0)
+    for tb, ta in ((0.0, 1.0), (np.nan, 0.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="^tb must be >= ta$"):
+            call(sys_, 0, tb, 0, ta)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_all_pairs_matrix_equals_per_pair_calls(route):
     sys_ = build_lattice(well_spec(0.2))
     call = ROUTES[route]
-    matrix = call(sys_, EVERY, EVERY)
+    matrix = call(sys_, EVERY, 1.0, EVERY, 0.0)
     assert matrix.shape == (6, 6)
     # one grid index and one slice(None) give that row or column of the matrix
-    assert (np.array_equal(call(sys_, EVERY, 2), matrix[:, 2])
-            and np.array_equal(call(sys_, 3, EVERY), matrix[3]))
+    assert (np.array_equal(call(sys_, EVERY, 1.0, 2, 0.0), matrix[:, 2])
+            and np.array_equal(call(sys_, 3, 1.0, EVERY, 0.0), matrix[3]))
     for b in range(6):
         for a in range(6):
-            got = call(sys_, b, a)
+            got = call(sys_, b, 1.0, a, 0.0)
             assert type(got) is complex  # JSON-ready, not a numpy scalar
             assert got == matrix[b, a]
 

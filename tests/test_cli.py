@@ -503,6 +503,18 @@ _REFUSALS = {
         ["amplitude", "--order", "400"],
         "series term cannot be resolved: order l = 400 puts its Taylor power table past "
         "16777216 entries"),
+    # a_700's one-off table at d = 3, past the bound: a_N's rules come first, so no
+    # other order runs (a_0 .. a_609 ran before a_610's table rule refused)
+    "propagate-order-past-the-table-bound": (
+        ["propagate", "--order", "700"],
+        "series term cannot be resolved: order l = 700 puts its Taylor power table past "
+        "16777216 entries"),
+    # the relation's chains over the four-point ladder, 4 (N + 1) 6^2 entries on the
+    # d = 6 lattice, past the bound: refused before any is built (about 1.4 GB)
+    "amplitude-order-past-the-chain-bound": (
+        ["amplitude", "--order", "200000"],
+        "graded chains cannot be resolved: order N = 200000 puts its chains past 16777216 "
+        "entries"),
     # d x d arrays past the 2^24-entry bound, refused before any is built
     "dim-past-the-entry-bound": (["dyson-check", "--dim", "4097"],
                                  "dim 4097 puts the model's 4097 x 4097 arrays past 16777216"),

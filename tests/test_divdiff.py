@@ -62,10 +62,12 @@ def test_single_node():
 
 
 def test_dd_phase_rejects_bad_nodes_and_time():
-    with pytest.raises(ValueError, match="at least one node"):
+    with pytest.raises(ValueError, match="^a node list needs at least one node$"):
         dd_phase([], 1.0)
-    with pytest.raises(ValueError, match=r"^nodes must be one-dimensional, got shape \(1, 2\)$"):
-        dd_phase([[1.0, 2.0]], 1.0)
+    # every shape but a list: a 0-d node holds one node, but is no list of them
+    for nodes, shape in (([[1.0, 2.0]], r"\(1, 2\)"), (1.0, r"\(\)"), (np.array(2.0), r"\(\)")):
+        with pytest.raises(ValueError, match=f"^nodes must be one-dimensional, got shape {shape}$"):
+            dd_phase(nodes, 1.0)
     with pytest.raises(ValueError, match="nodes must be finite"):
         dd_phase([0.5, np.nan], 1.0)
     with pytest.raises(ValueError, match="nodes must be finite"):

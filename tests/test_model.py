@@ -30,7 +30,8 @@ from dysonprop.model import (
 )
 from dysonprop.oracle import (dyson_term_quadrature, exact_evolution, gauss_legendre,
                               hermitian_eigendecomposition, linear_solve)
-from dysonprop.propagator import a_coefficient, a_matrix, epsilon_form_evolution, richardson_limit
+from dysonprop.propagator import (_graded_chains, a_coefficient, a_matrix,
+                                  epsilon_form_evolution, richardson_limit)
 
 
 def test_two_level_shape():
@@ -373,6 +374,7 @@ EPS_ROUTES = {
     "epsilon_form_evolution": lambda e: epsilon_form_evolution(
         two_level_model(1.0, 0.3), 1, 1.0, e, "+"),
     "k_via_relation": lambda e: k_via_relation(build_lattice(_lattice(6)), 1, e, 0, 1.0, 0, 0.0),
+    "_graded_chains": lambda e: _graded_chains(two_level_model(1.0, 0.3), 1, e, 1),
     "forward_fourier": lambda e: forward_fourier(
         two_level_model(1.0, 0.3), QuadratureSpec((-40.0, 41.0), 64), 1.0, 0.0, "+", e),
     "richardson_limit": lambda e: richardson_limit([e, 1e-2], [1.0, 2.0]),

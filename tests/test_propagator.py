@@ -605,6 +605,32 @@ def test_graded_chains_check_every_eps_of_a_ladder(bad, where):
         _graded_chains(random_model(3, 1), 2, ladder, 1)
 
 
+@pytest.mark.parametrize("N, refused", [(116507, False), (116508, True)])
+def test_graded_chains_refuse_arrays_past_the_entry_bound(N, refused, monkeypatch):
+    # a four-point ladder at d = 6 holds 4 (N + 1) 36 entries per array: 16 777 152
+    # at N = 116 507 and 16 777 296 at N = 116 508, past 2^24: refused, naming N,
+    # before any array is built
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    m = random_model(6, 1)
+    monkeypatch.setattr(np, "empty", build)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Unresolved if refused else Built) as err:
+            _graded_chains(m, N, [1e-2, 5e-3, 2.5e-3, 1.25e-3], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if refused:
+        assert str(err.value) == (f"graded chains cannot be resolved: order N = {N} puts its "
+                                  "chains past 16777216 entries")
+        assert peak < 2**20
+
+
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_epsilon_form_large_dimension(sign):
     # d=64 at N=3 with levels in coincident pairs: 64^4 index tuples, so the
@@ -628,8 +654,14 @@ def test_epsilon_form_rejects_bad_eps():
         epsilon_form_evolution(m, 2, 1.0, np.array([0.1, 0.2]), "+")
 
 
-def test_epsilon_form_refuses_phases_it_cannot_hold():
+def test_epsilon_form_refuses_phases_it_cannot_hold(monkeypatch):
     m = two_level_model(1.0, 0.3)
+    real = propagator._graded_chains
+
+    def chains(*args):
+        raise AssertionError("the chains were built before the refusal")
+
+    monkeypatch.setattr(propagator, "_graded_chains", chains)  # each refusal comes first
     # the times a_matrix refuses, with its text; the eps-form once returned
     # finite numbers with no correct bit here
     with pytest.raises(Unresolved, match="no phase keeps a bit"):
@@ -640,6 +672,7 @@ def test_epsilon_form_refuses_phases_it_cannot_hold():
         with pytest.raises(Unresolved, match=r"^e\^\{-i z t\} cannot be resolved: at t = "
                                              r"-?10000\.0, eps = 0\.1 and N = 2 "):
             epsilon_form_evolution(m, 2, t, 0.1, sign)
+    monkeypatch.setattr(propagator, "_graded_chains", real)
     # the decaying side, and a growth e^709.6 just inside the range
     for t, sign in ((1e4, "+"), (3548.0, "-")):
         assert np.all(np.isfinite(epsilon_form_evolution(m, 2, t, 0.1, sign).entries))
